@@ -88,7 +88,7 @@ def _propagate(
     frontier = np.flatnonzero(defaulted)
     rounds = 0
     while frontier.size:
-        idx = net.in_edges_of(frontier)
+        idx, _ = net.in_edges_of(frontier)
         if idx.size:
             np.add.at(exposure, net.in_lender[idx], edge_amount[idx])
         newly = can_flip & ~defaulted & (exposure > threshold)

@@ -210,6 +210,14 @@ def _trial_results(
     return out
 
 
+def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values."""
+    first = np.empty(sorted_values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
+    return first
+
+
 def _batch_propagate(
     net: DirectedNetwork,
     flipped: np.ndarray,
@@ -219,11 +227,20 @@ def _batch_propagate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate many trials of one network together, superstep by superstep.
 
-    Semantically identical to running the per-trial engines row by row
-    (same flip sets, same round counts, even the same accumulation order
-    per lender); batching only removes per-round Python overhead, which
+    Each row gets the flip set and round count the per-trial engines give on
+    that row's inputs; batching only removes per-round Python overhead, which
     dominates when thousands of trials share one network. ``flipped`` is
     (trials, banks) and is mutated in place.
+
+    Two rules keep every comparison bit-identical to the per-trial loop:
+
+    - Within a superstep, each (trial, lender) exposure receives its additions
+      in ascending borrower order, the order the per-trial loop uses. The
+      frontier stays sorted by (trial, bank) and ``np.add.at`` applies
+      additions in input order.
+    - Exposures of lenders that have flipped or cannot flip are no longer
+      accumulated, since nothing reads them again. Only the exposures a
+      superstep changed are compared with their thresholds.
 
     Returns (flipped, rounds-per-trial).
     """
@@ -233,25 +250,29 @@ def _batch_propagate(
     exposure = np.zeros(n_trials * n)
     thr_flat = np.ascontiguousarray(thresholds).ravel()
     flip_flat = flipped.ravel()
-    tt, jj = np.nonzero(flipped)  # tt stays sorted throughout
+    live = np.tile(can_flip, n_trials)  # (trial, lender) keys that may still flip
+    live &= ~flip_flat
+    tt, jj = np.nonzero(flipped)  # the frontier, sorted by (trial, bank)
     while tt.size:
-        idx = net.in_edges_of(jj)
-        if not idx.size:
-            break
-        counts = net.in_indptr[jj + 1] - net.in_indptr[jj]
-        lender = net.in_lender[idx]
+        idx, counts = net.in_edges_of(jj)
         # flat (trial, lender) key of every edge hit by the new defaults;
-        # only those entries can change state this superstep
-        keys = np.repeat(tt, counts) * n + lender
-        np.add.at(exposure, keys, edge_amount[idx])
-        flippable = can_flip[lender] & ~flip_flat[keys] & (exposure[keys] > thr_flat[keys])
-        hit = np.unique(keys[flippable])
+        # only the live ones can change state this superstep. take/compress
+        # rather than boolean-mask indexing: on these irregular masks the
+        # mask index is several times slower.
+        keys = np.repeat(tt * n, counts) + net.in_lender[idx]
+        on_live = np.flatnonzero(live[keys])
+        keys = keys.take(on_live)
+        np.add.at(exposure, keys, edge_amount[idx.take(on_live)])
+        hit = np.compress(exposure[keys] > thr_flat[keys], keys)
         if not hit.size:
             break
+        hit.sort()
+        hit = np.compress(_run_starts(hit), hit)
         flip_flat[hit] = True
+        live[hit] = False
         tt = hit // n
-        jj = hit % n
-        rounds[tt[np.r_[True, tt[1:] != tt[:-1]]]] += 1
+        jj = hit - tt * n
+        rounds[np.compress(_run_starts(tt), tt)] += 1
     return flipped, rounds
 
 
@@ -268,7 +289,8 @@ def _batch_outcomes(
 
     Draws still happen trial by trial through the public draw functions
     with the per-trial seed scheme, so any row can be reproduced with
-    :func:`run_trial`.
+    :func:`run_trial`. Returns, per engine run ('bs', 'threshold'), a tuple
+    (fundamental defaults per trial, flip matrix, rounds per trial).
     """
     n, T = cfg.n_banks, cfg.trials_per_network
     out: dict = {}

@@ -1,8 +1,10 @@
 """Acceptance suite: every release-gating property at full scale.
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them on
-success). The degree sweeps at protocol scale dominate the runtime; expect
-a few minutes per case on one core.
+success). The degree sweeps at protocol scale dominate the runtime: the
+module takes 8 to 9 minutes on a 2-core x86 host (Python 3.11, numpy 2.4).
+Every test here carries the ``acceptance`` marker, so
+``pytest -m "not acceptance"`` runs the rest of the suite alone.
 """
 import math
 
@@ -28,6 +30,8 @@ from bankcascades.experiment import ExperimentConfig, case_presets
 from bankcascades.rng import stream_rng
 
 from conftest import quantile_bisect
+
+pytestmark = pytest.mark.acceptance
 
 MASTER = 7
 GAMMA, DELTA, N = 0.1, 0.01, 1000
