@@ -15,10 +15,15 @@ import numpy as np
 
 from .balance import BalanceSheets
 from .network import DirectedNetwork
-from .rng import as_generator
+from .rng import as_generator, normal_from_standard
 
 __all__ = ["ShockDraw", "CascadeResult", "draw_shocks", "run_balance_cascade",
            "run_balance_cascade_async"]
+
+
+def _require_finite(returns: np.ndarray) -> None:
+    if not np.isfinite(returns).all():
+        raise ValueError("asset returns must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,8 +33,7 @@ class ShockDraw:
     asset_returns: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.asset_returns)):
-            raise ValueError("asset returns must be finite")
+        _require_finite(self.asset_returns)
         self.asset_returns.setflags(write=False)
 
 
@@ -61,13 +65,23 @@ class CascadeResult:
         )
 
 
+def shock_returns(z: np.ndarray, sheets: BalanceSheets) -> np.ndarray:
+    """Asset returns from standard normal draws ``z`` (one row per trial),
+    scaled in place by each bank's calibrated volatility: the same values
+    as ``rng.normal(0.0, sheets.return_std)``. Raises ValueError unless
+    every return is finite."""
+    returns = normal_from_standard(z, 0.0, sheets.return_std)
+    _require_finite(returns)
+    return returns
+
+
 def draw_shocks(sheets: BalanceSheets, rng_seed) -> ShockDraw:
     """Independent zero-mean normal returns, one per bank, scaled by each
     bank's calibrated volatility."""
     if len(sheets) == 0:
         raise ValueError("need at least one bank")
     rng = as_generator(rng_seed)
-    return ShockDraw(rng.normal(0.0, sheets.return_std))
+    return ShockDraw(shock_returns(rng.standard_normal(len(sheets)), sheets))
 
 
 def _propagate(

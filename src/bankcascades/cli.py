@@ -39,6 +39,16 @@ def _parse_degree_grid(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _parse_cases(text: str) -> tuple[str, ...]:
     cases = tuple(c.strip().upper() for c in text.split(","))
     for c in cases:
@@ -77,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=1000, help="trials per network")
     sweep.add_argument("--crisis-cutoff", type=float, default=0.05,
                        help="defaulted fraction that counts as a crisis")
-    sweep.add_argument("--seed", type=int, default=0, help="master seed")
+    sweep.add_argument("--seed", type=_non_negative_int, default=0, help="master seed (>= 0)")
     sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                        help="worker processes (output is identical for any value)")
     sweep.add_argument("--out", type=Path, default=out_default, required=out_default is None,
@@ -96,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--z", type=_parse_degree_grid, default="1,3,5,8",
                        help="degrees cycled over coupled instances")
     check.add_argument("--oracle-instances", type=int, default=200)
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=_non_negative_int, default=0, help="master seed (>= 0)")
     check.add_argument("--dump-dir", type=Path, default=Path("."),
                        help="where to write a counterexample network dump")
     check.add_argument("--inject-fault", action="store_true",

@@ -20,6 +20,7 @@ from .balance_cascade import (
     ShockDraw,
     draw_shocks,
     run_balance_cascade,
+    shock_returns,
 )
 from .network import DirectedNetwork, LoanSizeDistribution, generate_er
 from .rng import (
@@ -34,6 +35,7 @@ from .threshold_cascade import (
     draw_inactive_flips,
     run_threshold_cascade,
     sample_thresholds,
+    thresholds_from_normals,
     thresholds_from_shocks,
 )
 
@@ -105,6 +107,8 @@ class ExperimentConfig:
             raise ValueError("network and trial counts must be >= 1")
         if not 0 < self.crisis_cutoff <= 1:
             raise ValueError("crisis_cutoff must lie in (0, 1]")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
 
     def resolved_theta_dist(self) -> ThetaDistribution:
         return self.theta_dist if self.theta_dist is not None else case_presets(self.case)[0]
@@ -287,44 +291,46 @@ def _batch_outcomes(
 ) -> dict:
     """All trials for one network cell, propagated in batch.
 
-    Draws still happen trial by trial through the public draw functions
-    with the per-trial seed scheme, so any row can be reproduced with
-    :func:`run_trial`. Returns, per engine run ('bs', 'threshold'), a tuple
-    (fundamental defaults per trial, flip matrix, rounds per trial).
+    Each trial still draws from its own stream with the per-trial seed
+    scheme, so any row can be reproduced with :func:`run_trial`. The draws go
+    straight into one row per trial; the laws that the public draw functions
+    apply (:func:`shock_returns`, :func:`thresholds_from_normals`) then run
+    once over the (trials, banks) matrix, with bit-identical results.
+    Returns, per engine run ('bs', 'threshold'), a tuple (fundamental
+    defaults per trial, flip matrix, rounds per trial).
     """
     n, T = cfg.n_banks, cfg.trials_per_network
+    seed = cfg.master_seed
     out: dict = {}
     active = net.interbank_assets > 0
 
     if cfg.model != "threshold":
         returns = np.empty((T, n))
         for ti in range(T):
-            returns[ti] = draw_shocks(
-                sheets, stream_rng(cfg.master_seed, STREAM_SHOCKS, z_index, net_index, ti)
-            ).asset_returns
+            stream_rng(seed, STREAM_SHOCKS, z_index, net_index, ti).standard_normal(
+                out=returns[ti])
+        shock_returns(returns, sheets)
         worth = sheets.net_worth
+        start = returns < -worth
+        n_fundamental = start.sum(axis=1)
         flipped, rounds = _batch_propagate(
             net,
-            returns < -worth,
+            start,
             can_flip=np.ones(n, dtype=bool),
             thresholds=worth + returns,
             edge_amount=net.in_loan,
         )
-        out["bs"] = ((returns < -worth).sum(axis=1), flipped, rounds)
+        out["bs"] = (n_fundamental, flipped, rounds)
 
     if cfg.model in ("threshold", "both-independent"):
         thresholds = np.empty((T, n))
-        start = np.empty((T, n), dtype=bool)
+        start = np.empty((T, n), dtype=bool)  # inactive flips, then every round-0 flip
         for ti in range(T):
-            rng = stream_rng(cfg.master_seed, STREAM_THRESHOLDS, z_index, net_index, ti)
-            thr = sample_thresholds(net, params, thetas, rng)
-            flips = draw_inactive_flips(active, params.default_prob, rng)
-            thresholds[ti] = thr.thresholds
-            start[ti] = np.where(active, thr.thresholds < 0, flips)
-        flipped, rounds = _batch_propagate(
-            net, start.copy(), active, thresholds, net.in_edge_weights
-        )
-        out["threshold"] = (start.sum(axis=1), flipped, rounds)
+            rng = stream_rng(seed, STREAM_THRESHOLDS, z_index, net_index, ti)
+            rng.standard_normal(out=thresholds[ti])
+            np.less(rng.random(n), params.default_prob, out=start[ti])
+        thresholds_from_normals(thresholds, net, params, thetas)
+        np.copyto(start, thresholds < 0, where=active)
     elif cfg.model == "both-coupled":
         worth = sheets.net_worth
         lent = net.interbank_assets
@@ -332,10 +338,12 @@ def _batch_outcomes(
             thresholds = (worth + returns) / lent
         thresholds[:, ~active] = np.nan
         start = np.where(active, thresholds < 0, returns < -worth)
+    if cfg.model != "bs":
+        n_fundamental = start.sum(axis=1)
         flipped, rounds = _batch_propagate(
-            net, start.copy(), active, thresholds, net.in_edge_weights
+            net, start, active, thresholds, net.in_edge_weights
         )
-        out["threshold"] = (start.sum(axis=1), flipped, rounds)
+        out["threshold"] = (n_fundamental, flipped, rounds)
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .balance import BalanceParams, BalanceSheets
 from .balance_cascade import CascadeResult, ShockDraw, _propagate
 from .network import DirectedNetwork
-from .rng import as_generator
+from .rng import as_generator, normal_from_standard
 
 __all__ = [
     "ThresholdAssignment",
@@ -63,31 +63,42 @@ def shadow_threshold(net_worth: float, interbank_assets: float, asset_return: fl
     return (net_worth + asset_return) / interbank_assets
 
 
+def thresholds_from_normals(
+    z: np.ndarray,
+    net: DirectedNetwork,
+    params: BalanceParams,
+    theta_draws: np.ndarray,
+) -> np.ndarray:
+    """Map standard normal draws ``z`` (one row per trial) onto each lending
+    bank's threshold law, in place; non-lenders get NaN.
+
+    The law of a bank with share theta is Normal(ratio, (ratio / |q|)^2)
+    where ratio = capital_ratio / theta and q is the normal quantile of the
+    default probability.
+    """
+    ratio = params.capital_ratio / theta_draws
+    thresholds = normal_from_standard(z, ratio, ratio / abs(params.default_quantile))
+    thresholds[..., ~(net.interbank_assets > 0)] = np.nan
+    return thresholds
+
+
 def sample_thresholds(
     net: DirectedNetwork,
     params: BalanceParams,
     theta_draws: np.ndarray,
     rng_seed,
 ) -> ThresholdAssignment:
-    """Draw each lending bank's threshold directly from its implied law.
-
-    With normal asset returns the threshold of a bank with share theta is
-    Normal(ratio, (ratio / |q|)^2) where ratio = capital_ratio / theta and
-    q is the normal quantile of the default probability. No sheets are
-    consulted: the parameters and loan sizes are all the model needs.
+    """Draw each lending bank's threshold directly from its implied law
+    (see :func:`thresholds_from_normals`). No sheets are consulted: the
+    parameters and loan sizes are all the model needs.
     """
     n = net.n_nodes
     theta_draws = np.asarray(theta_draws, dtype=np.float64)
     if theta_draws.shape != (n,):
         raise ValueError("theta_draws must have one entry per bank")
     rng = as_generator(rng_seed)
-
-    ratio = params.capital_ratio / theta_draws
-    sd = ratio / abs(params.default_quantile)
-    thresholds = rng.normal(ratio, sd)
-    active = net.interbank_assets > 0
-    thresholds[~active] = np.nan
-    return ThresholdAssignment(thresholds, active, net.in_edge_weights)
+    thresholds = thresholds_from_normals(rng.standard_normal(n), net, params, theta_draws)
+    return ThresholdAssignment(thresholds, net.interbank_assets > 0, net.in_edge_weights)
 
 
 def draw_inactive_flips(active: np.ndarray, default_prob: float, rng_seed) -> np.ndarray:

@@ -50,6 +50,32 @@ def test_missing_required_flag_exits_2(capsys, monkeypatch, tmp_path):
     assert "--case" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "check"])
+def test_negative_seed_is_a_usage_error(command, capsys, tmp_path):
+    argv = [command, "--seed", "-1"]
+    if command == "sweep":
+        argv += ["--case", "A", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "non-negative" in err
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_manifest_with_negative_seed_is_rejected(tmp_path, capsys):
+    _run_sweep(tmp_path / "one")
+    manifest = tmp_path / "one" / "manifest.json"
+    data = json.loads(manifest.read_text())
+    data["config"]["master_seed"] = -1
+    manifest.write_text(json.dumps(data))
+    code = main(["sweep", "--quiet", "--from-manifest", str(manifest),
+                 "--out", str(tmp_path / "two")])
+    assert code == 1
+    assert "master_seed" in capsys.readouterr().err
+    assert not (tmp_path / "two").exists()
+
+
 def test_degenerate_single_point_grid(tmp_path):
     code = main(["sweep", "--case", "A", "--model", "bs", "--n", "200", "--z", "0:0:1",
                  "--networks", "2", "--trials", "30", "--seed", "1", "--quiet",

@@ -27,6 +27,7 @@ from bankcascades.experiment import (
     ExperimentConfig,
     _batch_outcomes,
     _batch_propagate,
+    _models_run,
     _network_inputs,
     case_presets,
     run_trial,
@@ -94,16 +95,28 @@ def test_ge_mutation_is_detected_on_the_probe():
 
 
 @pytest.mark.parametrize("case,model", [("A", "both-coupled"), ("B", "both-independent"),
-                                        ("C", "both-coupled")])
+                                        ("C", "both-coupled"), ("B", "threshold"),
+                                        ("A", "bs")])
 def test_batched_sweep_path_equals_per_trial_engines(case, model):
+    _assert_batched_path_equals_run_trial(case, model, master_seed=21)
+
+
+@pytest.mark.parametrize("model", ["both-independent", "both-coupled"])
+def test_batched_sweep_path_equals_per_trial_engines_with_multiword_seed(model):
+    # a master seed >= 2**32 spans two 32-bit words of every stream key
+    _assert_batched_path_equals_run_trial("B", model, master_seed=2**32 + 21)
+
+
+def _assert_batched_path_equals_run_trial(case, model, master_seed):
     cfg = ExperimentConfig(
         n_banks=250, capital_ratio=0.1, default_prob=0.01, case=case, model=model,
         degree_grid=(1.5, 4.0), networks_per_degree=1, trials_per_network=30,
-        crisis_cutoff=0.05, master_seed=21,
+        crisis_cutoff=0.05, master_seed=master_seed,
     )
     for zi in range(2):
         net, params, thetas, sheets = _network_inputs(cfg, zi, 0)
         out = _batch_outcomes(cfg, net, params, thetas, sheets, zi, 0)
+        assert set(out) == set(_models_run(model))
         for m in out:
             n_fund, flipped, rounds = out[m]
             for ti in range(cfg.trials_per_network):

@@ -50,6 +50,8 @@ def test_config_validation():
         _small_cfg(crisis_cutoff=0.0)
     with pytest.raises(ValueError):
         _small_cfg(trials_per_network=0)
+    with pytest.raises(ValueError, match="master_seed"):
+        _small_cfg(master_seed=-1)
 
 
 def test_case_presets_are_overridable():
