@@ -22,14 +22,12 @@ from .balance_cascade import (
     ShockDraw,
     draw_shocks,
     run_balance_cascade,
-    run_balance_cascade_async,
 )
 from .experiment import (
     CASES,
     MODELS,
     CrisisStats,
     ExperimentConfig,
-    brute_force_fixed_point,
     case_presets,
     run_sweep,
     run_trial,
@@ -70,7 +68,6 @@ __all__ = [
     "ShockDraw",
     "ThetaDistribution",
     "ThresholdAssignment",
-    "brute_force_fixed_point",
     "build_sheets",
     "case_presets",
     "degrees",
@@ -81,7 +78,6 @@ __all__ = [
     "load_edge_list",
     "normal_quantile",
     "run_balance_cascade",
-    "run_balance_cascade_async",
     "run_sweep",
     "run_threshold_cascade",
     "run_trial",

@@ -4,6 +4,9 @@ Three independent lines of evidence that the two cascade engines implement
 the same model: exact trial-for-trial agreement when coupled through one
 shock draw, agreement of the fast engine with a naive fixed-point oracle on
 desk-scale networks, and distributional calibration of the sampled inputs.
+The validation-only oracles, a brute-force fixed point and a random
+asynchronous schedule, live here too, apart from the product modules: they
+share no propagation code with the engines they check.
 """
 from __future__ import annotations
 
@@ -13,18 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets, build_sheets, normal_quantile
-from .balance_cascade import (
-    ShockDraw,
-    draw_shocks,
-    run_balance_cascade,
-    run_balance_cascade_async,
-)
-from .experiment import brute_force_fixed_point, case_presets
+from .balance_cascade import CascadeResult, ShockDraw, draw_shocks, run_balance_cascade
+from .experiment import case_presets
 from .network import DirectedNetwork, from_edges, generate_er
-from .rng import stream_rng, stream_seed
+from .rng import as_generator, stream_rng, stream_seed
 from .threshold_cascade import run_threshold_cascade, sample_thresholds, thresholds_from_shocks
 
-__all__ = ["CheckReport", "equivalence_suite", "oracle_suite", "distribution_suite"]
+__all__ = [
+    "CheckReport",
+    "equivalence_suite",
+    "oracle_suite",
+    "distribution_suite",
+    "brute_force_fixed_point",
+    "run_balance_cascade_async",
+]
 
 # Stream tags local to the check harness; disjoint from the sweep streams.
 _CHK_NET = 901
@@ -234,3 +239,83 @@ def distribution_suite(
         f"failure rate {fund_freq:.5f}, negative-threshold rate {thr_freq:.5f} "
         f"(target {default_prob}), KS {stat:.5f} < {crit:.5f}",
     )
+
+
+# -- validation-only oracles -----------------------------------------------
+
+
+def brute_force_fixed_point(
+    net: DirectedNetwork,
+    sheets: BalanceSheets,
+    shocks: ShockDraw,
+) -> CascadeResult:
+    """Desk-scale oracle: least fixed point by exhaustive re-evaluation.
+
+    Every pass re-derives every bank's full default condition from the
+    current default set, with none of the engine's incremental bookkeeping.
+    Quadratic and deliberately naive; refuses networks above 20 nodes.
+    """
+    n = net.n_nodes
+    if n > 20:
+        raise ValueError("brute-force oracle is limited to networks of <= 20 nodes")
+    returns = shocks.asset_returns
+    worth = sheets.net_worth
+    if len(sheets) != n or len(returns) != n:
+        raise ValueError("network, sheets and shocks must agree on the number of banks")
+
+    defaulted = [returns[i] < -worth[i] for i in range(n)]
+    n_fundamental = sum(defaulted)
+    rounds = 0
+    while True:
+        new = list(defaulted)
+        changed = False
+        for i in range(n):
+            if defaulted[i]:
+                continue
+            loss = 0.0
+            nbrs, loans = net.borrowers_of(i)
+            for j, amount in zip(nbrs, loans):
+                if defaulted[j]:
+                    loss += amount
+            if loss - returns[i] > worth[i]:
+                new[i] = True
+                changed = True
+        if not changed:
+            break
+        rounds += 1
+        defaulted = new
+    return CascadeResult(np.asarray(defaulted, dtype=bool), int(n_fundamental),
+                         int(sum(defaulted)), rounds)
+
+
+def run_balance_cascade_async(
+    net: DirectedNetwork,
+    sheets: BalanceSheets,
+    shocks: ShockDraw,
+    rng_seed,
+) -> CascadeResult:
+    """Random-order, one-bank-at-a-time schedule. Validation harness only:
+    the default condition is monotone, so this must reach the same fixed
+    point as the synchronous engine (round counts are not comparable and
+    are reported as 0)."""
+    n = net.n_nodes
+    returns = shocks.asset_returns
+    worth = sheets.net_worth
+    if len(sheets) != n or len(returns) != n:
+        raise ValueError("network, sheets and shocks must agree on the number of banks")
+    rng = as_generator(rng_seed)
+
+    defaulted = returns < -worth
+    n_fundamental = int(defaulted.sum())
+    changed = True
+    while changed:
+        changed = False
+        for i in rng.permutation(n):
+            if defaulted[i]:
+                continue
+            nbrs, loans = net.borrowers_of(i)
+            loss = float(loans[defaulted[nbrs]].sum()) if len(nbrs) else 0.0
+            if loss - returns[i] > worth[i]:
+                defaulted[i] = True
+                changed = True
+    return CascadeResult(defaulted, n_fundamental, int(defaulted.sum()), 0)

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets, ThetaDistribution, build_sheets
-from .balance_cascade import (
-    CascadeResult,
-    ShockDraw,
-    draw_shocks,
-    run_balance_cascade,
-    shock_returns,
-)
+from .balance_cascade import CascadeResult, _batch_propagate, shock_returns
 from .network import DirectedNetwork, LoanSizeDistribution, generate_er
 from .rng import (
     STREAM_NETWORK,
@@ -31,13 +25,7 @@ from .rng import (
     stream_rng,
     stream_seed,
 )
-from .threshold_cascade import (
-    draw_inactive_flips,
-    run_threshold_cascade,
-    sample_thresholds,
-    thresholds_from_normals,
-    thresholds_from_shocks,
-)
+from .threshold_cascade import coupled_thresholds, initial_flips, thresholds_from_normals
 
 __all__ = [
     "CASES",
@@ -47,7 +35,6 @@ __all__ = [
     "case_presets",
     "run_sweep",
     "run_trial",
-    "brute_force_fixed_point",
 ]
 
 CASES = ("A", "B", "C")
@@ -109,6 +96,7 @@ class ExperimentConfig:
             raise ValueError("crisis_cutoff must lie in (0, 1]")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
+        self.balance_params()  # validates capital_ratio and default_prob
 
     def resolved_theta_dist(self) -> ThetaDistribution:
         return self.theta_dist if self.theta_dist is not None else case_presets(self.case)[0]
@@ -151,14 +139,6 @@ class _Tally:
     size_sum: float = 0.0
     size_sq_sum: float = 0.0
 
-    def add(self, result: CascadeResult, cutoff: float) -> None:
-        self.runs += 1
-        frac = result.fraction
-        if frac >= cutoff:
-            self.crises += 1
-            self.size_sum += frac
-            self.size_sq_sum += frac * frac
-
 
 def _models_run(model: str) -> tuple[str, ...]:
     if model == "bs":
@@ -185,101 +165,6 @@ def _network_inputs(cfg: ExperimentConfig, z_index: int, net_index: int):
     return net, params, thetas, sheets
 
 
-def _trial_results(
-    cfg: ExperimentConfig,
-    net: DirectedNetwork,
-    params: BalanceParams,
-    thetas: np.ndarray,
-    sheets: BalanceSheets | None,
-    z_index: int,
-    net_index: int,
-    trial_index: int,
-) -> dict:
-    """Cascade results for one trial; keys 'bs'/'threshold' plus 'mismatch'."""
-    out: dict = {"mismatch": False}
-    if cfg.model != "threshold":
-        shocks = draw_shocks(
-            sheets, stream_rng(cfg.master_seed, STREAM_SHOCKS, z_index, net_index, trial_index)
-        )
-        out["bs"] = run_balance_cascade(net, sheets, shocks)
-    if cfg.model in ("threshold", "both-independent"):
-        rng = stream_rng(cfg.master_seed, STREAM_THRESHOLDS, z_index, net_index, trial_index)
-        thr = sample_thresholds(net, params, thetas, rng)
-        flips = draw_inactive_flips(thr.active, params.default_prob, rng)
-        out["threshold"] = run_threshold_cascade(net, thr, flips)
-    elif cfg.model == "both-coupled":
-        thr, flips = thresholds_from_shocks(net, sheets, shocks)
-        out["threshold"] = run_threshold_cascade(net, thr, flips)
-        out["mismatch"] = not out["bs"].same_outcome(out["threshold"])
-    return out
-
-
-def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
-    """Mask of the first element of each run of equal values."""
-    first = np.empty(sorted_values.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
-    return first
-
-
-def _batch_propagate(
-    net: DirectedNetwork,
-    flipped: np.ndarray,
-    can_flip: np.ndarray,
-    thresholds: np.ndarray,
-    edge_amount: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate many trials of one network together, superstep by superstep.
-
-    Each row gets the flip set and round count the per-trial engines give on
-    that row's inputs; batching only removes per-round Python overhead, which
-    dominates when thousands of trials share one network. ``flipped`` is
-    (trials, banks) and is mutated in place.
-
-    Two rules keep every comparison bit-identical to the per-trial loop:
-
-    - Within a superstep, each (trial, lender) exposure receives its additions
-      in ascending borrower order, the order the per-trial loop uses. The
-      frontier stays sorted by (trial, bank) and ``np.add.at`` applies
-      additions in input order.
-    - Exposures of lenders that have flipped or cannot flip are no longer
-      accumulated, since nothing reads them again. Only the exposures a
-      superstep changed are compared with their thresholds.
-
-    Returns (flipped, rounds-per-trial).
-    """
-    flipped = np.ascontiguousarray(flipped)  # flat view below must alias it
-    n_trials, n = flipped.shape
-    rounds = np.zeros(n_trials, dtype=np.int64)
-    exposure = np.zeros(n_trials * n)
-    thr_flat = np.ascontiguousarray(thresholds).ravel()
-    flip_flat = flipped.ravel()
-    live = np.tile(can_flip, n_trials)  # (trial, lender) keys that may still flip
-    live &= ~flip_flat
-    tt, jj = np.nonzero(flipped)  # the frontier, sorted by (trial, bank)
-    while tt.size:
-        idx, counts = net.in_edges_of(jj)
-        # flat (trial, lender) key of every edge hit by the new defaults;
-        # only the live ones can change state this superstep. take/compress
-        # rather than boolean-mask indexing: on these irregular masks the
-        # mask index is several times slower.
-        keys = np.repeat(tt * n, counts) + net.in_lender[idx]
-        on_live = np.flatnonzero(live[keys])
-        keys = keys.take(on_live)
-        np.add.at(exposure, keys, edge_amount[idx.take(on_live)])
-        hit = np.compress(exposure[keys] > thr_flat[keys], keys)
-        if not hit.size:
-            break
-        hit.sort()
-        hit = np.compress(_run_starts(hit), hit)
-        flip_flat[hit] = True
-        live[hit] = False
-        tt = hit // n
-        jj = hit - tt * n
-        rounds[np.compress(_run_starts(tt), tt)] += 1
-    return flipped, rounds
-
-
 def _batch_outcomes(
     cfg: ExperimentConfig,
     net: DirectedNetwork,
@@ -288,62 +173,49 @@ def _batch_outcomes(
     sheets: BalanceSheets | None,
     z_index: int,
     net_index: int,
+    trials: range,
 ) -> dict:
-    """All trials for one network cell, propagated in batch.
+    """The given trials of one network cell, propagated in one batch.
 
-    Each trial still draws from its own stream with the per-trial seed
-    scheme, so any row can be reproduced with :func:`run_trial`. The draws go
-    straight into one row per trial; the laws that the public draw functions
-    apply (:func:`shock_returns`, :func:`thresholds_from_normals`) then run
-    once over the (trials, banks) matrix, with bit-identical results.
-    Returns, per engine run ('bs', 'threshold'), a tuple (fundamental
-    defaults per trial, flip matrix, rounds per trial).
+    Each trial draws from its own stream with the per-trial seed scheme, so
+    its row does not depend on which other trials share the batch. The draws
+    go straight into one row per trial; the laws that the public draw
+    functions apply (:func:`shock_returns`, :func:`thresholds_from_normals`)
+    then run once over the (trials, banks) matrix, with bit-identical
+    results. Returns, per engine run ('bs', 'threshold'), a tuple
+    (fundamental defaults per trial, flip matrix, rounds per trial).
     """
-    n, T = cfg.n_banks, cfg.trials_per_network
+    n, T = cfg.n_banks, len(trials)
     seed = cfg.master_seed
     out: dict = {}
     active = net.interbank_assets > 0
 
     if cfg.model != "threshold":
         returns = np.empty((T, n))
-        for ti in range(T):
+        for row, ti in enumerate(trials):
             stream_rng(seed, STREAM_SHOCKS, z_index, net_index, ti).standard_normal(
-                out=returns[ti])
+                out=returns[row])
         shock_returns(returns, sheets)
         worth = sheets.net_worth
         start = returns < -worth
-        n_fundamental = start.sum(axis=1)
-        flipped, rounds = _batch_propagate(
-            net,
-            start,
-            can_flip=np.ones(n, dtype=bool),
-            thresholds=worth + returns,
-            edge_amount=net.in_loan,
-        )
-        out["bs"] = (n_fundamental, flipped, rounds)
+        out["bs"] = (start.sum(axis=1), *_batch_propagate(
+            net, start, np.ones(n, dtype=bool), worth + returns, net.in_loan))
 
     if cfg.model in ("threshold", "both-independent"):
         thresholds = np.empty((T, n))
-        start = np.empty((T, n), dtype=bool)  # inactive flips, then every round-0 flip
-        for ti in range(T):
+        inactive_flips = np.empty((T, n), dtype=bool)
+        for row, ti in enumerate(trials):
             rng = stream_rng(seed, STREAM_THRESHOLDS, z_index, net_index, ti)
-            rng.standard_normal(out=thresholds[ti])
-            np.less(rng.random(n), params.default_prob, out=start[ti])
+            rng.standard_normal(out=thresholds[row])
+            np.less(rng.random(n), params.default_prob, out=inactive_flips[row])
         thresholds_from_normals(thresholds, net, params, thetas)
-        np.copyto(start, thresholds < 0, where=active)
+        start = initial_flips(active, thresholds, inactive_flips)
     elif cfg.model == "both-coupled":
-        worth = sheets.net_worth
-        lent = net.interbank_assets
-        with np.errstate(divide="ignore", invalid="ignore"):
-            thresholds = (worth + returns) / lent
-        thresholds[:, ~active] = np.nan
-        start = np.where(active, thresholds < 0, returns < -worth)
+        thresholds = coupled_thresholds(net, worth, returns)
+        start = initial_flips(active, thresholds, returns < -worth)
     if cfg.model != "bs":
-        n_fundamental = start.sum(axis=1)
-        flipped, rounds = _batch_propagate(
-            net, start, active, thresholds, net.in_edge_weights
-        )
-        out["threshold"] = (n_fundamental, flipped, rounds)
+        out["threshold"] = (start.sum(axis=1), *_batch_propagate(
+            net, start, active, thresholds, net.in_edge_weights))
     return out
 
 
@@ -352,7 +224,8 @@ def _network_task(args) -> tuple[tuple[int, int], dict]:
     pools can pickle it."""
     cfg, z_index, net_index = args
     net, params, thetas, sheets = _network_inputs(cfg, z_index, net_index)
-    outcomes = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index)
+    outcomes = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,
+                               range(cfg.trials_per_network))
 
     tallies = {}
     for m in _models_run(cfg.model):
@@ -378,10 +251,22 @@ def _network_task(args) -> tuple[tuple[int, int], dict]:
 def run_trial(
     cfg: ExperimentConfig, z_index: int, net_index: int, trial_index: int
 ) -> dict:
-    """Reproduce a single trial of a sweep in isolation (same seeds, same
-    results as the full run)."""
+    """Reproduce a single trial of a sweep in isolation: the sweep's own
+    batched path run on a batch of one, with the same seeds and results.
+
+    Returns a :class:`CascadeResult` per engine run ('bs', 'threshold') plus
+    'mismatch', True when coupled engines disagree.
+    """
     net, params, thetas, sheets = _network_inputs(cfg, z_index, net_index)
-    return _trial_results(cfg, net, params, thetas, sheets, z_index, net_index, trial_index)
+    rows = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,
+                           range(trial_index, trial_index + 1))
+    out: dict = {
+        m: CascadeResult(flipped[0], int(n_fundamental[0]), int(flipped[0].sum()), int(rounds[0]))
+        for m, (n_fundamental, flipped, rounds) in rows.items()
+    }
+    out["mismatch"] = (cfg.model == "both-coupled"
+                       and not out["bs"].same_outcome(out["threshold"]))
+    return out
 
 
 def run_sweep(cfg: ExperimentConfig, *, workers: int = 1, progress=None) -> list[CrisisStats]:
@@ -450,47 +335,3 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1, progress=None) -> list
                 )
             )
     return rows
-
-
-def brute_force_fixed_point(
-    net: DirectedNetwork,
-    sheets: BalanceSheets,
-    shocks: ShockDraw,
-) -> CascadeResult:
-    """Desk-scale oracle: least fixed point by exhaustive re-evaluation.
-
-    Every pass re-derives every bank's full default condition from the
-    current default set, with none of the engine's incremental bookkeeping.
-    Quadratic and deliberately naive; refuses networks above 20 nodes.
-    """
-    n = net.n_nodes
-    if n > 20:
-        raise ValueError("brute-force oracle is limited to networks of <= 20 nodes")
-    returns = shocks.asset_returns
-    worth = sheets.net_worth
-    if len(sheets) != n or len(returns) != n:
-        raise ValueError("network, sheets and shocks must agree on the number of banks")
-
-    defaulted = [returns[i] < -worth[i] for i in range(n)]
-    n_fundamental = sum(defaulted)
-    rounds = 0
-    while True:
-        new = list(defaulted)
-        changed = False
-        for i in range(n):
-            if defaulted[i]:
-                continue
-            loss = 0.0
-            nbrs, loans = net.borrowers_of(i)
-            for j, amount in zip(nbrs, loans):
-                if defaulted[j]:
-                    loss += amount
-            if loss - returns[i] > worth[i]:
-                new[i] = True
-                changed = True
-        if not changed:
-            break
-        rounds += 1
-        defaulted = new
-    return CascadeResult(np.asarray(defaulted, dtype=bool), int(n_fundamental),
-                         int(sum(defaulted)), rounds)

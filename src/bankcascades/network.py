@@ -165,22 +165,6 @@ class DirectedNetwork:
         lo, hi = self.in_indptr[node], self.in_indptr[node + 1]
         return self.in_lender[lo:hi], self.in_loan[lo:hi]
 
-    def in_edges_of(self, borrowers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(edge indices, per-borrower edge counts) for a set of borrowers.
-
-        The indices point into the borrower-grouped edge arrays, one group per
-        borrower in the order given, each group in ascending lender order;
-        ``counts`` holds each borrower's group length (its in-degree).
-        This is the cascade hot path: when a batch of borrowers defaults the
-        engines gather all edges pointing at them in one vectorized pass.
-        """
-        starts = self.in_indptr[borrowers]
-        counts = self.in_indptr[borrowers + 1] - starts
-        ends = np.cumsum(counts)
-        idx = np.repeat(starts - (ends - counts), counts)
-        idx += np.arange(idx.size)
-        return idx, counts
-
 
 def from_edges(n_nodes: int, edges) -> DirectedNetwork:
     """Build a network from an iterable of (lender, borrower, loan_size)."""

@@ -1,9 +1,10 @@
 """Sweep output files: a plain CSV of per-degree rows and a JSON manifest
 that echoes the full configuration so any run can be reproduced exactly.
 
-Floats in the manifest are written with 17 significant digits and CSV
-values with shortest round-trip repr, so identical runs produce identical
-bytes and a reloaded manifest reruns to the same CSV.
+Floats in both files are written as their shortest round-trip text
+(``repr``), so identical runs produce identical bytes and a reloaded
+manifest reruns to the same CSV. Manifests written in the earlier
+17-significant-digit float format hold the same values and still load.
 """
 from __future__ import annotations
 
@@ -44,49 +45,6 @@ def write_rows_csv(rows: list[CrisisStats], path) -> None:
     Path(path).write_text(rows_to_csv(rows))
 
 
-# -- JSON with fixed-precision floats ------------------------------------
-
-
-def _json_fragment(value, indent: int) -> str:
-    pad = " " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {_json_fragment(v, indent + 2)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{pad}  {_json_fragment(v, indent + 2)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _dist_dict(dist) -> dict | None:
-    return None if dist is None else {"kind": dist.kind, "lo": dist.lo, "hi": dist.hi}
-
-
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["theta_dist"] = _dist_dict(cfg.theta_dist)
-    d["loan_dist"] = _dist_dict(cfg.loan_dist)
-    d["degree_grid"] = list(cfg.degree_grid)
-    return d
-
-
 def write_manifest(cfg: ExperimentConfig, rows: list[CrisisStats], path, *,
                    created: str | None = None) -> None:
     from . import __version__
@@ -96,7 +54,7 @@ def write_manifest(cfg: ExperimentConfig, rows: list[CrisisStats], path, *,
         "version": __version__,
         "created_utc": created or datetime.now(timezone.utc).isoformat(),
         "master_seed": cfg.master_seed,
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "results": [
             {
                 "z": r.degree,
@@ -113,7 +71,7 @@ def write_manifest(cfg: ExperimentConfig, rows: list[CrisisStats], path, *,
             for r in rows
         ],
     }
-    Path(path).write_text(_json_fragment(doc, 0) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _dist_from_dict(d: dict | None, cls):

@@ -23,8 +23,6 @@ STREAM_THETA = 2
 STREAM_SHOCKS = 3
 STREAM_THRESHOLDS = 4
 
-SeedLike = "int | np.random.SeedSequence | np.random.Generator"
-
 _WORD_MASK = 0xFFFFFFFF
 
 

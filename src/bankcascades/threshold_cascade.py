@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets
-from .balance_cascade import CascadeResult, ShockDraw, _propagate
+from .balance_cascade import CascadeResult, ShockDraw, _one_trial
 from .network import DirectedNetwork
 from .rng import as_generator, normal_from_standard
 
@@ -123,6 +123,26 @@ def shadow_threshold_pdf(x, interbank_assets: float, capital_ratio: float,
     return L * return_pdf(x * L - capital_ratio * L / theta)
 
 
+def coupled_thresholds(net: DirectedNetwork, worth: np.ndarray,
+                       returns: np.ndarray) -> np.ndarray:
+    """The coupled mapping: each lending bank's threshold is
+    (net_worth + return) / interbank_assets; non-lenders get NaN.
+    ``returns`` may hold one row per trial."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        thresholds = (worth + returns) / net.interbank_assets
+    thresholds[..., ~(net.interbank_assets > 0)] = np.nan
+    return thresholds
+
+
+def initial_flips(active: np.ndarray, thresholds: np.ndarray,
+                  inactive_flips: np.ndarray) -> np.ndarray:
+    """The round-0 rule: a lender flips when its threshold is negative, a
+    non-lender when ``inactive_flips`` marks it. Rows broadcast; the lenders'
+    entries of ``inactive_flips`` are overwritten and the array returned."""
+    np.copyto(inactive_flips, thresholds < 0, where=active)
+    return inactive_flips
+
+
 def thresholds_from_shocks(
     net: DirectedNetwork,
     sheets: BalanceSheets,
@@ -138,9 +158,7 @@ def thresholds_from_shocks(
     active = net.interbank_assets > 0
     worth = sheets.net_worth
     returns = shocks.asset_returns
-    with np.errstate(divide="ignore", invalid="ignore"):
-        thresholds = (worth + returns) / net.interbank_assets
-    thresholds[~active] = np.nan
+    thresholds = coupled_thresholds(net, worth, returns)
     inactive_flips = ~active & (returns < -worth)
     return ThresholdAssignment(thresholds, active, net.in_edge_weights), inactive_flips
 
@@ -163,25 +181,13 @@ def run_threshold_cascade(
     injection hook for the self-check harness; leave it False.
     """
     n = net.n_nodes
-    inactive_flips = np.asarray(inactive_flips, dtype=bool)
-    if len(thr.thresholds) != n or len(inactive_flips) != n:
+    start = np.array(inactive_flips, dtype=bool)  # a copy: the cascade flips it
+    if len(thr.thresholds) != n or len(start) != n:
         raise ValueError("assignment and flip vector must have one entry per bank")
 
-    active = thr.active
+    initial_flips(thr.active, thr.thresholds, start)
     thresholds = thr.thresholds
-    flipped = np.where(active, thresholds < 0, inactive_flips)
-    n_fundamental = int(flipped.sum())
-
     if ge_rule:
         # compare mu >= t by nudging the threshold to the previous float
         thresholds = np.nextafter(thresholds, -np.inf)
-
-    flipped, rounds = _propagate(
-        net,
-        flipped,
-        can_flip=active,
-        exposure=np.zeros(n),
-        threshold=thresholds,
-        edge_amount=thr.edge_weights,
-    )
-    return CascadeResult(flipped, n_fundamental, int(flipped.sum()), rounds)
+    return _one_trial(net, start, thr.active, thresholds, thr.edge_weights)

@@ -15,16 +15,15 @@ import scipy.stats
 from bankcascades import (
     BalanceParams,
     build_sheets,
-    brute_force_fixed_point,
     draw_shocks,
     generate_er,
     run_balance_cascade,
-    run_balance_cascade_async,
     run_sweep,
     run_threshold_cascade,
     sample_thresholds,
     thresholds_from_shocks,
 )
+from bankcascades.checks import brute_force_fixed_point, run_balance_cascade_async
 from bankcascades.cli import main
 from bankcascades.experiment import ExperimentConfig, case_presets
 from bankcascades.rng import stream_rng

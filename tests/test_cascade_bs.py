@@ -13,8 +13,8 @@ from bankcascades import (
     from_edges,
     generate_er,
     run_balance_cascade,
-    run_balance_cascade_async,
 )
+from bankcascades.checks import run_balance_cascade_async
 
 from conftest import norm_cdf, sheets_from_worth
 

@@ -76,6 +76,28 @@ def test_manifest_with_negative_seed_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "two").exists()
 
 
+@pytest.mark.parametrize("source", ["gamma", "delta", "manifest"])
+def test_invalid_sheet_parameters_are_rejected_before_the_sweep(source, tmp_path, capsys):
+    out = tmp_path / "out"
+    if source == "manifest":
+        _run_sweep(tmp_path / "one")
+        manifest = tmp_path / "one" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["config"]["capital_ratio"] = 5
+        manifest.write_text(json.dumps(data))
+        argv = ["sweep", "--quiet", "--from-manifest", str(manifest)]
+    else:
+        value = {"gamma": "5", "delta": "0.7"}[source]
+        argv = SWEEP_ARGS + [f"--{source}", value, "--workers", "2"]
+    capsys.readouterr()
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ("capital_ratio" if source != "delta" else "default_prob") in err
+    assert not out.exists()
+
+
 def test_degenerate_single_point_grid(tmp_path):
     code = main(["sweep", "--case", "A", "--model", "bs", "--n", "200", "--z", "0:0:1",
                  "--networks", "2", "--trials", "30", "--seed", "1", "--quiet",

@@ -22,16 +22,18 @@ from bankcascades import (
     run_threshold_cascade,
     thresholds_from_shocks,
 )
-from bankcascades.checks import _boundary_probe
+from bankcascades.balance_cascade import _batch_propagate
+from bankcascades.checks import _boundary_probe, brute_force_fixed_point
 from bankcascades.experiment import (
+    MODELS,
     ExperimentConfig,
     _batch_outcomes,
-    _batch_propagate,
     _models_run,
     _network_inputs,
     case_presets,
     run_trial,
 )
+from bankcascades.rng import STREAM_SHOCKS, STREAM_THRESHOLDS, stream_rng
 
 from conftest import sheets_from_worth
 
@@ -108,6 +110,8 @@ def test_batched_sweep_path_equals_per_trial_engines_with_multiword_seed(model):
 
 
 def _assert_batched_path_equals_run_trial(case, model, master_seed):
+    """A trial's outcome does not depend on the batch it runs in: each row of
+    a whole-cell batch equals :func:`run_trial`, a batch of one."""
     cfg = ExperimentConfig(
         n_banks=250, capital_ratio=0.1, default_prob=0.01, case=case, model=model,
         degree_grid=(1.5, 4.0), networks_per_degree=1, trials_per_network=30,
@@ -115,7 +119,8 @@ def _assert_batched_path_equals_run_trial(case, model, master_seed):
     )
     for zi in range(2):
         net, params, thetas, sheets = _network_inputs(cfg, zi, 0)
-        out = _batch_outcomes(cfg, net, params, thetas, sheets, zi, 0)
+        out = _batch_outcomes(cfg, net, params, thetas, sheets, zi, 0,
+                              range(cfg.trials_per_network))
         assert set(out) == set(_models_run(model))
         for m in out:
             n_fund, flipped, rounds = out[m]
@@ -126,12 +131,13 @@ def _assert_batched_path_equals_run_trial(case, model, master_seed):
                 assert ref.rounds == rounds[ti]
 
 
-# -- the batched kernel against the per-trial engines, row by row ------------
+# -- the batched kernel against the brute-force oracle, row by row ------------
 
-def _assert_batch_rows_match_engines(net, worth, returns):
+def _assert_batch_rows_match_oracle(net, worth, returns):
     """Propagate every row of ``returns`` in one batch, once as balance-sheet
     inputs and once through the coupled threshold mapping, and compare each
-    row with the per-trial engine run on that row's draw."""
+    row with :func:`brute_force_fixed_point` on that row's draw. The oracle
+    shares no propagation code with the kernel."""
     worth = np.asarray(worth, dtype=np.float64)
     returns = np.asarray(returns, dtype=np.float64)
     n = net.n_nodes
@@ -148,9 +154,8 @@ def _assert_batch_rows_match_engines(net, worth, returns):
                            np.array([a.thresholds for a, _ in mapped]), net.in_edge_weights)
 
     for t, draw in enumerate(draws):
-        refs = ((run_balance_cascade(net, sheets, draw), bs_start, bs),
-                (run_threshold_cascade(net, *mapped[t]), thr_start, thr))
-        for ref, start, (flipped, rounds) in refs:
+        ref = brute_force_fixed_point(net, sheets, draw)
+        for start, (flipped, rounds) in ((bs_start, bs), (thr_start, thr)):
             assert np.array_equal(flipped[t], ref.defaulted), f"row {t}"
             assert start[t].sum() == ref.n_fundamental, f"row {t}"
             assert rounds[t] == ref.rounds, f"row {t}"
@@ -178,7 +183,22 @@ def test_batch_kernel_rows_equal_per_trial_engines():
     returns[3, 9] = 1.0  # the same start as row 0, but the chain stops at 9
     returns[4, [11, 7]] = -2.0  # an isolated failure and a lone 0.4 loss
     returns[5, [1, 4, 5, 6]] = -2.0
-    _assert_batch_rows_match_engines(net, worth, returns)
+    _assert_batch_rows_match_oracle(net, worth, returns)
+
+
+def test_batch_kernel_adds_in_borrower_order_after_round_zero():
+    # 4, 5 and 6 lend to 8 and fail together in superstep 1, so lender 3
+    # takes its 0.1, 0.2 and 0.3 losses in one later superstep: the
+    # accumulation-order probe above, moved off the initial frontier
+    net = from_edges(9, [(3, 4, 0.1), (3, 5, 0.2), (3, 6, 0.3), (3, 7, 0.4),
+                         (4, 8, 1.0), (5, 8, 1.0), (6, 8, 1.0)])
+    assert (0.1 + 0.2) + 0.3 > 0.6 >= (0.3 + 0.2) + 0.1
+    worth = np.ones(9)
+    worth[3] = 0.6
+    returns = np.zeros((2, 9))
+    returns[:, 8] = -2.0  # 8 fails at round 0 in both rows
+    returns[0, [4, 5, 6]] = -0.5  # in row 1, 4, 5 and 6 sit on an exact tie and survive
+    _assert_batch_rows_match_oracle(net, worth, returns)
 
 
 @pytest.mark.parametrize("scenario", ["no-defaults", "all-defaulted", "no-edges", "one-trial"])
@@ -193,4 +213,75 @@ def test_batch_kernel_edge_cases_equal_per_trial_engines(scenario):
     elif scenario == "one-trial":
         returns = np.array([[0.0, 0.0, -5.0, 0.0]])
     net = from_edges(4, edges)
-    _assert_batch_rows_match_engines(net, np.full(4, 0.25), returns)
+    _assert_batch_rows_match_oracle(net, np.full(4, 0.25), returns)
+
+
+# -- sweep rows on small nets against references that share no code ----------
+
+def _naive_threshold_fixed_point(net, thresholds, inactive_flips):
+    """Sampled-threshold cascade by exhaustive re-evaluation in plain Python:
+    a lender flips once the loan-weighted share of its flipped borrowers
+    strictly exceeds its threshold; a non-lender flips only at round 0."""
+    n = net.n_nodes
+    loans = {i: [(int(j), float(a)) for j, a in zip(*net.borrowers_of(i))] for i in range(n)}
+    lent = {i: sum(a for _, a in loans[i]) for i in range(n)}
+    flipped = [bool(thresholds[i] < 0) if lent[i] > 0 else bool(inactive_flips[i])
+               for i in range(n)]
+    n_fundamental = sum(flipped)
+    rounds = 0
+    while True:
+        new = list(flipped)
+        for i in range(n):
+            if flipped[i] or not lent[i] > 0:
+                continue
+            share = 0.0
+            for j, amount in loans[i]:
+                if flipped[j]:
+                    share += amount / lent[i]
+            if share > thresholds[i]:
+                new[i] = True
+        if new == flipped:
+            return flipped, n_fundamental, rounds
+        rounds += 1
+        flipped = new
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_batched_rows_match_naive_references_on_small_nets(model):
+    # draws are remade with plain numpy from the sweep's stream keys, so
+    # neither the draw path nor the kernel is shared with the reference
+    cfg = ExperimentConfig(
+        n_banks=16, capital_ratio=0.1, default_prob=0.2, case="C", model=model,
+        degree_grid=(1.0, 3.0, 8.0), networks_per_degree=2, trials_per_network=25,
+        crisis_cutoff=0.05, master_seed=5,
+    )
+    T, seed = cfg.trials_per_network, cfg.master_seed
+    contagious = 0
+    for zi in range(len(cfg.degree_grid)):
+        for ni in range(cfg.networks_per_degree):
+            net, params, thetas, sheets = _network_inputs(cfg, zi, ni)
+            out = _batch_outcomes(cfg, net, params, thetas, sheets, zi, ni, range(T))
+            for ti in range(T):
+                refs = {}
+                if model != "threshold":
+                    rng = stream_rng(seed, STREAM_SHOCKS, zi, ni, ti)
+                    shocks = ShockDraw(rng.normal(0.0, sheets.return_std))
+                    oracle = brute_force_fixed_point(net, sheets, shocks)
+                    refs["bs"] = (oracle.defaulted.tolist(), oracle.n_fundamental,
+                                  oracle.rounds)
+                    if model == "both-coupled":
+                        refs["threshold"] = refs["bs"]
+                if model in ("threshold", "both-independent"):
+                    rng = stream_rng(seed, STREAM_THRESHOLDS, zi, ni, ti)
+                    ratio = params.capital_ratio / thetas
+                    thresholds = rng.normal(ratio, ratio / abs(params.default_quantile))
+                    flips = rng.random(cfg.n_banks) < params.default_prob
+                    refs["threshold"] = _naive_threshold_fixed_point(net, thresholds, flips)
+                assert set(refs) == set(out)
+                for m, (defaulted, n_fundamental, rounds) in refs.items():
+                    got_fund, got_flipped, got_rounds = out[m]
+                    assert got_flipped[ti].tolist() == defaulted, (m, zi, ni, ti)
+                    assert got_fund[ti] == n_fundamental, (m, zi, ni, ti)
+                    assert got_rounds[ti] == rounds, (m, zi, ni, ti)
+                    contagious += rounds > 0
+    assert contagious >= 10  # the comparison is not vacuous

@@ -9,15 +9,14 @@ from bankcascades import (
     LoanSizeDistribution,
     ShockDraw,
     ThetaDistribution,
-    brute_force_fixed_point,
     build_sheets,
     from_edges,
     generate_er,
     run_balance_cascade,
-    run_balance_cascade_async,
     run_sweep,
     run_trial,
 )
+from bankcascades.checks import brute_force_fixed_point, run_balance_cascade_async
 from bankcascades.experiment import ExperimentConfig, _network_task, case_presets
 from bankcascades.results_io import rows_to_csv
 
@@ -52,6 +51,10 @@ def test_config_validation():
         _small_cfg(trials_per_network=0)
     with pytest.raises(ValueError, match="master_seed"):
         _small_cfg(master_seed=-1)
+    with pytest.raises(ValueError, match="capital_ratio"):
+        _small_cfg(capital_ratio=5.0)
+    with pytest.raises(ValueError, match="default_prob"):
+        _small_cfg(default_prob=0.7)
 
 
 def test_case_presets_are_overridable():
