@@ -185,12 +185,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
+    degrees = args.z if isinstance(args.z, tuple) else _parse_degree_grid(args.z)
+    for z in degrees:
+        if not 0 <= z <= args.n - 1:  # also rejects NaN
+            print(f"error: degree {z} outside [0, n-1] for --n {args.n}", file=sys.stderr)
+            return 1
     reports = [
         equivalence_suite(
             cases=args.cases,
             instances=args.instances,
             n_banks=args.n,
-            degrees=args.z if isinstance(args.z, tuple) else _parse_degree_grid(args.z),
+            degrees=degrees,
             seed=args.seed,
             ge_rule=args.inject_fault,
         ),

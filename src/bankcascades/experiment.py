@@ -23,6 +23,7 @@ from .rng import (
     STREAM_THETA,
     STREAM_THRESHOLDS,
     stream_rng,
+    stream_rngs,
     stream_seed,
 )
 from .threshold_cascade import coupled_thresholds, initial_flips, thresholds_from_normals
@@ -88,7 +89,7 @@ class ExperimentConfig:
             raise ValueError("degree_grid must be nonempty")
         object.__setattr__(self, "degree_grid", tuple(float(z) for z in self.degree_grid))
         for z in self.degree_grid:
-            if z < 0 or z > self.n_banks - 1:
+            if not 0 <= z <= self.n_banks - 1:  # also rejects NaN
                 raise ValueError(f"degree {z} outside [0, n_banks-1]")
         if self.networks_per_degree < 1 or self.trials_per_network < 1:
             raise ValueError("network and trial counts must be >= 1")
@@ -178,7 +179,8 @@ def _batch_outcomes(
     """The given trials of one network cell, propagated in one batch.
 
     Each trial draws from its own stream with the per-trial seed scheme, so
-    its row does not depend on which other trials share the batch. The draws
+    its row does not depend on which other trials share the batch; one
+    :func:`stream_rngs` pass seeds the whole batch of streams. The draws
     go straight into one row per trial; the laws that the public draw
     functions apply (:func:`shock_returns`, :func:`thresholds_from_normals`)
     then run once over the (trials, banks) matrix, with bit-identical
@@ -192,9 +194,9 @@ def _batch_outcomes(
 
     if cfg.model != "threshold":
         returns = np.empty((T, n))
-        for row, ti in enumerate(trials):
-            stream_rng(seed, STREAM_SHOCKS, z_index, net_index, ti).standard_normal(
-                out=returns[row])
+        for row, rng in enumerate(stream_rngs(seed, STREAM_SHOCKS, z_index, net_index,
+                                              trials=trials)):
+            rng.standard_normal(out=returns[row])
         shock_returns(returns, sheets)
         worth = sheets.net_worth
         start = returns < -worth
@@ -204,8 +206,8 @@ def _batch_outcomes(
     if cfg.model in ("threshold", "both-independent"):
         thresholds = np.empty((T, n))
         inactive_flips = np.empty((T, n), dtype=bool)
-        for row, ti in enumerate(trials):
-            rng = stream_rng(seed, STREAM_THRESHOLDS, z_index, net_index, ti)
+        for row, rng in enumerate(stream_rngs(seed, STREAM_THRESHOLDS, z_index, net_index,
+                                              trials=trials)):
             rng.standard_normal(out=thresholds[row])
             np.less(rng.random(n), params.default_prob, out=inactive_flips[row])
         thresholds_from_normals(thresholds, net, params, thetas)

@@ -7,6 +7,7 @@ network from the same seed reproduces the edge list byte for byte.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -36,6 +37,8 @@ class LoanSizeDistribution:
     def __post_init__(self):
         if self.kind not in ("constant", "uniform"):
             raise ValueError(f"unknown loan size distribution kind {self.kind!r}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"loan sizes must be finite, got lo={self.lo}, hi={self.hi}")
         if self.kind == "constant":
             if not self.lo > 0:
                 raise ValueError("constant loan size must be > 0")
@@ -111,8 +114,9 @@ class DirectedNetwork:
 
     @cached_property
     def _in_order(self) -> np.ndarray:
-        """Permutation of canonical edges into (borrower, lender) order."""
-        return np.lexsort((self.lender, self.borrower))
+        """Permutation of canonical edges into (borrower, lender) order. The
+        (borrower, lender) keys are unique, so an unstable sort is exact."""
+        return np.argsort(self.borrower.astype(np.int64, copy=False) * self.n_nodes + self.lender)
 
     @cached_property
     def in_indptr(self) -> np.ndarray:
@@ -196,7 +200,7 @@ def generate_er(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if mean_degree < 0 or (n > 1 and mean_degree > n - 1) or (n == 1 and mean_degree > 0):
+    if not 0 <= mean_degree <= n - 1:  # also rejects NaN
         raise ValueError(f"mean_degree must lie in [0, n-1], got {mean_degree}")
     rng = as_generator(rng_seed)
     if n == 1:

@@ -98,6 +98,30 @@ def test_invalid_sheet_parameters_are_rejected_before_the_sweep(source, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--z", "nan,1"], "degree nan"),
+    (["--loan-size", "inf"], "finite"),
+    (["--loan-range", "1", "inf"], "finite"),
+], ids=["z-nan", "loan-size-inf", "loan-range-inf"])
+def test_non_finite_inputs_are_rejected_before_the_sweep(flags, named, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(SWEEP_ARGS + flags + ["--workers", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["nan", "1,500"])
+def test_check_rejects_degrees_outside_the_network(grid, capsys):
+    code = main(["check", "--instances", "1", "--n", "100", "--z", grid])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: degree ") and "Traceback" not in captured.err
+    assert "[PASS]" not in captured.out
+
+
 def test_degenerate_single_point_grid(tmp_path):
     code = main(["sweep", "--case", "A", "--model", "bs", "--n", "200", "--z", "0:0:1",
                  "--networks", "2", "--trials", "30", "--seed", "1", "--quiet",

@@ -15,11 +15,13 @@ from bankcascades import (
     ShockDraw,
     ThetaDistribution,
     build_sheets,
+    draw_inactive_flips,
     draw_shocks,
     from_edges,
     generate_er,
     run_balance_cascade,
     run_threshold_cascade,
+    sample_thresholds,
     thresholds_from_shocks,
 )
 from bankcascades.balance_cascade import _batch_propagate
@@ -107,6 +109,34 @@ def test_batched_sweep_path_equals_per_trial_engines(case, model):
 def test_batched_sweep_path_equals_per_trial_engines_with_multiword_seed(model):
     # a master seed >= 2**32 spans two 32-bit words of every stream key
     _assert_batched_path_equals_run_trial("B", model, master_seed=2**32 + 21)
+
+
+@pytest.mark.parametrize("model", ["both-independent", "both-coupled"])
+def test_run_trial_at_a_multiword_trial_index_equals_per_trial_engines(model):
+    # trial 2**32 + 3 spans two 32-bit key words; its streams must not fold
+    # onto trial 3's
+    cfg = ExperimentConfig(
+        n_banks=250, capital_ratio=0.1, default_prob=0.01, case="C", model=model,
+        degree_grid=(3.0,), networks_per_degree=1, trials_per_network=1,
+        crisis_cutoff=0.05, master_seed=21,
+    )
+    net, params, thetas, sheets = _network_inputs(cfg, 0, 0)
+    returns = {}
+    for ti in (2**32 + 3, 3):
+        shocks = draw_shocks(sheets, stream_rng(21, STREAM_SHOCKS, 0, 0, ti))
+        refs = {"bs": run_balance_cascade(net, sheets, shocks)}
+        if model == "both-coupled":
+            thresholds, flips = thresholds_from_shocks(net, sheets, shocks)
+        else:
+            rng = stream_rng(21, STREAM_THRESHOLDS, 0, 0, ti)
+            thresholds = sample_thresholds(net, params, thetas, rng)
+            flips = draw_inactive_flips(thresholds.active, params.default_prob, rng)
+        refs["threshold"] = run_threshold_cascade(net, thresholds, flips)
+        got = run_trial(cfg, 0, 0, ti)
+        for m, ref in refs.items():
+            assert got[m].same_outcome(ref), (m, ti)
+        returns[ti] = shocks.asset_returns
+    assert not np.array_equal(returns[2**32 + 3], returns[3])
 
 
 def _assert_batched_path_equals_run_trial(case, model, master_seed):

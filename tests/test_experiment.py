@@ -45,6 +45,9 @@ def test_config_validation():
         _small_cfg(degree_grid=())
     with pytest.raises(ValueError):
         _small_cfg(degree_grid=(2.0, 500.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="degree"):
+            _small_cfg(degree_grid=(1.0, bad))
     with pytest.raises(ValueError):
         _small_cfg(crisis_cutoff=0.0)
     with pytest.raises(ValueError):

@@ -41,7 +41,7 @@ def test_edge_count_matches_binomial_statistics():
     assert abs(net.n_edges - mean) <= 4 * sd
 
 
-@pytest.mark.parametrize("bad", [-0.5, 1000.0, 1e9])
+@pytest.mark.parametrize("bad", [-0.5, 1000.0, 1e9, math.nan, math.inf])
 def test_invalid_mean_degree_rejected(bad):
     with pytest.raises(ValueError):
         generate_er(1000, bad, UNIT, 0)
@@ -127,6 +127,11 @@ def test_loan_distribution_validation():
         LoanSizeDistribution.uniform(0.0, 1.0)
     with pytest.raises(ValueError):
         LoanSizeDistribution.uniform(2.0, 1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            LoanSizeDistribution.constant(bad)
+        with pytest.raises(ValueError, match="finite"):
+            LoanSizeDistribution.uniform(1.0, bad)
 
 
 def test_network_arrays_are_frozen():
@@ -150,3 +155,24 @@ def test_generated_networks_are_consistent(n, z_frac, seed):
         mask_in = net.borrower == node
         assert loans.sum() == pytest.approx(net.loan_size[mask_in].sum())
         assert sorted(nbrs.tolist()) == sorted(net.lender[mask_in].tolist())
+
+
+@st.composite
+def _edge_sets(draw):
+    n = draw(st.integers(2, 60))
+    flat = draw(st.sets(st.integers(0, n * (n - 1) - 1), max_size=4 * n))
+    edges = []
+    for f in flat:
+        lender, col = divmod(f, n - 1)
+        edges.append((lender, col + (col >= lender), 1.0))  # skip the diagonal
+    return n, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edge_sets())
+def test_in_edge_order_is_the_borrower_lender_lexsort(case):
+    n, edges = case
+    net = from_edges(n, edges)
+    want = np.lexsort((net.lender, net.borrower))
+    assert np.array_equal(net._in_order, want)
+    assert np.array_equal(net.in_lender, net.lender[want])

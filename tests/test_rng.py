@@ -19,7 +19,7 @@ from bankcascades import (
     generate_er,
     sample_thresholds,
 )
-from bankcascades.rng import stream_rng, stream_seed
+from bankcascades.rng import stream_rng, stream_rngs, stream_seed
 
 from conftest import sheets_from_worth
 
@@ -31,6 +31,9 @@ KEYS = [
     (2**64 + 5, 4, 0, 2**32, 9),
     (7, 2, 2**64 + 5),
 ]
+
+# trial indices of one, two and three 32-bit words, at the word edges
+TRIALS = [0, 2**32 - 1, 2**32, 2**64 + 5]
 
 PARAMS = BalanceParams(0.1, 0.01, ThetaDistribution.uniform(0.2, 0.4))
 
@@ -47,11 +50,50 @@ def test_stream_state_equals_tuple_keyed_seed_sequence(key):
     assert rng.integers(0, 2**63, size=4).tolist() == oracle.integers(0, 2**63, size=4).tolist()
 
 
+def _assert_streams_equal_seed_sequences(rngs, key, trials):
+    rngs = list(rngs)
+    assert len(rngs) == len(trials)
+    for rng, trial in zip(rngs, trials):
+        oracle = np.random.default_rng(np.random.SeedSequence((*key, trial)))
+        assert rng.bit_generator.state == oracle.bit_generator.state, (key, trial)
+        assert rng.standard_normal(3).tobytes() == oracle.standard_normal(3).tobytes()
+        assert rng.random(3).tobytes() == oracle.random(3).tobytes()
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_batched_streams_equal_tuple_keyed_seed_sequences(key):
+    _assert_streams_equal_seed_sequences(stream_rngs(*key, trials=TRIALS), key, TRIALS)
+    contiguous = range(2**32 - 2, 2**32 + 2)  # one batch across the word boundary
+    _assert_streams_equal_seed_sequences(stream_rngs(*key, trials=contiguous), key, contiguous)
+
+
+def test_batched_streams_keep_the_order_of_a_non_contiguous_trial_list():
+    trials = [9, 2**64 + 5, 3, 2**32 + 1, 0, 3, 2**32 - 1, 2**96 + 7]
+    _assert_streams_equal_seed_sequences(stream_rngs(21, 4, 2, 1, trials=trials),
+                                         (21, 4, 2, 1), trials)
+
+
+def test_batched_streams_of_an_empty_batch():
+    assert list(stream_rngs(21, 3, 0, 0, trials=[])) == []
+    assert list(stream_rngs(21, 3, 0, 0, trials=range(5, 5))) == []
+
+
 def test_negative_key_coordinate_is_a_clear_error():
     with pytest.raises(ValueError, match="non-negative"):
         stream_seed(-1, 3)
     with pytest.raises(ValueError, match="non-negative"):
         stream_rng(5, 3, 0, -2)
+
+
+@pytest.mark.parametrize("key,trials", [((5, 3, 0), [1, -2]), ((-1, 3), [0]),
+                                        ((5, 3, -4), [])])
+def test_negative_coordinate_of_a_batch_raises_like_stream_seed(key, trials):
+    negative = next(v for v in (*key, *trials) if v < 0)
+    with pytest.raises(ValueError) as single:
+        stream_seed(*key[:2], negative)
+    with pytest.raises(ValueError) as batched:
+        stream_rngs(*key, trials=trials)  # raised on the call, before any draw
+    assert str(batched.value) == str(single.value)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**40])
