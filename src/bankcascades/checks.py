@@ -104,6 +104,8 @@ def equivalence_suite(
     """Coupled trial-for-trial agreement of the two engines, plus the exact
     boundary probe. Zero mismatches required."""
     name = "coupled equivalence"
+    if instances < 0:
+        raise ValueError(f"instances must be >= 0, got {instances}")
     if instances == 0:
         return CheckReport(name, True, "vacuous pass: 0 instances requested (warning)")
 
@@ -140,6 +142,8 @@ def oracle_suite(*, instances: int = 200, max_nodes: int = 10, seed: int = 0) ->
     """Fast engine vs naive fixed-point oracle vs randomized asynchronous
     schedule on small random instances; exact agreement required."""
     name = "small-instance oracle"
+    if instances < 0:
+        raise ValueError(f"instances must be >= 0, got {instances}")
     theta_dist, _ = case_presets("A")
     params = BalanceParams(0.1, 0.01, theta_dist)
     for k in range(instances):

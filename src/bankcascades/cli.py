@@ -99,13 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     check = sub.add_parser("check", help="run the built-in verification suites")
-    check.add_argument("--instances", type=int, default=100,
+    check.add_argument("--instances", type=_non_negative_int, default=100,
                        help="coupled instances per case (0 = vacuous pass)")
     check.add_argument("--cases", type=_parse_cases, default=CASES, help="comma list of cases")
     check.add_argument("--n", type=int, default=1000, help="banks per coupled instance")
     check.add_argument("--z", type=_parse_degree_grid, default="1,3,5,8",
                        help="degrees cycled over coupled instances")
-    check.add_argument("--oracle-instances", type=int, default=200)
+    check.add_argument("--oracle-instances", type=_non_negative_int, default=200)
     check.add_argument("--seed", type=_non_negative_int, default=0, help="master seed (>= 0)")
     check.add_argument("--dump-dir", type=Path, default=Path("."),
                        help="where to write a counterexample network dump")

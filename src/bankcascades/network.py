@@ -195,22 +195,43 @@ def generate_er(
     """Directed Erdos-Renyi network: each ordered pair (i, j), i != j, becomes
     an edge independently with probability mean_degree / (n - 1).
 
-    Loan sizes are drawn independently per edge, in canonical edge order, so
-    a fixed seed reproduces the network exactly.
+    Network stream ``er-v2``, O(edges): the gaps between successive edges in
+    row-major pair order are geometric (Batagelj & Brandes, PRE 2005), drawn in
+    chunks sized by (n, p) alone, then one loan size per edge in that order.
     """
+    return _er_network(n, mean_degree, loan_dist, rng_seed, _skip_positions)
+
+
+def _generate_er_v1(n, mean_degree, loan_dist, rng_seed) -> DirectedNetwork:
+    """Stream ``er-v1``, O(n^2): reruns manifests written before ``er-v2``."""
+    return _er_network(n, mean_degree, loan_dist, rng_seed,
+                       lambda n_pairs, p, rng: np.flatnonzero(rng.random(n_pairs) < p))
+
+
+def _skip_positions(n_pairs: int, p: float, rng) -> np.ndarray:
+    # numpy gives INT64_MAX gaps at tiny p. Clipping gaps to n_pairs + 1 moves no position
+    # below n_pairs and bounds a chunk's positions by n_pairs + 2**62 < 2**63 (no wrap).
+    chunk = min(int(n_pairs * p + 4 * math.sqrt(n_pairs * p)) + 16, 2**62 // (n_pairs + 1))
+    parts, last = [], -1
+    while last < n_pairs:
+        parts.append(np.cumsum(np.minimum(rng.geometric(p, chunk), n_pairs + 1)) + last)
+        last = int(parts[-1][-1])
+    flat = np.concatenate(parts)
+    return flat[:np.searchsorted(flat, n_pairs)]
+
+
+def _er_network(n, mean_degree, loan_dist, rng_seed, positions) -> DirectedNetwork:
+    """Edges at the ascending row-major pair positions ``positions`` draws."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= mean_degree <= n - 1:  # also rejects NaN
         raise ValueError(f"mean_degree must lie in [0, n-1], got {mean_degree}")
     rng = as_generator(rng_seed)
-    if n == 1:
-        return from_edges(1, [])
+    if n == 1 or mean_degree == 0:  # rng.geometric needs p > 0
+        return from_edges(n, [])
 
-    p = mean_degree / (n - 1)
-    n_pairs = n * (n - 1)
-    flat = np.flatnonzero(rng.random(n_pairs) < p)
-    lender = flat // (n - 1)
-    col = flat % (n - 1)
+    flat = positions(n * (n - 1), mean_degree / (n - 1), rng)
+    lender, col = np.divmod(flat, n - 1)
     borrower = col + (col >= lender)  # skip the diagonal
     loan = loan_dist.sample(len(flat), rng)
     # flat order is already sorted by (lender, borrower)

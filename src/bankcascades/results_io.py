@@ -97,6 +97,7 @@ def load_manifest(path) -> tuple[ExperimentConfig, list[CrisisStats]]:
         master_seed=c["master_seed"],
         theta_dist=_dist_from_dict(c["theta_dist"], ThetaDistribution),
         loan_dist=_dist_from_dict(c["loan_dist"], LoanSizeDistribution),
+        network_generator=c.get("network_generator", "er-v1"),  # written before er-v2
     )
     rows = [
         CrisisStats(

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from bankcascades.checks import equivalence_suite, oracle_suite
 from bankcascades.cli import main
 from bankcascades.results_io import CSV_HEADER, NO_CRISIS_MARKER, load_manifest
 
@@ -29,6 +31,7 @@ def test_sweep_writes_csv_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["artifact"] == "bankcascades"
     assert manifest["config"]["master_seed"] == 11
+    assert manifest["config"]["network_generator"] == "er-v2"
     assert len(manifest["results"]) == 6
 
 
@@ -174,3 +177,50 @@ def test_check_zero_instances_is_vacuous_pass(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "vacuous" in out and "warning" in out
+
+
+ER_V1_FIXTURE = Path(__file__).parent / "data" / "er-v1-sweep"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_manifest_without_network_generator_reruns_the_er_v1_stream(workers, tmp_path):
+    # manifest and results.csv as written before network stream er-v2 existed
+    manifest = ER_V1_FIXTURE / "manifest.json"
+    assert "network_generator" not in json.loads(manifest.read_text())["config"]
+    assert load_manifest(manifest)[0].network_generator == "er-v1"
+    code = main(["sweep", "--quiet", "--from-manifest", str(manifest),
+                 "--workers", workers, "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "results.csv").read_bytes() == (ER_V1_FIXTURE / "results.csv").read_bytes()
+    rerun = json.loads((tmp_path / "manifest.json").read_text())
+    assert rerun["config"]["network_generator"] == "er-v1"
+
+
+def test_manifest_with_unknown_network_generator_is_rejected(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    data = json.loads((ER_V1_FIXTURE / "manifest.json").read_text())
+    data["config"]["network_generator"] = "er-v9"
+    manifest.write_text(json.dumps(data))
+    code = main(["sweep", "--quiet", "--from-manifest", str(manifest),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "network_generator" in err and "er-v9" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--instances", "-1"), ("--oracle-instances", "-3")])
+def test_check_rejects_negative_instance_counts(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "non-negative" in captured.err
+    assert "[PASS]" not in captured.out
+
+
+@pytest.mark.parametrize("suite", [equivalence_suite, oracle_suite])
+def test_suites_reject_negative_instance_counts(suite):
+    with pytest.raises(ValueError, match="instances"):
+        suite(instances=-1)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,20 +17,23 @@ from bankcascades import (
 )
 
 UNIT = LoanSizeDistribution.constant(1.0)
+GOLDEN_ER_V2_SHA256 = "51bb812b59464896cec94cca3c679a91f5bf8b16d0d674f5016331dc644b89b3"
 
 
 def test_zero_mean_degree_gives_empty_network():
-    net = generate_er(4, 0.0, UNIT, 123)
-    assert net.n_edges == 0
-    assert degrees(net, 0) == (0, 0, 0.0, 0.0)
+    for n in (1, 2, 4):
+        net = generate_er(n, 0.0, UNIT, 123)
+        assert net.n_edges == 0
+        assert degrees(net, 0) == (0, 0, 0.0, 0.0)
 
 
 def test_full_probability_gives_complete_digraph():
-    net = generate_er(3, 2.0, UNIT, 9)
-    assert net.n_edges == 6
-    assert np.all(net.loan_size == 1.0)
-    pairs = set(zip(net.lender.tolist(), net.borrower.tolist()))
-    assert pairs == {(i, j) for i in range(3) for j in range(3) if i != j}
+    for n in (2, 3, 7, 50):
+        net = generate_er(n, n - 1, UNIT, 9)
+        assert net.n_edges == n * (n - 1)
+        assert np.all(net.loan_size == 1.0)
+        pairs = set(zip(net.lender.tolist(), net.borrower.tolist()))
+        assert pairs == {(i, j) for i in range(n) for j in range(n) if i != j}
 
 
 def test_edge_count_matches_binomial_statistics():
@@ -176,3 +181,81 @@ def test_in_edge_order_is_the_borrower_lender_lexsort(case):
     want = np.lexsort((net.lender, net.borrower))
     assert np.array_equal(net._in_order, want)
     assert np.array_equal(net.in_lender, net.lender[want])
+
+
+# -- network stream er-v2: geometric skips between successive edges -----------
+
+def _reference_er_v2(n, z, seed, loan_lo, loan_hi):
+    """Plain-numpy er-v2: geometric gaps in row-major pair order, chunks of
+    int(E + 4 sqrt(E)) + 16 draws until a position passes the last pair, then
+    one uniform loan per kept pair."""
+    rng = np.random.default_rng(seed)
+    pairs = n * (n - 1)
+    p = z / (n - 1)
+    expected = pairs * p
+    chunk = int(expected + 4 * math.sqrt(expected)) + 16
+    positions = []
+    last = -1
+    while last < pairs:
+        for gap in rng.geometric(p, chunk).tolist():
+            last += gap
+            if last < pairs:
+                positions.append(last)
+    lender = [f // (n - 1) for f in positions]
+    col = [f % (n - 1) for f in positions]
+    borrower = [c + 1 if c >= i else c for i, c in zip(lender, col)]
+    return lender, borrower, rng.uniform(loan_lo, loan_hi, size=len(positions))
+
+
+@pytest.mark.parametrize("n,z,seed", [(2, 1.0, 3), (7, 2.5, 0), (40, 3.0, 11),
+                                      (300, 1.0, 5), (300, 8.0, 2**40 + 1), (25, 24.0, 9)])
+def test_er_v2_equals_a_plain_numpy_reference(n, z, seed):
+    net = generate_er(n, z, LoanSizeDistribution.uniform(0.2, 1.8), seed)
+    lender, borrower, loan = _reference_er_v2(n, z, seed, 0.2, 1.8)
+    assert net.lender.tolist() == lender
+    assert net.borrower.tolist() == borrower
+    assert np.array_equal(net.loan_size, loan)
+
+
+@pytest.mark.parametrize("z", [0.2, 2.0])  # p = 0.05 and 0.5 take numpy's two geometric laws
+def test_er_v2_keeps_every_ordered_pair_with_probability_p(z):
+    n, reps = 5, 2000
+    p = z / (n - 1)
+    counts = np.zeros((n, n), dtype=np.int64)
+    for seed in range(reps):
+        net = generate_er(n, z, UNIT, seed)
+        assert np.all(net.lender != net.borrower)
+        np.add.at(counts, (net.lender, net.borrower), 1)
+    sd = math.sqrt(reps * p * (1 - p))
+    off_diagonal = ~np.eye(n, dtype=bool)
+    assert np.all(np.abs(counts[off_diagonal] - reps * p) <= 5 * sd), counts
+    assert np.all(counts[~off_diagonal] == 0)
+
+
+def test_er_v2_builds_a_sparse_network_of_a_hundred_thousand_banks_quickly():
+    # the dense pair scan would need 10**10 uniforms (80 GB) here
+    n, z = 10**5, 3.0
+    start = time.perf_counter()
+    net = generate_er(n, z, LoanSizeDistribution.uniform(0.2, 1.8), 17)
+    elapsed = time.perf_counter() - start
+    assert abs(net.n_edges - n * z) <= 6 * math.sqrt(n * z)
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000])
+@pytest.mark.parametrize("z_frac", [1e-300, 1e-18])
+def test_er_v2_tiny_degrees_finish_without_edges(n, z_frac):
+    # numpy's geometric returns INT64_MAX at such p; the gaps must not wrap.
+    # At most 1e-12 edges are expected, so a clipped gap must not land an edge.
+    start = time.perf_counter()
+    net = generate_er(n, z_frac * (n - 1), UNIT, 1)
+    assert net.n_edges == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_er_v2_golden_edge_list(tmp_path):
+    # pins numpy's geometric and uniform streams; a numpy whose geometric law
+    # draws differently changes this digest and every er-v2 network
+    path = tmp_path / "net.txt"
+    save_edge_list(generate_er(50, 3.0, LoanSizeDistribution.uniform(0.2, 1.8), 2024), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_ER_V2_SHA256
