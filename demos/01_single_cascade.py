@@ -18,9 +18,9 @@ print(f"network: {N} banks, {net.n_edges} loans, mean out-degree {net.n_edges / 
 params = bc.BalanceParams(capital_ratio=0.1, default_prob=0.01,
                           theta_dist=bc.ThetaDistribution.constant(0.3))
 sheets = bc.build_sheets(net, params, rng_seed=SEED)
-print(f"bank 0 sheet: external {sheets[0].external_assets:.2f}, "
-      f"interbank {sheets[0].interbank_assets:.2f}, net worth {sheets[0].net_worth:.3f}, "
-      f"return std {sheets[0].return_std:.4f}")
+print(f"bank 0 sheet: external {sheets.external_assets[0]:.2f}, "
+      f"interbank {sheets.interbank_assets[0]:.2f}, net worth {sheets.net_worth[0]:.3f}, "
+      f"return std {sheets.return_std[0]:.4f}")
 
 # a 1% fundamental default probability means quiet draws are common at
 # N=60, so exaggerate the volatility for the demonstration

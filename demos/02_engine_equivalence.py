@@ -25,8 +25,8 @@ for seed in range(12):
     balance = bc.run_balance_cascade(net, sheets, shocks)
 
     # the entire mapping: thresholds for lenders, outright failures for the rest
-    assignment, initial_flips = bc.thresholds_from_shocks(net, sheets, shocks)
-    threshold = bc.run_threshold_cascade(net, assignment, initial_flips)
+    thresholds, initial_flips = bc.thresholds_from_shocks(net, sheets, shocks)
+    threshold = bc.run_threshold_cascade(net, thresholds, initial_flips)
 
     same = balance.same_outcome(threshold)
     all_equal &= same
@@ -39,8 +39,8 @@ print(f"\nsample-path equivalence on all instances: {all_equal}")
 # sample its thresholds directly from the law the sheet parameters imply
 net = bc.generate_er(500, 4.0, loan_dist, 99)
 thetas = params.theta_dist.sample(500, np.random.default_rng(1))
-assignment = bc.sample_thresholds(net, params, thetas, 2)
-flips = bc.draw_inactive_flips(assignment.active, params.default_prob, 3)
-standalone = bc.run_threshold_cascade(net, assignment, flips)
+thresholds = bc.sample_thresholds(net, params, thetas, 2)
+flips = bc.draw_inactive_flips(net.interbank_assets > 0, params.default_prob, 3)
+standalone = bc.run_threshold_cascade(net, thresholds, flips)
 print(f"standalone threshold run (no sheets built): {standalone.n_total} defaults, "
       f"{standalone.rounds} rounds")

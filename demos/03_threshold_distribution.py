@@ -23,8 +23,7 @@ active = net.interbank_assets > 0
 
 samples = []
 for trial in range(120):
-    assignment = bc.sample_thresholds(net, params, thetas, 1000 + trial)
-    samples.append(assignment.thresholds[active])
+    samples.append(bc.sample_thresholds(net, params, thetas, 1000 + trial)[active])
 sample = np.concatenate(samples)
 
 q = params.default_quantile

@@ -11,7 +11,6 @@ to map out the connectivity window where system-wide crises occur.
 from .balance import (
     BalanceParams,
     BalanceSheets,
-    BankBalanceSheet,
     ThetaDistribution,
     build_sheets,
     normal_quantile,
@@ -42,11 +41,9 @@ from .network import (
     save_edge_list,
 )
 from .threshold_cascade import (
-    ThresholdAssignment,
     draw_inactive_flips,
     run_threshold_cascade,
     sample_thresholds,
-    shadow_threshold,
     shadow_threshold_pdf,
     thresholds_from_shocks,
 )
@@ -57,7 +54,6 @@ __all__ = [
     "__version__",
     "BalanceParams",
     "BalanceSheets",
-    "BankBalanceSheet",
     "CASES",
     "CascadeResult",
     "CrisisStats",
@@ -67,7 +63,6 @@ __all__ = [
     "MODELS",
     "ShockDraw",
     "ThetaDistribution",
-    "ThresholdAssignment",
     "build_sheets",
     "case_presets",
     "degrees",
@@ -84,7 +79,6 @@ __all__ = [
     "sample_thresholds",
     "save_edge_list",
     "save_sheets_csv",
-    "shadow_threshold",
     "shadow_threshold_pdf",
     "thresholds_from_shocks",
 ]

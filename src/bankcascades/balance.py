@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from .network import DirectedNetwork
+from .network import DirectedNetwork, LoanSizeDistribution
 from .rng import as_generator
 
 __all__ = [
     "ThetaDistribution",
     "BalanceParams",
-    "BankBalanceSheet",
     "BalanceSheets",
     "normal_quantile",
     "build_sheets",
@@ -77,35 +77,15 @@ def normal_quantile(p: float) -> float:
     return z
 
 
-@dataclass(frozen=True)
-class ThetaDistribution:
+class ThetaDistribution(LoanSizeDistribution):
     """Law of the tentative interbank-asset share, values in (0, 1)."""
 
-    kind: str
-    lo: float
-    hi: float
+    quantity: ClassVar[str] = "interbank shares"
 
     def __post_init__(self):
-        if self.kind not in ("constant", "uniform"):
-            raise ValueError(f"unknown share distribution kind {self.kind!r}")
-        if not (0 < self.lo <= self.hi < 1):
-            raise ValueError("interbank share values must lie in (0, 1)")
-
-    @classmethod
-    def constant(cls, value: float) -> "ThetaDistribution":
-        return cls("constant", float(value), float(value))
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float) -> "ThetaDistribution":
-        return cls("uniform", float(lo), float(hi))
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "constant":
-            return np.full(n, self.lo)
-        return rng.uniform(self.lo, self.hi, size=n)
-
-    def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        super().__post_init__()
+        if not self.hi < 1:
+            raise ValueError(f"interbank shares must lie in (0, 1), got hi={self.hi}")
 
 
 @dataclass(frozen=True)
@@ -137,27 +117,11 @@ class BalanceParams:
         return normal_quantile(self.default_prob)
 
 
-@dataclass(frozen=True)
-class BankBalanceSheet:
-    """One bank's completed sheet. Assets: external + interbank + riskless.
-    Liabilities: deposits + interbank + net worth. The two sides balance."""
-
-    external_assets: float
-    interbank_assets: float
-    riskless_assets: float
-    deposits: float
-    interbank_liabilities: float
-    net_worth: float
-    interbank_share: float
-    return_std: float
-
-
 @dataclass(frozen=True, eq=False)
 class BalanceSheets:
-    """Sheets for all banks, stored column-wise for the cascade engines.
-
-    Indexing or iterating yields per-bank :class:`BankBalanceSheet` records.
-    """
+    """Sheets for all banks, one frozen column per item. Assets: external +
+    interbank + riskless. Liabilities: deposits + interbank + net worth. The
+    two sides balance bank by bank."""
 
     external_assets: np.ndarray
     interbank_assets: np.ndarray
@@ -169,22 +133,11 @@ class BalanceSheets:
     return_std: np.ndarray
 
     def __post_init__(self):
-        for arr in self._columns():
-            arr.setflags(write=False)
-
-    def _columns(self):
-        return (self.external_assets, self.interbank_assets, self.riskless_assets,
-                self.deposits, self.interbank_liabilities, self.net_worth,
-                self.interbank_share, self.return_std)
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.net_worth)
-
-    def __getitem__(self, i: int) -> BankBalanceSheet:
-        return BankBalanceSheet(*(float(col[i]) for col in self._columns()))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def build_sheets(
@@ -251,14 +204,10 @@ def save_sheets_csv(sheets: BalanceSheets, path) -> None:
     """Write one row per bank with the short column names a, l, b, d, p_bar,
     w, theta_l, sigma (external, interbank and riskless assets; deposits,
     interbank liabilities, net worth; share; return std dev)."""
+    # tolist() gives Python floats: repr(np.float64) is "np.float64(...)" on numpy 2
+    columns = [getattr(sheets, f.name).tolist() for f in fields(sheets)]
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
-        for i, s in enumerate(sheets):
-            writer.writerow([
-                i,
-                repr(s.external_assets), repr(s.interbank_assets),
-                repr(s.riskless_assets), repr(s.deposits),
-                repr(s.interbank_liabilities), repr(s.net_worth),
-                repr(s.interbank_share), repr(s.return_std),
-            ])
+        for i, row in enumerate(zip(*columns)):
+            writer.writerow([i, *map(repr, row)])

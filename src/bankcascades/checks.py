@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets, build_sheets, normal_quantile
-from .balance_cascade import CascadeResult, ShockDraw, draw_shocks, run_balance_cascade
+from .balance_cascade import CascadeResult, ShockDraw, _one_trial, draw_shocks, run_balance_cascade
 from .experiment import case_presets
 from .network import DirectedNetwork, from_edges, generate_er
 from .rng import as_generator, stream_rng, stream_seed
-from .threshold_cascade import run_threshold_cascade, sample_thresholds, thresholds_from_shocks
+from .threshold_cascade import (initial_flips, run_threshold_cascade, sample_thresholds,
+                                thresholds_from_shocks)
 
 __all__ = [
     "CheckReport",
@@ -73,10 +74,23 @@ def _boundary_probe() -> tuple[DirectedNetwork, BalanceSheets, ShockDraw]:
     return net, sheets, shocks
 
 
-def _compare_coupled(net, sheets, shocks, *, ge_rule: bool) -> tuple[bool, dict]:
+def _run_ge_mutant(net: DirectedNetwork, thresholds: np.ndarray,
+                   inactive_flips: np.ndarray) -> CascadeResult:
+    """The fault that ``check --inject-fault`` plants: the threshold engine
+    with its strict flip rule mutated to >=. Propagating against every
+    threshold nudged to the previous float compares ``mu >= t``; round 0
+    still tests the thresholds themselves."""
+    active = net.interbank_assets > 0
+    start = initial_flips(active, thresholds, np.array(inactive_flips, dtype=bool))
+    return _one_trial(net, start, active, np.nextafter(thresholds, -np.inf),
+                      net.in_edge_weights)
+
+
+def _compare_coupled(net, sheets, shocks, *, inject_fault: bool) -> tuple[bool, dict]:
     res_bs = run_balance_cascade(net, sheets, shocks)
-    thr, flips = thresholds_from_shocks(net, sheets, shocks)
-    res_thr = run_threshold_cascade(net, thr, flips, ge_rule=ge_rule)
+    thresholds, flips = thresholds_from_shocks(net, sheets, shocks)
+    threshold_engine = _run_ge_mutant if inject_fault else run_threshold_cascade
+    res_thr = threshold_engine(net, thresholds, flips)
     if res_bs.same_outcome(res_thr):
         return True, {}
     diff = np.flatnonzero(res_bs.defaulted != res_thr.defaulted)
@@ -99,10 +113,11 @@ def equivalence_suite(
     capital_ratio: float = 0.1,
     default_prob: float = 0.01,
     seed: int = 0,
-    ge_rule: bool = False,
+    inject_fault: bool = False,
 ) -> CheckReport:
     """Coupled trial-for-trial agreement of the two engines, plus the exact
-    boundary probe. Zero mismatches required."""
+    boundary probe. Zero mismatches required. ``inject_fault`` swaps in
+    :func:`_run_ge_mutant`, which the suite must then report as a failure."""
     name = "coupled equivalence"
     if instances < 0:
         raise ValueError(f"instances must be >= 0, got {instances}")
@@ -110,7 +125,7 @@ def equivalence_suite(
         return CheckReport(name, True, "vacuous pass: 0 instances requested (warning)")
 
     probe_net, probe_sheets, probe_shocks = _boundary_probe()
-    ok, info = _compare_coupled(probe_net, probe_sheets, probe_shocks, ge_rule=ge_rule)
+    ok, info = _compare_coupled(probe_net, probe_sheets, probe_shocks, inject_fault=inject_fault)
     if not ok:
         info.update({"case": "boundary-probe", "instance": -1, "network": probe_net})
         return CheckReport(name, False, "mismatch on the exact-tie boundary probe", info)
@@ -125,7 +140,7 @@ def equivalence_suite(
             thetas = theta_dist.sample(n_banks, stream_rng(seed, _CHK_THETA, ci, k))
             sheets = build_sheets(net, params, thetas=thetas)
             shocks = draw_shocks(sheets, stream_rng(seed, _CHK_SHOCK, ci, k))
-            ok, info = _compare_coupled(net, sheets, shocks, ge_rule=ge_rule)
+            ok, info = _compare_coupled(net, sheets, shocks, inject_fault=inject_fault)
             checked += 1
             if not ok:
                 info.update({"case": case, "instance": k, "z": z, "seed": seed,
@@ -210,8 +225,8 @@ def distribution_suite(
     for t in range(trials):
         shocks = draw_shocks(sheets, stream_rng(seed, _CHK_DIST, 2, t))
         n_fund += int((shocks.asset_returns < -sheets.net_worth).sum())
-        thr = sample_thresholds(net, params, thetas, stream_rng(seed, _CHK_DIST, 3, t))
-        vals = thr.thresholds[active]
+        thresholds = sample_thresholds(net, params, thetas, stream_rng(seed, _CHK_DIST, 3, t))
+        vals = thresholds[active]
         neg_thr += int((vals < 0).sum())
         active_total += int(active.sum())
         if len(collected) < 100:

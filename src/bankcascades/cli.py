@@ -126,14 +126,13 @@ def _config_from_args(args) -> ExperimentConfig:
         loan = LoanSizeDistribution.uniform(*args.loan_range)
     elif args.loan_size is not None:
         loan = LoanSizeDistribution.constant(args.loan_size)
-    grid = args.z if isinstance(args.z, tuple) else _parse_degree_grid(args.z)
     return ExperimentConfig(
         n_banks=args.n,
         capital_ratio=args.gamma,
         default_prob=args.delta,
         case=args.case,
         model=args.model,
-        degree_grid=grid,
+        degree_grid=args.z,
         networks_per_degree=args.networks,
         trials_per_network=args.trials,
         crisis_cutoff=args.crisis_cutoff,
@@ -185,8 +184,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    degrees = args.z if isinstance(args.z, tuple) else _parse_degree_grid(args.z)
-    for z in degrees:
+    for z in args.z:
         if not 0 <= z <= args.n - 1:  # also rejects NaN
             print(f"error: degree {z} outside [0, n-1] for --n {args.n}", file=sys.stderr)
             return 1
@@ -195,9 +193,9 @@ def cmd_check(args) -> int:
             cases=args.cases,
             instances=args.instances,
             n_banks=args.n,
-            degrees=degrees,
+            degrees=args.z,
             seed=args.seed,
-            ge_rule=args.inject_fault,
+            inject_fault=args.inject_fault,
         ),
         oracle_suite(instances=args.oracle_instances, seed=args.seed),
         distribution_suite(seed=args.seed),

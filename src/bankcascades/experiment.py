@@ -81,6 +81,10 @@ class ExperimentConfig:
     network_generator: str = "er-v2"
 
     def __post_init__(self):
+        for name in ("n_banks", "networks_per_degree", "trials_per_network", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.network_generator not in NETWORK_GENERATORS:
             raise ValueError(f"unknown network_generator {self.network_generator!r}")
         if self.case not in CASES:
@@ -275,6 +279,19 @@ def run_trial(
     return out
 
 
+def _task_results(tasks: list, workers: int):
+    """Yield each task's (key, result) as it finishes: in this process, or in a
+    pool capped at one process per task, since a pool under the ``fork``
+    start method starts every worker at its first submit."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        yield from map(_network_task, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for fut in as_completed([pool.submit(_network_task, t) for t in tasks]):
+            yield fut.result()
+
+
 def run_sweep(cfg: ExperimentConfig, *, workers: int = 1, progress=None) -> list[CrisisStats]:
     """Run the full sweep and pool statistics over networks x trials.
 
@@ -290,23 +307,10 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1, progress=None) -> list
     total_trials = len(tasks) * cfg.trials_per_network
 
     cell_results: dict[tuple[int, int], dict] = {}
-    done = 0
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_network_task, t) for t in tasks]
-            for fut in as_completed(futures):
-                key, res = fut.result()
-                cell_results[key] = res
-                done += cfg.trials_per_network
-                if progress is not None:
-                    progress(done, total_trials)
-    else:
-        for t in tasks:
-            key, res = _network_task(t)
-            cell_results[key] = res
-            done += cfg.trials_per_network
-            if progress is not None:
-                progress(done, total_trials)
+    for done, (key, res) in enumerate(_task_results(tasks, workers), 1):
+        cell_results[key] = res
+        if progress is not None:
+            progress(done * cfg.trials_per_network, total_trials)
 
     rows: list[CrisisStats] = []
     for zi, degree in enumerate(cfg.degree_grid):

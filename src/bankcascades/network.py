@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,30 +29,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LoanSizeDistribution:
-    """Loan-size law for individual interbank loans: constant or uniform."""
+    """A law on [lo, hi] with 0 < lo <= hi, constant or uniform: the size of
+    individual interbank loans. ``balance.ThetaDistribution`` narrows it to
+    shares below 1."""
 
     kind: str
     lo: float
     hi: float
+    quantity: ClassVar[str] = "loan sizes"  # what the law draws, for error messages
 
     def __post_init__(self):
         if self.kind not in ("constant", "uniform"):
-            raise ValueError(f"unknown loan size distribution kind {self.kind!r}")
+            raise ValueError(f"unknown {self.quantity} distribution kind {self.kind!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"loan sizes must be finite, got lo={self.lo}, hi={self.hi}")
-        if self.kind == "constant":
-            if not self.lo > 0:
-                raise ValueError("constant loan size must be > 0")
-        else:
-            if not (0 < self.lo <= self.hi):
-                raise ValueError("uniform loan sizes require 0 < lo <= hi")
+            raise ValueError(f"{self.quantity} must be finite, got lo={self.lo}, hi={self.hi}")
+        if not 0 < self.lo <= self.hi:
+            raise ValueError(f"{self.quantity} require 0 < lo <= hi, got {self.lo}, {self.hi}")
 
     @classmethod
-    def constant(cls, size: float) -> "LoanSizeDistribution":
-        return cls("constant", float(size), float(size))
+    def constant(cls, value: float):
+        return cls("constant", float(value), float(value))
 
     @classmethod
-    def uniform(cls, lo: float, hi: float) -> "LoanSizeDistribution":
+    def uniform(cls, lo: float, hi: float):
         return cls("uniform", float(lo), float(hi))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -173,16 +173,11 @@ class DirectedNetwork:
 def from_edges(n_nodes: int, edges) -> DirectedNetwork:
     """Build a network from an iterable of (lender, borrower, loan_size)."""
     edges = list(edges)
-    if edges:
-        lender = np.asarray([e[0] for e in edges], dtype=np.int64)
-        borrower = np.asarray([e[1] for e in edges], dtype=np.int64)
-        loan = np.asarray([e[2] for e in edges], dtype=np.float64)
-        order = np.lexsort((borrower, lender))
-        lender, borrower, loan = lender[order], borrower[order], loan[order]
-    else:
-        lender = np.empty(0, dtype=np.int64)
-        borrower = np.empty(0, dtype=np.int64)
-        loan = np.empty(0, dtype=np.float64)
+    lender = np.asarray([e[0] for e in edges], dtype=np.int64)
+    borrower = np.asarray([e[1] for e in edges], dtype=np.int64)
+    loan = np.asarray([e[2] for e in edges], dtype=np.float64)
+    order = np.lexsort((borrower, lender))
+    lender, borrower, loan = lender[order], borrower[order], loan[order]
     return DirectedNetwork(n_nodes, lender, borrower, loan)
 
 

@@ -83,35 +83,38 @@ def _dist_from_dict(d: dict | None, cls):
 def load_manifest(path) -> tuple[ExperimentConfig, list[CrisisStats]]:
     """Read back a manifest: the config to rerun plus the recorded rows."""
     doc = json.loads(Path(path).read_text())
-    c = doc["config"]
-    cfg = ExperimentConfig(
-        n_banks=c["n_banks"],
-        capital_ratio=c["capital_ratio"],
-        default_prob=c["default_prob"],
-        case=c["case"],
-        model=c["model"],
-        degree_grid=tuple(c["degree_grid"]),
-        networks_per_degree=c["networks_per_degree"],
-        trials_per_network=c["trials_per_network"],
-        crisis_cutoff=c["crisis_cutoff"],
-        master_seed=c["master_seed"],
-        theta_dist=_dist_from_dict(c["theta_dist"], ThetaDistribution),
-        loan_dist=_dist_from_dict(c["loan_dist"], LoanSizeDistribution),
-        network_generator=c.get("network_generator", "er-v1"),  # written before er-v2
-    )
-    rows = [
-        CrisisStats(
-            degree=r["z"],
-            model=r["model"],
-            case=r["case"],
-            crisis_frequency=r["crisis_frequency"],
-            frequency_ci_halfwidth=r["freq_ci"],
-            mean_crisis_size=r["mean_crisis_size"],
-            mean_crisis_size_se=r["mean_crisis_size_se"],
-            n_runs=r["n_runs"],
-            n_crises=r["n_crises"],
-            mismatches=r["mismatches"],
+    try:  # a value of the wrong JSON type is reported like a bad value
+        c = doc["config"]
+        cfg = ExperimentConfig(
+            n_banks=c["n_banks"],
+            capital_ratio=c["capital_ratio"],
+            default_prob=c["default_prob"],
+            case=c["case"],
+            model=c["model"],
+            degree_grid=tuple(c["degree_grid"]),
+            networks_per_degree=c["networks_per_degree"],
+            trials_per_network=c["trials_per_network"],
+            crisis_cutoff=c["crisis_cutoff"],
+            master_seed=c["master_seed"],
+            theta_dist=_dist_from_dict(c["theta_dist"], ThetaDistribution),
+            loan_dist=_dist_from_dict(c["loan_dist"], LoanSizeDistribution),
+            network_generator=c.get("network_generator", "er-v1"),  # written before er-v2
         )
-        for r in doc["results"]
-    ]
+        rows = [
+            CrisisStats(
+                degree=r["z"],
+                model=r["model"],
+                case=r["case"],
+                crisis_frequency=r["crisis_frequency"],
+                frequency_ci_halfwidth=r["freq_ci"],
+                mean_crisis_size=r["mean_crisis_size"],
+                mean_crisis_size_se=r["mean_crisis_size_se"],
+                n_runs=r["n_runs"],
+                n_crises=r["n_crises"],
+                mismatches=r["mismatches"],
+            )
+            for r in doc["results"]
+        ]
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed manifest: {exc}") from None
     return cfg, rows

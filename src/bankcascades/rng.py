@@ -50,12 +50,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 def as_generator(seed) -> np.random.Generator:
     """Coerce an int seed, SeedSequence, or Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    if isinstance(seed, (int, np.integer)):
-        return np.random.default_rng(int(seed))
+    if isinstance(seed, (int, np.integer, np.random.SeedSequence, np.random.Generator)):
+        return np.random.default_rng(seed)  # returns a Generator unaltered
     raise ValueError(f"cannot build a random generator from {seed!r}")
 
 

@@ -11,8 +11,6 @@ form this engine reproduces the balance-sheet engine trial for trial.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets
@@ -21,46 +19,12 @@ from .network import DirectedNetwork
 from .rng import as_generator, normal_from_standard
 
 __all__ = [
-    "ThresholdAssignment",
-    "shadow_threshold",
     "sample_thresholds",
     "shadow_threshold_pdf",
     "run_threshold_cascade",
     "thresholds_from_shocks",
     "draw_inactive_flips",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ThresholdAssignment:
-    """Per-bank flip thresholds plus the per-edge borrower weights.
-
-    ``thresholds`` is meaningful (finite) only where ``active`` is True,
-    i.e. for banks that lend; non-lenders hold NaN and can only flip at
-    round 0. ``edge_weights`` is aligned with the network's borrower-grouped
-    edge arrays and holds loan_size / lender's total lending, so each active
-    lender's weights sum to 1.
-    """
-
-    thresholds: np.ndarray
-    active: np.ndarray
-    edge_weights: np.ndarray
-
-    def __post_init__(self):
-        self.thresholds.setflags(write=False)
-        self.active.setflags(write=False)
-
-
-def shadow_threshold(net_worth: float, interbank_assets: float, asset_return: float) -> float:
-    """Flip threshold implied by one bank's state:
-    (net_worth + asset_return) / interbank_assets.
-
-    May be negative (the bank fails on its own) or exceed 1 (immune to
-    contagion this trial). Only defined for banks that lend.
-    """
-    if not interbank_assets > 0:
-        raise ValueError("shadow threshold requires positive interbank assets")
-    return (net_worth + asset_return) / interbank_assets
 
 
 def thresholds_from_normals(
@@ -87,18 +51,17 @@ def sample_thresholds(
     params: BalanceParams,
     theta_draws: np.ndarray,
     rng_seed,
-) -> ThresholdAssignment:
+) -> np.ndarray:
     """Draw each lending bank's threshold directly from its implied law
-    (see :func:`thresholds_from_normals`). No sheets are consulted: the
-    parameters and loan sizes are all the model needs.
+    (see :func:`thresholds_from_normals`); non-lenders get NaN. No sheets are
+    consulted: the parameters and loan sizes are all the model needs.
     """
     n = net.n_nodes
     theta_draws = np.asarray(theta_draws, dtype=np.float64)
     if theta_draws.shape != (n,):
         raise ValueError("theta_draws must have one entry per bank")
     rng = as_generator(rng_seed)
-    thresholds = thresholds_from_normals(rng.standard_normal(n), net, params, theta_draws)
-    return ThresholdAssignment(thresholds, net.interbank_assets > 0, net.in_edge_weights)
+    return thresholds_from_normals(rng.standard_normal(n), net, params, theta_draws)
 
 
 def draw_inactive_flips(active: np.ndarray, default_prob: float, rng_seed) -> np.ndarray:
@@ -147,47 +110,40 @@ def thresholds_from_shocks(
     net: DirectedNetwork,
     sheets: BalanceSheets,
     shocks: ShockDraw,
-) -> tuple[ThresholdAssignment, np.ndarray]:
-    """Map one concrete shock draw onto the threshold model.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map one concrete shock draw onto the threshold model, as (thresholds,
+    inactive_flips).
 
     Lending banks get (net_worth + return) / interbank_assets; non-lenders
-    get a round-0 flip exactly when the return alone wipes out their net
-    worth. Feeding the result to :func:`run_threshold_cascade` reproduces
+    get NaN and a round-0 flip exactly when the return alone wipes out their
+    net worth. Feeding the result to :func:`run_threshold_cascade` reproduces
     the balance-sheet engine's outcome on the same draw.
     """
-    active = net.interbank_assets > 0
     worth = sheets.net_worth
     returns = shocks.asset_returns
-    thresholds = coupled_thresholds(net, worth, returns)
-    inactive_flips = ~active & (returns < -worth)
-    return ThresholdAssignment(thresholds, active, net.in_edge_weights), inactive_flips
+    inactive_flips = ~(net.interbank_assets > 0) & (returns < -worth)
+    return coupled_thresholds(net, worth, returns), inactive_flips
 
 
 def run_threshold_cascade(
     net: DirectedNetwork,
-    thr: ThresholdAssignment,
+    thresholds: np.ndarray,
     inactive_flips: np.ndarray,
-    *,
-    ge_rule: bool = False,
 ) -> CascadeResult:
     """Run the threshold cascade to its fixed point.
 
-    Round 0 flips every active bank with a negative threshold plus the
-    non-lenders marked in ``inactive_flips``. Each later synchronous round
-    flips an active bank iff the summed weights of its flipped borrowers
-    strictly exceed its threshold; flipped banks stay flipped.
-
-    ``ge_rule`` switches the comparison to >= and exists only as a fault
-    injection hook for the self-check harness; leave it False.
+    Round 0 flips every lender with a negative threshold plus the
+    non-lenders marked in ``inactive_flips`` (their thresholds are not read).
+    Each later synchronous round flips a lender iff the summed weights of its
+    flipped borrowers strictly exceed its threshold (a weight is the loan
+    over the lender's total lending); flipped banks stay flipped.
     """
     n = net.n_nodes
+    thresholds = np.asarray(thresholds, dtype=np.float64)
     start = np.array(inactive_flips, dtype=bool)  # a copy: the cascade flips it
-    if len(thr.thresholds) != n or len(start) != n:
-        raise ValueError("assignment and flip vector must have one entry per bank")
+    if len(thresholds) != n or len(start) != n:
+        raise ValueError("thresholds and flip vector must have one entry per bank")
 
-    initial_flips(thr.active, thr.thresholds, start)
-    thresholds = thr.thresholds
-    if ge_rule:
-        # compare mu >= t by nudging the threshold to the previous float
-        thresholds = np.nextafter(thresholds, -np.inf)
-    return _one_trial(net, start, thr.active, thresholds, thr.edge_weights)
+    active = net.interbank_assets > 0
+    initial_flips(active, thresholds, start)
+    return _one_trial(net, start, active, thresholds, net.in_edge_weights)

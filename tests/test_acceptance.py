@@ -70,8 +70,8 @@ def test_criterion_1_coupled_sample_path_equivalence():
             sheets = build_sheets(net, params, rng_seed=stream_rng(MASTER, 12, ci, k))
             shocks = draw_shocks(sheets, stream_rng(MASTER, 13, ci, k))
             bs = run_balance_cascade(net, sheets, shocks)
-            thr, flips = thresholds_from_shocks(net, sheets, shocks)
-            other = run_threshold_cascade(net, thr, flips)
+            thresholds, flips = thresholds_from_shocks(net, sheets, shocks)
+            other = run_threshold_cascade(net, thresholds, flips)
             mismatches += not bs.same_outcome(other)
             checked += 1
     _report(
@@ -98,8 +98,8 @@ def test_criterion_2_fundamental_default_calibration():
             shock_hits += int((shocks.asset_returns < -sheets.net_worth).sum())
             shock_draws += N
         if thr_draws < 1_000_000:
-            thr = sample_thresholds(net, params, thetas, stream_rng(MASTER, 24, t))
-            thr_hits += int((thr.thresholds[active] < 0).sum())
+            thresholds = sample_thresholds(net, params, thetas, stream_rng(MASTER, 24, t))
+            thr_hits += int((thresholds[active] < 0).sum())
             thr_draws += int(active.sum())
         t += 1
 
@@ -203,8 +203,7 @@ def test_criterion_5_threshold_moments():
     chunks = []
     t = 0
     while sum(len(c) for c in chunks) < 100_000:
-        thr = sample_thresholds(net, params, thetas, stream_rng(MASTER, 52, t))
-        chunks.append(thr.thresholds[active])
+        chunks.append(sample_thresholds(net, params, thetas, stream_rng(MASTER, 52, t))[active])
         t += 1
     sample = np.concatenate(chunks)
 

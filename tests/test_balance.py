@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from bankcascades import (
     BalanceParams,
     ThetaDistribution,
     build_sheets,
+    case_presets,
     from_edges,
     generate_er,
     normal_quantile,
@@ -93,13 +95,12 @@ def test_sheet_with_deposit_closure(case_a_params):
     # 3 loans out at share .3 -> tentative total 10; 5 loans in fit under it
     net = _nine_bank_net(5)
     sheets = build_sheets(net, case_a_params, rng_seed=0)
-    s = sheets[0]
-    assert s.net_worth == pytest.approx(1.0, rel=1e-12)
-    assert s.external_assets == pytest.approx(7.0, rel=1e-12)
-    assert s.return_std == pytest.approx(-1.0 / quantile_bisect(0.01), rel=1e-9)
-    assert s.return_std == pytest.approx(0.429859, abs=1e-5)
-    assert s.deposits == pytest.approx(4.0, rel=1e-12)
-    assert s.riskless_assets == 0.0
+    assert sheets.net_worth[0] == pytest.approx(1.0, rel=1e-12)
+    assert sheets.external_assets[0] == pytest.approx(7.0, rel=1e-12)
+    assert sheets.return_std[0] == pytest.approx(-1.0 / quantile_bisect(0.01), rel=1e-9)
+    assert sheets.return_std[0] == pytest.approx(0.429859, abs=1e-5)
+    assert sheets.deposits[0] == pytest.approx(4.0, rel=1e-12)
+    assert sheets.riskless_assets[0] == 0.0
     assert 7.0 + 3.0 + 0.0 == pytest.approx(4.0 + 5.0 + 1.0)
 
 
@@ -108,22 +109,21 @@ def test_sheet_with_riskless_closure(case_a_params):
     # asset side and the realized capital ratio drops below the target
     net = _nine_bank_net(12)
     sheets = build_sheets(net, case_a_params, rng_seed=0)
-    s = sheets[0]
-    assert s.riskless_assets == pytest.approx(3.0, rel=1e-12)
-    assert s.deposits == 0.0
-    total_assets = s.external_assets + s.interbank_assets + s.riskless_assets
+    assert sheets.riskless_assets[0] == pytest.approx(3.0, rel=1e-12)
+    assert sheets.deposits[0] == 0.0
+    total_assets = (sheets.external_assets[0] + sheets.interbank_assets[0]
+                    + sheets.riskless_assets[0])
     assert total_assets == pytest.approx(13.0, rel=1e-12)
-    assert s.net_worth / total_assets == pytest.approx(1.0 / 13.0, rel=1e-12)
+    assert sheets.net_worth[0] / total_assets == pytest.approx(1.0 / 13.0, rel=1e-12)
 
 
 def test_sheet_for_bank_without_loans(case_a_params):
     net = from_edges(3, [(1, 0, 1.0), (2, 0, 1.0)])  # bank 0 only borrows
     sheets = build_sheets(net, case_a_params, rng_seed=0)
-    s = sheets[0]
-    assert s.interbank_assets == 0.0
-    assert s.external_assets == pytest.approx(10.0 / 3.0, rel=1e-12)
-    assert s.net_worth == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert s.return_std == pytest.approx(s.net_worth / 2.326348, abs=1e-6)
+    assert sheets.interbank_assets[0] == 0.0
+    assert sheets.external_assets[0] == pytest.approx(10.0 / 3.0, rel=1e-12)
+    assert sheets.net_worth[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert sheets.return_std[0] == pytest.approx(sheets.net_worth[0] / 2.326348, abs=1e-6)
 
 
 def _identity_gap(sheets):
@@ -191,6 +191,17 @@ def test_sheets_csv_round_trip(tmp_path, case_a_params):
     assert len(rows) == 20
     assert list(rows[0]) == ["bank_id", "a", "l", "b", "d", "p_bar", "w", "theta_l", "sigma"]
     for i, row in enumerate(rows):
-        assert float(row["w"]) == sheets[i].net_worth
-        assert float(row["a"]) == sheets[i].external_assets
-        assert float(row["sigma"]) == sheets[i].return_std
+        assert float(row["w"]) == sheets.net_worth[i]
+        assert float(row["a"]) == sheets.external_assets[i]
+        assert float(row["sigma"]) == sheets.return_std[i]
+
+
+def test_sheets_csv_golden_bytes(tmp_path):
+    # the bytes save_sheets_csv wrote before it read the columns directly
+    theta_dist, loan_dist = case_presets("C")
+    net = generate_er(20, 3.0, loan_dist, 2)
+    sheets = build_sheets(net, BalanceParams(0.1, 0.01, theta_dist), rng_seed=2)
+    path = tmp_path / "sheets.csv"
+    save_sheets_csv(sheets, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "5eb31eb48f1846936ced66f3142f8e05f6877df7b6684e290cd40086a62bc8de")

@@ -224,3 +224,27 @@ def test_check_rejects_negative_instance_counts(flag, value, capsys):
 def test_suites_reject_negative_instance_counts(suite):
     with pytest.raises(ValueError, match="instances"):
         suite(instances=-1)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("degree_grid", 5), ("n_banks", "60"), (None, [1]), ("theta_dist", 0.3),
+    ("networks_per_degree", 2.5), ("n_banks", 60.0), ("capital_ratio", "0.1"),
+    ("trials_per_network", True),
+], ids=["degree_grid-int", "n_banks-str", "config-list", "theta_dist-float",
+        "networks-float", "n_banks-float", "capital_ratio-str", "trials-bool"])
+def test_manifest_with_wrong_typed_config_is_an_error_not_a_traceback(field, value, tmp_path,
+                                                                      capsys):
+    data = json.loads((ER_V1_FIXTURE / "manifest.json").read_text())
+    if field is None:
+        data["config"] = value
+    else:
+        data["config"][field] = value
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(data))
+    code = main(["sweep", "--quiet", "--from-manifest", str(manifest),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(manifest) in err or f"{field} must be an integer" in err
+    assert not (tmp_path / "out").exists()

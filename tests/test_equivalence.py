@@ -25,7 +25,12 @@ from bankcascades import (
     thresholds_from_shocks,
 )
 from bankcascades.balance_cascade import _batch_propagate
-from bankcascades.checks import _boundary_probe, brute_force_fixed_point
+from bankcascades.checks import (
+    _boundary_probe,
+    _compare_coupled,
+    _run_ge_mutant,
+    brute_force_fixed_point,
+)
 from bankcascades.experiment import (
     MODELS,
     ExperimentConfig,
@@ -42,8 +47,8 @@ from conftest import sheets_from_worth
 
 def _coupled_pair(net, sheets, shocks):
     bs = run_balance_cascade(net, sheets, shocks)
-    thr, flips = thresholds_from_shocks(net, sheets, shocks)
-    return bs, run_threshold_cascade(net, thr, flips)
+    thresholds, flips = thresholds_from_shocks(net, sheets, shocks)
+    return bs, run_threshold_cascade(net, thresholds, flips)
 
 
 @pytest.mark.parametrize("case", ["A", "B", "C"])
@@ -92,10 +97,11 @@ def test_boundary_probe_agrees_under_strict_rule():
 def test_ge_mutation_is_detected_on_the_probe():
     net, sheets, shocks = _boundary_probe()
     bs = run_balance_cascade(net, sheets, shocks)
-    thr, flips = thresholds_from_shocks(net, sheets, shocks)
-    mutated = run_threshold_cascade(net, thr, flips, ge_rule=True)
+    thresholds, flips = thresholds_from_shocks(net, sheets, shocks)
+    mutated = _run_ge_mutant(net, thresholds, flips)
     assert not bs.same_outcome(mutated)
     assert mutated.defaulted[0] and not bs.defaulted[0]
+    assert not _compare_coupled(net, sheets, shocks, inject_fault=True)[0]
 
 
 @pytest.mark.parametrize("case,model", [("A", "both-coupled"), ("B", "both-independent"),
@@ -130,7 +136,7 @@ def test_run_trial_at_a_multiword_trial_index_equals_per_trial_engines(model):
         else:
             rng = stream_rng(21, STREAM_THRESHOLDS, 0, 0, ti)
             thresholds = sample_thresholds(net, params, thetas, rng)
-            flips = draw_inactive_flips(thresholds.active, params.default_prob, rng)
+            flips = draw_inactive_flips(net.interbank_assets > 0, params.default_prob, rng)
         refs["threshold"] = run_threshold_cascade(net, thresholds, flips)
         got = run_trial(cfg, 0, 0, ti)
         for m, ref in refs.items():
@@ -179,9 +185,9 @@ def _assert_batch_rows_match_oracle(net, worth, returns):
                           worth + returns, net.in_loan)
     mapped = [thresholds_from_shocks(net, sheets, d) for d in draws]
     active = net.interbank_assets > 0
-    thr_start = np.array([np.where(active, a.thresholds < 0, f) for a, f in mapped])
+    thr_start = np.array([np.where(active, t < 0, f) for t, f in mapped])
     thr = _batch_propagate(net, thr_start.copy(), active,
-                           np.array([a.thresholds for a, _ in mapped]), net.in_edge_weights)
+                           np.array([t for t, _ in mapped]), net.in_edge_weights)
 
     for t, draw in enumerate(draws):
         ref = brute_force_fixed_point(net, sheets, draw)

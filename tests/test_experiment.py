@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bankcascades import (
     run_sweep,
     run_trial,
 )
+from bankcascades import experiment
 from bankcascades.checks import brute_force_fixed_point, run_balance_cascade_async
 from bankcascades.experiment import ExperimentConfig, _network_task, case_presets
 from bankcascades.results_io import rows_to_csv
@@ -54,6 +56,10 @@ def test_config_validation():
         _small_cfg(trials_per_network=0)
     with pytest.raises(ValueError, match="master_seed"):
         _small_cfg(master_seed=-1)
+    for name in ("n_banks", "networks_per_degree", "trials_per_network", "master_seed"):
+        for bad in (2.5, 60.0, "60", None, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                _small_cfg(**{name: bad})
     with pytest.raises(ValueError, match="capital_ratio"):
         _small_cfg(capital_ratio=5.0)
     with pytest.raises(ValueError, match="default_prob"):
@@ -155,6 +161,43 @@ def test_sweep_output_independent_of_workers():
     serial = run_sweep(cfg, workers=1)
     parallel = run_sweep(cfg, workers=3)
     assert rows_to_csv(serial) == rows_to_csv(parallel)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for and runs each task at submit, in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, arg):
+        fut = Future()
+        fut.set_result(fn(arg))
+        return fut
+
+
+@pytest.mark.parametrize("workers,networks,pool_size", [
+    (64, 2, 2), (64, 1, None), (3, 5, 3), (1, 5, None),
+])
+def test_sweep_pool_is_capped_at_one_process_per_network(workers, networks, pool_size,
+                                                           monkeypatch):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfg = _small_cfg(degree_grid=(2.0,), networks_per_degree=networks, trials_per_network=10)
+    seen = []
+    rows = run_sweep(cfg, workers=workers, progress=lambda done, total: seen.append(done))
+    assert _InlinePool.sizes == ([] if pool_size is None else [pool_size])
+    assert seen == [10 * k for k in range(1, networks + 1)]
+    monkeypatch.undo()
+    assert rows_to_csv(rows) == rows_to_csv(run_sweep(cfg, workers=1))
 
 
 def test_pooling_matches_per_network_aggregates():

@@ -8,39 +8,49 @@ import scipy.stats
 from bankcascades import (
     BalanceParams,
     LoanSizeDistribution,
+    ShockDraw,
     ThetaDistribution,
     draw_inactive_flips,
     from_edges,
     generate_er,
     run_threshold_cascade,
     sample_thresholds,
-    shadow_threshold,
     shadow_threshold_pdf,
+    thresholds_from_shocks,
 )
-from bankcascades.threshold_cascade import ThresholdAssignment
+from bankcascades.checks import _run_ge_mutant
 
-from conftest import quantile_bisect
+from conftest import quantile_bisect, sheets_from_worth
 
 
 # -- the threshold map -----------------------------------------------------
 
+def _shadow_thresholds(returns):
+    """Coupled thresholds and round-0 flips on a star: bank 0 lends 3.0 (one
+    unit to each of banks 1-3) and every bank has net worth 1."""
+    net = from_edges(4, [(0, j, 1.0) for j in (1, 2, 3)])
+    sheets = sheets_from_worth(np.ones(4), net.interbank_assets)
+    return thresholds_from_shocks(net, sheets, ShockDraw(np.asarray(returns, dtype=float)))
+
+
 def test_shadow_threshold_at_zero_return():
     # equals capital_ratio / share when the bank's own return is zero
-    t = shadow_threshold(1.0, 3.0, 0.0)
+    t = _shadow_thresholds([0.0, 0.0, 0.0, 0.0])[0][0]
     assert t == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert t == pytest.approx(0.1 / 0.3, rel=1e-12)
 
 
 def test_shadow_threshold_boundary_and_cushion():
-    assert shadow_threshold(1.0, 3.0, -1.0) == 0.0
-    assert shadow_threshold(1.0, 3.0, 0.5) == pytest.approx(0.5)
+    assert _shadow_thresholds([-1.0, 0.0, 0.0, 0.0])[0][0] == 0.0
+    assert _shadow_thresholds([0.5, 0.0, 0.0, 0.0])[0][0] == pytest.approx(0.5)
 
 
 def test_shadow_threshold_needs_positive_lending():
-    with pytest.raises(ValueError):
-        shadow_threshold(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        shadow_threshold(1.0, -2.0, 0.0)
+    # banks that lend nothing carry no threshold; only their own loss flips them
+    thresholds, flips = _shadow_thresholds([0.0, 0.0, -2.0, -1.0])
+    assert np.isfinite(thresholds[0])
+    assert np.isnan(thresholds[1:]).all()
+    assert flips.tolist() == [False, False, True, False]  # a loss equal to net worth survives
 
 
 # -- the sampler -----------------------------------------------------------
@@ -53,8 +63,7 @@ def _sample_case_a(n_samples: int):
     out = []
     t = 0
     while sum(len(x) for x in out) < n_samples:
-        thr = sample_thresholds(net, params, thetas, 9000 + t)
-        out.append(thr.thresholds[active])
+        out.append(sample_thresholds(net, params, thetas, 9000 + t)[active])
         t += 1
     return np.concatenate(out), params
 
@@ -92,12 +101,12 @@ def test_extreme_default_probability_rejected():
 
 def test_inactive_banks_have_nan_thresholds(case_a_params):
     net = from_edges(3, [(0, 1, 1.0)])
-    thr = sample_thresholds(net, case_a_params, np.full(3, 0.3), 1)
-    assert thr.active.tolist() == [True, False, False]
-    assert np.isfinite(thr.thresholds[0])
-    assert np.isnan(thr.thresholds[1:]).all()
+    thresholds = sample_thresholds(net, case_a_params, np.full(3, 0.3), 1)
+    assert (net.interbank_assets > 0).tolist() == [True, False, False]
+    assert np.isfinite(thresholds[0])
+    assert np.isnan(thresholds[1:]).all()
     # weights of each active lender sum to one
-    sums = np.bincount(net.in_lender, weights=thr.edge_weights, minlength=3)
+    sums = np.bincount(net.in_lender, weights=net.in_edge_weights, minlength=3)
     assert sums[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -145,19 +154,13 @@ def test_pdf_requires_positive_lending():
 
 # -- the cascade -----------------------------------------------------------
 
-def _assignment(net, thresholds, active=None):
-    active = net.interbank_assets > 0 if active is None else np.asarray(active)
-    t = np.asarray(thresholds, dtype=np.float64)
-    return ThresholdAssignment(t, active, net.in_edge_weights)
-
-
 def test_thresholds_above_one_block_propagation():
     net = generate_er(50, 6.0, LoanSizeDistribution.constant(1.0), 2)
     active = net.interbank_assets > 0
     thresholds = np.where(active, 1.5, np.nan)
     rng = np.random.default_rng(0)
     start = ~active & (rng.random(50) < 0.3)
-    res = run_threshold_cascade(net, _assignment(net, thresholds), start)
+    res = run_threshold_cascade(net, thresholds, start)
     assert res.n_total == res.n_fundamental == int(start.sum())
     assert res.rounds == 0
 
@@ -166,12 +169,12 @@ def test_star_lender_flips_at_half_weight():
     net = from_edges(5, [(0, j, 1.0) for j in (1, 2, 3, 4)])
     thresholds = np.array([0.45, np.nan, np.nan, np.nan, np.nan])
     start = np.array([False, True, True, False, False])
-    res = run_threshold_cascade(net, _assignment(net, thresholds), start)
+    res = run_threshold_cascade(net, thresholds, start)
     assert res.defaulted.tolist() == [True, True, True, False, False]
     assert res.rounds == 1
     # one flipped borrower is not enough: 0.25 < 0.45
     start_one = np.array([False, True, False, False, False])
-    res = run_threshold_cascade(net, _assignment(net, thresholds), start_one)
+    res = run_threshold_cascade(net, thresholds, start_one)
     assert res.defaulted.tolist() == [False, True, False, False, False]
 
 
@@ -179,9 +182,9 @@ def test_exact_tie_does_not_flip():
     net = from_edges(5, [(0, j, 1.0) for j in (1, 2, 3, 4)])
     thresholds = np.array([0.5, np.nan, np.nan, np.nan, np.nan])
     start = np.array([False, True, True, False, False])
-    res = run_threshold_cascade(net, _assignment(net, thresholds), start)
+    res = run_threshold_cascade(net, thresholds, start)
     assert not res.defaulted[0]
-    res = run_threshold_cascade(net, _assignment(net, thresholds), start, ge_rule=True)
+    res = _run_ge_mutant(net, thresholds, start)
     assert res.defaulted[0]
 
 
@@ -195,7 +198,7 @@ def test_weighted_rule_equals_count_rule_for_unit_loans():
         active = net.interbank_assets > 0
         thresholds = np.where(active, rng.uniform(-0.1, 1.1, n), np.nan)
         start = ~active & (rng.random(n) < 0.2)
-        res = run_threshold_cascade(net, _assignment(net, thresholds), start)
+        res = run_threshold_cascade(net, thresholds, start)
 
         flipped = np.where(active, thresholds < 0, start)
         while True:
