@@ -6,8 +6,9 @@ zero recovery: a lender writes off the full face value of every loan to a
 defaulted borrower and fails as soon as write-offs minus its own asset
 return exceed its net worth. Propagation is synchronous and monotone, so it
 reaches a fixed point in at most N rounds. The propagation kernel here,
-:func:`_batch_propagate`, is the only one in the package: both engines run
-it on a batch of one trial, and the sweep on all trials of a network.
+:func:`_batch_propagate`, is the only one in the package, and only the row
+functions :func:`balance_rows` and ``threshold_cascade.threshold_rows`` call
+it: the sweep on all trials of a network, everything else on a batch of one.
 """
 from __future__ import annotations
 
@@ -55,6 +56,13 @@ class CascadeResult:
     @property
     def fraction(self) -> float:
         return self.n_total / len(self.defaulted)
+
+    @classmethod
+    def from_rows(cls, rows: tuple) -> "CascadeResult":
+        """Trial 0 of a row function's (fundamental, flipped, rounds) output."""
+        n_fundamental, flipped, rounds = rows
+        return cls(flipped[0], int(n_fundamental[0]), int(np.count_nonzero(flipped[0])),
+                   int(rounds[0]))
 
     def same_outcome(self, other: "CascadeResult") -> bool:
         """True when default set, round count and seed-default count all match."""
@@ -159,14 +167,20 @@ def _batch_propagate(
     return flipped, rounds
 
 
-def _one_trial(net: DirectedNetwork, start: np.ndarray, can_flip: np.ndarray,
-               thresholds: np.ndarray, edge_amount: np.ndarray) -> CascadeResult:
-    """Run one trial as a batch of one; ``start`` holds its round-0 flips."""
-    n_fundamental = int(np.count_nonzero(start))
-    flipped, rounds = _batch_propagate(net, start[None], can_flip, thresholds[None],
-                                       edge_amount)
-    return CascadeResult(flipped[0], n_fundamental, int(np.count_nonzero(flipped)),
-                         int(rounds[0]))
+def balance_rows(net: DirectedNetwork, worth: np.ndarray,
+                 returns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The balance-sheet rule over (trials, banks) rows of asset returns.
+
+    Initial defaults are the banks with ``return < -net_worth``. In each
+    synchronous round a live bank defaults iff its accumulated write-offs
+    minus its own return strictly exceed its net worth; ties survive.
+    Returns fundamental defaults per trial, the flip matrix and rounds per
+    trial.
+    """
+    start = returns < -worth
+    n_fundamental = start.sum(axis=1)  # before the kernel flips ``start`` in place
+    return (n_fundamental, *_batch_propagate(net, start, np.ones(net.n_nodes, dtype=bool),
+                                             worth + returns, net.in_loan))
 
 
 def run_balance_cascade(
@@ -174,17 +188,8 @@ def run_balance_cascade(
     sheets: BalanceSheets,
     shocks: ShockDraw,
 ) -> CascadeResult:
-    """Run one trial to its fixed point.
-
-    Initial defaults are the banks with ``return < -net_worth``. In each
-    synchronous round a live bank defaults iff its accumulated write-offs
-    minus its own return strictly exceed its net worth; ties survive.
-    """
-    n = net.n_nodes
+    """Run one trial to its fixed point: :func:`balance_rows` on one row."""
     returns = shocks.asset_returns
-    worth = sheets.net_worth
-    if len(sheets) != n or len(returns) != n:
+    if len(sheets) != net.n_nodes or len(returns) != net.n_nodes:
         raise ValueError("network, sheets and shocks must agree on the number of banks")
-
-    return _one_trial(net, returns < -worth, np.ones(n, dtype=bool), worth + returns,
-                      net.in_loan)
+    return CascadeResult.from_rows(balance_rows(net, sheets.net_worth, returns[None]))

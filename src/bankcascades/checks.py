@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets, build_sheets, normal_quantile
-from .balance_cascade import CascadeResult, ShockDraw, _one_trial, draw_shocks, run_balance_cascade
+from .balance_cascade import CascadeResult, ShockDraw, draw_shocks, run_balance_cascade
 from .experiment import case_presets
 from .network import DirectedNetwork, from_edges, generate_er
 from .rng import as_generator, stream_rng, stream_seed
-from .threshold_cascade import (initial_flips, run_threshold_cascade, sample_thresholds,
-                                thresholds_from_shocks)
+from .threshold_cascade import run_threshold_cascade, sample_thresholds, thresholds_from_shocks
 
 __all__ = [
     "CheckReport",
@@ -77,13 +76,10 @@ def _boundary_probe() -> tuple[DirectedNetwork, BalanceSheets, ShockDraw]:
 def _run_ge_mutant(net: DirectedNetwork, thresholds: np.ndarray,
                    inactive_flips: np.ndarray) -> CascadeResult:
     """The fault that ``check --inject-fault`` plants: the threshold engine
-    with its strict flip rule mutated to >=. Propagating against every
-    threshold nudged to the previous float compares ``mu >= t``; round 0
-    still tests the thresholds themselves."""
-    active = net.interbank_assets > 0
-    start = initial_flips(active, thresholds, np.array(inactive_flips, dtype=bool))
-    return _one_trial(net, start, active, np.nextafter(thresholds, -np.inf),
-                      net.in_edge_weights)
+    with its strict flip rule mutated to >=. Against every threshold nudged
+    to the previous float, ``mu > t`` becomes ``mu >= t``, at round 0 too,
+    where a zero threshold now flips."""
+    return run_threshold_cascade(net, np.nextafter(thresholds, -np.inf), inactive_flips)
 
 
 def _compare_coupled(net, sheets, shocks, *, inject_fault: bool) -> tuple[bool, dict]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets, ThetaDistribution, build_sheets
-from .balance_cascade import CascadeResult, _batch_propagate, shock_returns
+from .balance_cascade import CascadeResult, balance_rows, shock_returns
 from .network import DirectedNetwork, LoanSizeDistribution, _generate_er_v1, generate_er
 from .rng import (
     STREAM_NETWORK,
@@ -26,7 +26,7 @@ from .rng import (
     stream_rngs,
     stream_seed,
 )
-from .threshold_cascade import coupled_thresholds, initial_flips, thresholds_from_normals
+from .threshold_cascade import coupled_rows, threshold_rows, thresholds_from_normals
 
 __all__ = [
     "CASES",
@@ -150,11 +150,7 @@ class _Tally:
 
 
 def _models_run(model: str) -> tuple[str, ...]:
-    if model == "bs":
-        return ("bs",)
-    if model == "threshold":
-        return ("threshold",)
-    return ("bs", "threshold")
+    return (model,) if model in ("bs", "threshold") else ("bs", "threshold")
 
 
 def _network_inputs(cfg: ExperimentConfig, z_index: int, net_index: int):
@@ -174,6 +170,23 @@ def _network_inputs(cfg: ExperimentConfig, z_index: int, net_index: int):
     return net, params, thetas, sheets
 
 
+def _draw_rows(cfg: ExperimentConfig, stream: int, z_index: int, net_index: int,
+               trials: range, flip_prob: float | None = None):
+    """(normals, flips or None), one row per trial: each trial's standard
+    normals, then with ``flip_prob`` its independent round-0 flips, from its
+    own stream, so a row does not depend on which other trials share the
+    batch. One :func:`stream_rngs` pass seeds all the streams."""
+    n = cfg.n_banks
+    normals = np.empty((len(trials), n))
+    flips = None if flip_prob is None else np.empty((len(trials), n), dtype=bool)
+    for row, rng in enumerate(stream_rngs(cfg.master_seed, stream, z_index, net_index,
+                                          trials=trials)):
+        rng.standard_normal(out=normals[row])
+        if flips is not None:
+            np.less(rng.random(n), flip_prob, out=flips[row])
+    return normals, flips
+
+
 def _batch_outcomes(
     cfg: ExperimentConfig,
     net: DirectedNetwork,
@@ -186,46 +199,26 @@ def _batch_outcomes(
 ) -> dict:
     """The given trials of one network cell, propagated in one batch.
 
-    Each trial draws from its own stream with the per-trial seed scheme, so
-    its row does not depend on which other trials share the batch; one
-    :func:`stream_rngs` pass seeds the whole batch of streams. The draws
-    go straight into one row per trial; the laws that the public draw
+    The rows come from :func:`_draw_rows`; the laws that the public draw
     functions apply (:func:`shock_returns`, :func:`thresholds_from_normals`)
     then run once over the (trials, banks) matrix, with bit-identical
-    results. Returns, per engine run ('bs', 'threshold'), a tuple
-    (fundamental defaults per trial, flip matrix, rounds per trial).
+    results, and the engines' row functions propagate it. Returns, per
+    engine run ('bs', 'threshold'), a tuple (fundamental defaults per trial,
+    flip matrix, rounds per trial).
     """
-    n, T = cfg.n_banks, len(trials)
-    seed = cfg.master_seed
     out: dict = {}
-    active = net.interbank_assets > 0
-
     if cfg.model != "threshold":
-        returns = np.empty((T, n))
-        for row, rng in enumerate(stream_rngs(seed, STREAM_SHOCKS, z_index, net_index,
-                                              trials=trials)):
-            rng.standard_normal(out=returns[row])
-        shock_returns(returns, sheets)
-        worth = sheets.net_worth
-        start = returns < -worth
-        out["bs"] = (start.sum(axis=1), *_batch_propagate(
-            net, start, np.ones(n, dtype=bool), worth + returns, net.in_loan))
-
-    if cfg.model in ("threshold", "both-independent"):
-        thresholds = np.empty((T, n))
-        inactive_flips = np.empty((T, n), dtype=bool)
-        for row, rng in enumerate(stream_rngs(seed, STREAM_THRESHOLDS, z_index, net_index,
-                                              trials=trials)):
-            rng.standard_normal(out=thresholds[row])
-            np.less(rng.random(n), params.default_prob, out=inactive_flips[row])
-        thresholds_from_normals(thresholds, net, params, thetas)
-        start = initial_flips(active, thresholds, inactive_flips)
-    elif cfg.model == "both-coupled":
-        thresholds = coupled_thresholds(net, worth, returns)
-        start = initial_flips(active, thresholds, returns < -worth)
+        normals, _ = _draw_rows(cfg, STREAM_SHOCKS, z_index, net_index, trials)
+        returns = shock_returns(normals, sheets)
+        out["bs"] = balance_rows(net, sheets.net_worth, returns)
+    if cfg.model == "both-coupled":
+        thresholds, flips = coupled_rows(net, sheets.net_worth, returns)
+    elif cfg.model != "bs":
+        normals, flips = _draw_rows(cfg, STREAM_THRESHOLDS, z_index, net_index, trials,
+                                    params.default_prob)
+        thresholds = thresholds_from_normals(normals, net, params, thetas)
     if cfg.model != "bs":
-        out["threshold"] = (start.sum(axis=1), *_batch_propagate(
-            net, start, active, thresholds, net.in_edge_weights))
+        out["threshold"] = threshold_rows(net, thresholds, flips)
     return out
 
 
@@ -265,15 +258,18 @@ def run_trial(
     batched path run on a batch of one, with the same seeds and results.
 
     Returns a :class:`CascadeResult` per engine run ('bs', 'threshold') plus
-    'mismatch', True when coupled engines disagree.
+    'mismatch', True when coupled engines disagree. Raises ValueError for an
+    index outside the sweep's grid.
     """
+    for name, index, count in (("z_index", z_index, len(cfg.degree_grid)),
+                               ("net_index", net_index, cfg.networks_per_degree),
+                               ("trial_index", trial_index, cfg.trials_per_network)):
+        if not 0 <= index < count:
+            raise ValueError(f"{name} {index} outside the sweep's range [0, {count - 1}]")
     net, params, thetas, sheets = _network_inputs(cfg, z_index, net_index)
     rows = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,
                            range(trial_index, trial_index + 1))
-    out: dict = {
-        m: CascadeResult(flipped[0], int(n_fundamental[0]), int(flipped[0].sum()), int(rounds[0]))
-        for m, (n_fundamental, flipped, rounds) in rows.items()
-    }
+    out: dict = {m: CascadeResult.from_rows(r) for m, r in rows.items()}
     out["mismatch"] = (cfg.model == "both-coupled"
                        and not out["bs"].same_outcome(out["threshold"]))
     return out

@@ -20,6 +20,7 @@ from .rng import as_generator
 __all__ = [
     "LoanSizeDistribution",
     "DirectedNetwork",
+    "from_edges",
     "generate_er",
     "degrees",
     "save_edge_list",

@@ -29,6 +29,18 @@ __all__ = [
 CSV_HEADER = "z,model,case,crisis_frequency,freq_ci,mean_crisis_size,n_runs,mismatches"
 NO_CRISIS_MARKER = "no-crisis"
 
+# The manifest schema: a config is ``asdict(ExperimentConfig)`` and a result
+# ``asdict(CrisisStats)`` with these fields renamed to their manifest keys.
+_RESULT_KEYS = {"degree": "z", "frequency_ci_halfwidth": "freq_ci"}
+_RESULT_FIELDS = {key: field for field, key in _RESULT_KEYS.items()}
+
+
+def _renamed(entries, keys: dict) -> dict:
+    """A JSON object's entries with the keys in ``keys`` renamed."""
+    if not isinstance(entries, dict):
+        raise TypeError(f"expected a JSON object, got {entries!r}")
+    return {keys.get(k, k): v for k, v in entries.items()}
+
 
 def rows_to_csv(rows: list[CrisisStats]) -> str:
     lines = [CSV_HEADER]
@@ -55,66 +67,23 @@ def write_manifest(cfg: ExperimentConfig, rows: list[CrisisStats], path, *,
         "created_utc": created or datetime.now(timezone.utc).isoformat(),
         "master_seed": cfg.master_seed,
         "config": asdict(cfg),
-        "results": [
-            {
-                "z": r.degree,
-                "model": r.model,
-                "case": r.case,
-                "crisis_frequency": r.crisis_frequency,
-                "freq_ci": r.frequency_ci_halfwidth,
-                "mean_crisis_size": r.mean_crisis_size,
-                "mean_crisis_size_se": r.mean_crisis_size_se,
-                "n_runs": r.n_runs,
-                "n_crises": r.n_crises,
-                "mismatches": r.mismatches,
-            }
-            for r in rows
-        ],
+        "results": [_renamed(asdict(r), _RESULT_KEYS) for r in rows],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _dist_from_dict(d: dict | None, cls):
-    if d is None:
-        return None
-    return cls(d["kind"], d["lo"], d["hi"])
-
-
 def load_manifest(path) -> tuple[ExperimentConfig, list[CrisisStats]]:
-    """Read back a manifest: the config to rerun plus the recorded rows."""
+    """Read back a manifest: the config to rerun plus the recorded rows. A
+    key the schema does not know, like a value of the wrong JSON type, makes
+    the manifest malformed (ValueError)."""
     doc = json.loads(Path(path).read_text())
-    try:  # a value of the wrong JSON type is reported like a bad value
-        c = doc["config"]
-        cfg = ExperimentConfig(
-            n_banks=c["n_banks"],
-            capital_ratio=c["capital_ratio"],
-            default_prob=c["default_prob"],
-            case=c["case"],
-            model=c["model"],
-            degree_grid=tuple(c["degree_grid"]),
-            networks_per_degree=c["networks_per_degree"],
-            trials_per_network=c["trials_per_network"],
-            crisis_cutoff=c["crisis_cutoff"],
-            master_seed=c["master_seed"],
-            theta_dist=_dist_from_dict(c["theta_dist"], ThetaDistribution),
-            loan_dist=_dist_from_dict(c["loan_dist"], LoanSizeDistribution),
-            network_generator=c.get("network_generator", "er-v1"),  # written before er-v2
-        )
-        rows = [
-            CrisisStats(
-                degree=r["z"],
-                model=r["model"],
-                case=r["case"],
-                crisis_frequency=r["crisis_frequency"],
-                frequency_ci_halfwidth=r["freq_ci"],
-                mean_crisis_size=r["mean_crisis_size"],
-                mean_crisis_size_se=r["mean_crisis_size_se"],
-                n_runs=r["n_runs"],
-                n_crises=r["n_crises"],
-                mismatches=r["mismatches"],
-            )
-            for r in doc["results"]
-        ]
+    try:
+        config = {"network_generator": "er-v1", **doc["config"]}  # written before er-v2
+        for key, cls in (("theta_dist", ThetaDistribution), ("loan_dist", LoanSizeDistribution)):
+            if config.get(key) is not None:
+                config[key] = cls(**config[key])
+        cfg = ExperimentConfig(**config)
+        rows = [CrisisStats(**_renamed(r, _RESULT_FIELDS)) for r in doc["results"]]
     except TypeError as exc:
         raise ValueError(f"{path}: malformed manifest: {exc}") from None
     return cfg, rows

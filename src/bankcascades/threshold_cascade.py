@@ -7,14 +7,17 @@ negative threshold means the bank fails at the outset, which is how the
 initial shock enters. Thresholds are either sampled directly from the
 normal law implied by the sheet parameters, or mapped from a concrete
 shock draw via ``(net_worth + return) / interbank_assets``; in the mapped
-form this engine reproduces the balance-sheet engine trial for trial.
+form this engine reproduces the balance-sheet engine trial for trial. The
+mapping (:func:`coupled_rows`) and the cascade (:func:`threshold_rows`, this
+side's one caller of the kernel) take (trials, banks) rows: the sweep passes
+all trials of a network, everything else a batch of one.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets
-from .balance_cascade import CascadeResult, ShockDraw, _one_trial
+from .balance_cascade import CascadeResult, ShockDraw, _batch_propagate
 from .network import DirectedNetwork
 from .rng import as_generator, normal_from_standard
 
@@ -86,24 +89,41 @@ def shadow_threshold_pdf(x, interbank_assets: float, capital_ratio: float,
     return L * return_pdf(x * L - capital_ratio * L / theta)
 
 
-def coupled_thresholds(net: DirectedNetwork, worth: np.ndarray,
-                       returns: np.ndarray) -> np.ndarray:
-    """The coupled mapping: each lending bank's threshold is
-    (net_worth + return) / interbank_assets; non-lenders get NaN.
-    ``returns`` may hold one row per trial."""
+def coupled_rows(net: DirectedNetwork, worth: np.ndarray,
+                 returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coupled mapping of asset returns (one row per trial) onto the
+    threshold model, as (thresholds, inactive_flips).
+
+    A lending bank's threshold is (net_worth + return) / interbank_assets; a
+    non-lender gets NaN and a round-0 flip exactly when its return alone
+    wipes out its net worth.
+    """
+    inactive = ~(net.interbank_assets > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         thresholds = (worth + returns) / net.interbank_assets
-    thresholds[..., ~(net.interbank_assets > 0)] = np.nan
-    return thresholds
+    thresholds[..., inactive] = np.nan
+    inactive_flips = returns < -worth
+    inactive_flips &= inactive
+    return thresholds, inactive_flips
 
 
-def initial_flips(active: np.ndarray, thresholds: np.ndarray,
-                  inactive_flips: np.ndarray) -> np.ndarray:
-    """The round-0 rule: a lender flips when its threshold is negative, a
-    non-lender when ``inactive_flips`` marks it. Rows broadcast; the lenders'
-    entries of ``inactive_flips`` are overwritten and the array returned."""
-    np.copyto(inactive_flips, thresholds < 0, where=active)
-    return inactive_flips
+def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray,
+                   flips: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The threshold rule over (trials, banks) rows.
+
+    Round 0 flips every lender with a negative threshold (written into
+    ``flips`` in place) plus the non-lenders that ``flips`` marks; their
+    thresholds are not read. Each later synchronous round flips a lender iff
+    the summed weights of its flipped borrowers strictly exceed its threshold
+    (a weight is the loan over the lender's total lending); flipped banks
+    stay flipped. Returns fundamental flips per trial, the flip matrix and
+    rounds per trial.
+    """
+    active = net.interbank_assets > 0
+    np.copyto(flips, thresholds < 0, where=active)
+    n_fundamental = flips.sum(axis=1)  # before the kernel flips ``flips`` in place
+    return (n_fundamental,
+            *_batch_propagate(net, flips, active, thresholds, net.in_edge_weights))
 
 
 def thresholds_from_shocks(
@@ -111,18 +131,10 @@ def thresholds_from_shocks(
     sheets: BalanceSheets,
     shocks: ShockDraw,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map one concrete shock draw onto the threshold model, as (thresholds,
-    inactive_flips).
-
-    Lending banks get (net_worth + return) / interbank_assets; non-lenders
-    get NaN and a round-0 flip exactly when the return alone wipes out their
-    net worth. Feeding the result to :func:`run_threshold_cascade` reproduces
-    the balance-sheet engine's outcome on the same draw.
-    """
-    worth = sheets.net_worth
-    returns = shocks.asset_returns
-    inactive_flips = ~(net.interbank_assets > 0) & (returns < -worth)
-    return coupled_thresholds(net, worth, returns), inactive_flips
+    """Map one concrete shock draw onto the threshold model by
+    :func:`coupled_rows`. Feeding the result to :func:`run_threshold_cascade`
+    reproduces the balance-sheet engine's outcome on the same draw."""
+    return coupled_rows(net, sheets.net_worth, shocks.asset_returns)
 
 
 def run_threshold_cascade(
@@ -130,20 +142,11 @@ def run_threshold_cascade(
     thresholds: np.ndarray,
     inactive_flips: np.ndarray,
 ) -> CascadeResult:
-    """Run the threshold cascade to its fixed point.
-
-    Round 0 flips every lender with a negative threshold plus the
-    non-lenders marked in ``inactive_flips`` (their thresholds are not read).
-    Each later synchronous round flips a lender iff the summed weights of its
-    flipped borrowers strictly exceed its threshold (a weight is the loan
-    over the lender's total lending); flipped banks stay flipped.
-    """
-    n = net.n_nodes
+    """Run the threshold cascade to its fixed point: :func:`threshold_rows`
+    on one row, with ``inactive_flips`` marking the non-lenders that flip
+    at round 0."""
     thresholds = np.asarray(thresholds, dtype=np.float64)
     start = np.array(inactive_flips, dtype=bool)  # a copy: the cascade flips it
-    if len(thresholds) != n or len(start) != n:
+    if len(thresholds) != net.n_nodes or len(start) != net.n_nodes:
         raise ValueError("thresholds and flip vector must have one entry per bank")
-
-    active = net.interbank_assets > 0
-    initial_flips(active, thresholds, start)
-    return _one_trial(net, start, active, thresholds, net.in_edge_weights)
+    return CascadeResult.from_rows(threshold_rows(net, thresholds[None], start[None]))

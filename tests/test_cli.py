@@ -1,11 +1,14 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from bankcascades import ExperimentConfig, ThetaDistribution, run_sweep
 from bankcascades.checks import equivalence_suite, oracle_suite
 from bankcascades.cli import main
-from bankcascades.results_io import CSV_HEADER, NO_CRISIS_MARKER, load_manifest
+from bankcascades.results_io import (CSV_HEADER, NO_CRISIS_MARKER, load_manifest,
+                                     write_manifest)
 
 SWEEP_ARGS = [
     "sweep", "--case", "A", "--model", "both-coupled", "--n", "150",
@@ -146,6 +149,44 @@ def test_manifest_rerun_reproduces_csv(tmp_path):
     assert (tmp_path / "two" / "results.csv").read_bytes() == first
 
 
+
+# SHA-256 of results.csv for N=200, z in {1, 3, 6}, 2 networks x 60 trials,
+# seed 11, network stream er-v2: any change to a draw, the round-0 rule, the
+# kernel or the CSV format shows up here
+GOLDEN_SWEEP_SHA256 = {
+    ("C", "both-coupled"): "9c04d85a03708002d333f9918a197e9ca336e0825a70b8fbede8cb88b7cf7e60",
+    ("B", "both-independent"): "ae3f622ebef16b2e3a0116905be6a4752cdbfaf11894ea0c87acf8d52dad1b45",
+    ("A", "bs"): "7f8d3aa589fea54e48486c1dd6a6a23a72b3e45b3efcead481e1346b4a2bb92a",
+    ("C", "threshold"): "548cc8c5119299023d568fb3d8cee022a5acfbde7b023e8ddbe027ad46ea4c58",
+}
+
+
+@pytest.mark.parametrize("case,model", list(GOLDEN_SWEEP_SHA256))
+def test_sweep_golden_bytes(case, model, tmp_path):
+    code = main(["sweep", "--case", case, "--model", model, "--n", "200", "--z", "1,3,6",
+                 "--networks", "2", "--trials", "60", "--seed", "11", "--workers", "1",
+                 "--quiet", "--out", str(tmp_path)])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SWEEP_SHA256[(case, model)]
+
+
+@pytest.mark.parametrize("theta_dist,expected", [
+    (None, "0f2f4539ed44145c7b16f4a00626e3e3bddd059f7795d367a1910dd5b588acad"),
+    (ThetaDistribution.uniform(0.25, 0.35),
+     "54e5a60932a0b03e586746a956c26e234b6cfa6d7c0227114a10e964e09fbfd3"),
+], ids=["presets", "theta-override"])
+def test_manifest_golden_bytes(theta_dist, expected, tmp_path):
+    cfg = ExperimentConfig(
+        n_banks=200, capital_ratio=0.1, default_prob=0.01, case="C", model="both-coupled",
+        degree_grid=(1.0, 3.0, 6.0), networks_per_degree=2, trials_per_network=60,
+        crisis_cutoff=0.05, master_seed=11, theta_dist=theta_dist,
+    )
+    path = tmp_path / "manifest.json"
+    write_manifest(cfg, run_sweep(cfg), path, created="2026-01-01T00:00:00+00:00")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+    assert load_manifest(path)[0] == cfg
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("BANKCASCADES_OUT", str(tmp_path / "envout"))
     code = main(["sweep", "--case", "A", "--model", "bs", "--n", "120", "--z", "1",
@@ -229,9 +270,10 @@ def test_suites_reject_negative_instance_counts(suite):
 @pytest.mark.parametrize("field,value", [
     ("degree_grid", 5), ("n_banks", "60"), (None, [1]), ("theta_dist", 0.3),
     ("networks_per_degree", 2.5), ("n_banks", 60.0), ("capital_ratio", "0.1"),
-    ("trials_per_network", True),
+    ("trials_per_network", True), ("future_field", 1),
 ], ids=["degree_grid-int", "n_banks-str", "config-list", "theta_dist-float",
-        "networks-float", "n_banks-float", "capital_ratio-str", "trials-bool"])
+        "networks-float", "n_banks-float", "capital_ratio-str", "trials-bool",
+        "unknown-config-key"])
 def test_manifest_with_wrong_typed_config_is_an_error_not_a_traceback(field, value, tmp_path,
                                                                       capsys):
     data = json.loads((ER_V1_FIXTURE / "manifest.json").read_text())
@@ -248,3 +290,17 @@ def test_manifest_with_wrong_typed_config_is_an_error_not_a_traceback(field, val
     assert err.startswith("error: ") and "Traceback" not in err
     assert str(manifest) in err or f"{field} must be an integer" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("result", [
+    {"z": 0.0, "future_field": 1}, [0.0, "bs"],
+], ids=["unknown-result-key", "result-list"])
+def test_manifest_with_a_malformed_result_is_an_error(result, tmp_path):
+    data = json.loads((ER_V1_FIXTURE / "manifest.json").read_text())
+    if isinstance(result, dict):
+        result = {**data["results"][0], **result}
+    data["results"][0] = result
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="malformed manifest"):
+        load_manifest(manifest)

@@ -24,7 +24,8 @@ from bankcascades import (
     sample_thresholds,
     thresholds_from_shocks,
 )
-from bankcascades.balance_cascade import _batch_propagate
+from bankcascades import experiment
+from bankcascades.balance_cascade import balance_rows, shock_returns
 from bankcascades.checks import (
     _boundary_probe,
     _compare_coupled,
@@ -41,6 +42,7 @@ from bankcascades.experiment import (
     run_trial,
 )
 from bankcascades.rng import STREAM_SHOCKS, STREAM_THRESHOLDS, stream_rng
+from bankcascades.threshold_cascade import coupled_rows, threshold_rows
 
 from conftest import sheets_from_worth
 
@@ -104,6 +106,53 @@ def test_ge_mutation_is_detected_on_the_probe():
     assert not _compare_coupled(net, sheets, shocks, inject_fault=True)[0]
 
 
+
+def test_round_zero_tie_survives_and_the_ge_mutant_flips_it():
+    # lender 0's return is exactly -net_worth: not a round-0 default, and its
+    # mapped threshold is exactly 0.0, which the strict rule keeps
+    net = from_edges(3, [(0, 1, 1.0), (0, 2, 1.0)])
+    sheets = sheets_from_worth(np.ones(3), net.interbank_assets)
+    shocks = ShockDraw(np.array([-1.0, 0.0, 0.0]))
+    bs, thr = _coupled_pair(net, sheets, shocks)
+    thresholds, flips = thresholds_from_shocks(net, sheets, shocks)
+    assert thresholds[0] == 0.0
+    assert bs.same_outcome(thr) and bs.n_total == 0
+    # under >= a zero exposure meets a zero threshold, so the mutant flips it
+    mutated = _run_ge_mutant(net, thresholds, flips)
+    assert mutated.defaulted.tolist() == [True, False, False]
+    assert mutated.n_fundamental == 1
+
+
+def test_round_zero_tie_survives_in_the_sweep_path(monkeypatch):
+    cfg = ExperimentConfig(
+        n_banks=12, capital_ratio=0.1, default_prob=0.01, case="A", model="both-coupled",
+        degree_grid=(2.0,), networks_per_degree=1, trials_per_network=20,
+        crisis_cutoff=0.05, master_seed=3,
+    )
+    net, params, thetas, sheets = _network_inputs(cfg, 0, 0)
+    lender = int(np.flatnonzero(net.interbank_assets > 0)[0])
+    tied = []
+
+    def tied_returns(z, sheets):
+        returns = shock_returns(z, sheets)  # scales z in place
+        returns[:, lender] = -sheets.net_worth[lender]
+        tied.append(returns.copy())
+        return returns
+
+    monkeypatch.setattr(experiment, "shock_returns", tied_returns)
+    out = _batch_outcomes(cfg, net, params, thetas, sheets, 0, 0, range(20))
+    (returns,) = tied
+    survived = 0
+    for t, row in enumerate(returns):
+        ref = brute_force_fixed_point(net, sheets, ShockDraw(row))
+        survived += not ref.defaulted[lender]
+        for m in ("bs", "threshold"):
+            n_fund, flipped, rounds = out[m]
+            assert flipped[t].tolist() == ref.defaulted.tolist(), (m, t)
+            assert n_fund[t] == ref.n_fundamental and rounds[t] == ref.rounds, (m, t)
+    assert survived  # the tie is decided, not masked by a defaulted borrower
+
+
 @pytest.mark.parametrize("case,model", [("A", "both-coupled"), ("B", "both-independent"),
                                         ("C", "both-coupled"), ("B", "threshold"),
                                         ("A", "bs")])
@@ -120,10 +169,10 @@ def test_batched_sweep_path_equals_per_trial_engines_with_multiword_seed(model):
 @pytest.mark.parametrize("model", ["both-independent", "both-coupled"])
 def test_run_trial_at_a_multiword_trial_index_equals_per_trial_engines(model):
     # trial 2**32 + 3 spans two 32-bit key words; its streams must not fold
-    # onto trial 3's
+    # onto trial 3's. run_trial runs one trial, whatever the sweep's size
     cfg = ExperimentConfig(
         n_banks=250, capital_ratio=0.1, default_prob=0.01, case="C", model=model,
-        degree_grid=(3.0,), networks_per_degree=1, trials_per_network=1,
+        degree_grid=(3.0,), networks_per_degree=1, trials_per_network=2**32 + 4,
         crisis_cutoff=0.05, master_seed=21,
     )
     net, params, thetas, sheets = _network_inputs(cfg, 0, 0)
@@ -170,30 +219,23 @@ def _assert_batched_path_equals_run_trial(case, model, master_seed):
 # -- the batched kernel against the brute-force oracle, row by row ------------
 
 def _assert_batch_rows_match_oracle(net, worth, returns):
-    """Propagate every row of ``returns`` in one batch, once as balance-sheet
-    inputs and once through the coupled threshold mapping, and compare each
-    row with :func:`brute_force_fixed_point` on that row's draw. The oracle
-    shares no propagation code with the kernel."""
+    """Propagate every row of ``returns`` in one batch through both engines'
+    row functions, once as balance-sheet inputs and once through the coupled
+    threshold mapping, and compare each row with
+    :func:`brute_force_fixed_point` on that row's draw. The oracle shares no
+    propagation code with the kernel."""
     worth = np.asarray(worth, dtype=np.float64)
     returns = np.asarray(returns, dtype=np.float64)
-    n = net.n_nodes
     sheets = sheets_from_worth(worth, net.interbank_assets)
-    draws = [ShockDraw(row.copy()) for row in returns]
 
-    bs_start = returns < -worth
-    bs = _batch_propagate(net, bs_start.copy(), np.ones(n, dtype=bool),
-                          worth + returns, net.in_loan)
-    mapped = [thresholds_from_shocks(net, sheets, d) for d in draws]
-    active = net.interbank_assets > 0
-    thr_start = np.array([np.where(active, t < 0, f) for t, f in mapped])
-    thr = _batch_propagate(net, thr_start.copy(), active,
-                           np.array([t for t, _ in mapped]), net.in_edge_weights)
+    bs = balance_rows(net, worth, returns)
+    thr = threshold_rows(net, *coupled_rows(net, worth, returns))
 
-    for t, draw in enumerate(draws):
-        ref = brute_force_fixed_point(net, sheets, draw)
-        for start, (flipped, rounds) in ((bs_start, bs), (thr_start, thr)):
+    for t, row in enumerate(returns):
+        ref = brute_force_fixed_point(net, sheets, ShockDraw(row.copy()))
+        for n_fundamental, flipped, rounds in (bs, thr):
             assert np.array_equal(flipped[t], ref.defaulted), f"row {t}"
-            assert start[t].sum() == ref.n_fundamental, f"row {t}"
+            assert n_fundamental[t] == ref.n_fundamental, f"row {t}"
             assert rounds[t] == ref.rounds, f"row {t}"
 
 

@@ -222,6 +222,17 @@ def test_single_trial_reproduction():
     assert res["mismatch"] is False
 
 
+
+@pytest.mark.parametrize("indices,named", [
+    ((0, 7, 99), "net_index 7"), ((3, 0, 0), "z_index 3"), ((0, 0, 5), "trial_index 5"),
+    ((-1, 0, 0), "z_index -1"), ((0, 0, -1), "trial_index -1"),
+])
+def test_run_trial_rejects_indices_outside_the_sweep(indices, named):
+    # 3 degrees x 1 network x 5 trials
+    cfg = _small_cfg(networks_per_degree=1, trials_per_network=5)
+    with pytest.raises(ValueError, match=named):
+        run_trial(cfg, *indices)
+
 def test_coupled_sweep_reports_zero_mismatches():
     cfg = _small_cfg(model="both-coupled", n_banks=200)
     rows = run_sweep(cfg)

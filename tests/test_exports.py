@@ -32,3 +32,17 @@ def test_package_exports_every_public_engine_name():
         assert name in bankcascades.__all__
     for gone in ("ThresholdAssignment", "BankBalanceSheet", "shadow_threshold"):
         assert not hasattr(bankcascades, gone)
+
+
+def test_package_exports_exactly_the_public_names():
+    # the package joins its modules' lists; this pins the result, since demos
+    # and benchmark harnesses call these names
+    assert sorted(bankcascades.__all__) == [
+        "BalanceParams", "BalanceSheets", "CASES", "CascadeResult", "CrisisStats",
+        "DirectedNetwork", "ExperimentConfig", "LoanSizeDistribution", "MODELS", "ShockDraw",
+        "ThetaDistribution", "__version__", "build_sheets", "case_presets", "degrees",
+        "draw_inactive_flips", "draw_shocks", "from_edges", "generate_er", "load_edge_list",
+        "normal_quantile", "run_balance_cascade", "run_sweep", "run_threshold_cascade",
+        "run_trial", "sample_thresholds", "save_edge_list", "save_sheets_csv",
+        "shadow_threshold_pdf", "thresholds_from_shocks",
+    ]
