@@ -50,8 +50,11 @@ class CascadeResult:
 
     defaulted: np.ndarray
     n_fundamental: int
-    n_total: int
     rounds: int
+
+    @property
+    def n_total(self) -> int:
+        return int(np.count_nonzero(self.defaulted))
 
     @property
     def fraction(self) -> float:
@@ -61,14 +64,12 @@ class CascadeResult:
     def from_rows(cls, rows: tuple) -> "CascadeResult":
         """Trial 0 of a row function's (fundamental, flipped, rounds) output."""
         n_fundamental, flipped, rounds = rows
-        return cls(flipped[0], int(n_fundamental[0]), int(np.count_nonzero(flipped[0])),
-                   int(rounds[0]))
+        return cls(flipped[0], int(n_fundamental[0]), int(rounds[0]))
 
     def same_outcome(self, other: "CascadeResult") -> bool:
         """True when default set, round count and seed-default count all match."""
         return (
             self.n_fundamental == other.n_fundamental
-            and self.n_total == other.n_total
             and self.rounds == other.rounds
             and bool(np.array_equal(self.defaulted, other.defaulted))
         )

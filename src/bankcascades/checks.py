@@ -3,7 +3,7 @@
 Three independent lines of evidence that the two cascade engines implement
 the same model: exact trial-for-trial agreement when coupled through one
 shock draw, agreement of the fast engine with a naive fixed-point oracle on
-desk-scale networks, and distributional calibration of the sampled inputs.
+desk-scale networks, and distributional calibration of the sweep's own draws.
 The validation-only oracles, a brute-force fixed point and a random
 asynchronous schedule, live here too, apart from the product modules: they
 share no propagation code with the engines they check.
@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import BalanceParams, BalanceSheets, build_sheets, normal_quantile
-from .balance_cascade import CascadeResult, ShockDraw, draw_shocks, run_balance_cascade
-from .experiment import case_presets
+from .balance import BalanceParams, BalanceSheets, ThetaDistribution, build_sheets
+from .balance_cascade import (CascadeResult, ShockDraw, draw_shocks, run_balance_cascade,
+                              shock_returns)
+from .experiment import _draw_rows, case_presets
 from .network import DirectedNetwork, from_edges, generate_er
 from .rng import as_generator, stream_rng, stream_seed
-from .threshold_cascade import run_threshold_cascade, sample_thresholds, thresholds_from_shocks
+from .threshold_cascade import (run_threshold_cascade, thresholds_from_normals,
+                                thresholds_from_shocks)
 
 __all__ = [
     "CheckReport",
@@ -38,6 +40,9 @@ _CHK_SHOCK = 903
 _CHK_ORACLE = 904
 _CHK_DIST = 905
 
+# The capital ratio and fundamental default probability every suite checks.
+_GAMMA, _DELTA = 0.1, 0.01
+
 
 @dataclass
 class CheckReport:
@@ -48,29 +53,20 @@ class CheckReport:
 
 
 def _boundary_probe() -> tuple[DirectedNetwork, BalanceSheets, ShockDraw]:
-    """Hand-built instance sitting exactly on the flip boundary.
+    """Instance sitting exactly on the flip boundary, its sheets built with
+    capital ratio and interbank share 1/4 so that every value is exact.
 
-    Bank 0 lends 1.0 to each of banks 1-4; banks 1 and 2 fail outright.
-    Bank 0's flipped-weight fraction is then exactly 0.5 and its mapped
-    threshold exactly 0.5, so under the strict rule both engines agree it
-    survives. Random draws never produce exact ties, so this probe is what
-    lets the suite detect a >= mutation of the flip rule.
+    Bank 0 lends 1.0 to each of banks 1-4 and has net worth 4; the others
+    have net worth 1, and banks 1 and 2 fail outright. Bank 0's return of -2
+    maps it to a threshold of exactly (4 - 2) / 4 = 0.5, which its
+    flipped-weight fraction 2/4 meets exactly, so under the strict rule both
+    engines agree it survives. Random draws never produce exact ties, so
+    this probe is what lets the suite detect a >= mutation of the flip rule.
     """
     net = from_edges(5, [(0, j, 1.0) for j in (1, 2, 3, 4)])
-    zeros = np.zeros(5)
-    worth = np.ones(5)
-    sheets = BalanceSheets(
-        external_assets=np.full(5, 2.0),
-        interbank_assets=net.interbank_assets.copy(),
-        riskless_assets=zeros.copy(),
-        deposits=np.full(5, 1.0) + net.interbank_assets,
-        interbank_liabilities=net.interbank_liabilities.copy(),
-        net_worth=worth,
-        interbank_share=np.full(5, 0.3),
-        return_std=np.full(5, 0.4),
-    )
-    shocks = ShockDraw(np.array([1.0, -2.0, -2.0, 0.0, 0.0]))
-    return net, sheets, shocks
+    params = BalanceParams(0.25, _DELTA, ThetaDistribution.constant(0.25))
+    sheets = build_sheets(net, params, thetas=np.full(5, 0.25))
+    return net, sheets, ShockDraw(np.array([-2.0, -2.0, -2.0, 0.0, 0.0]))
 
 
 def _run_ge_mutant(net: DirectedNetwork, thresholds: np.ndarray,
@@ -106,8 +102,6 @@ def equivalence_suite(
     instances: int = 100,
     n_banks: int = 1000,
     degrees: tuple[float, ...] = (1.0, 3.0, 5.0, 8.0),
-    capital_ratio: float = 0.1,
-    default_prob: float = 0.01,
     seed: int = 0,
     inject_fault: bool = False,
 ) -> CheckReport:
@@ -129,7 +123,7 @@ def equivalence_suite(
     checked = 0
     for ci, case in enumerate(cases):
         theta_dist, loan_dist = case_presets(case)
-        params = BalanceParams(capital_ratio, default_prob, theta_dist)
+        params = BalanceParams(_GAMMA, _DELTA, theta_dist)
         for k in range(instances):
             z = degrees[k % len(degrees)]
             net = generate_er(n_banks, z, loan_dist, stream_seed(seed, _CHK_NET, ci, k))
@@ -149,17 +143,17 @@ def equivalence_suite(
     return CheckReport(name, True, f"{checked} coupled instances + boundary probe, 0 mismatches")
 
 
-def oracle_suite(*, instances: int = 200, max_nodes: int = 10, seed: int = 0) -> CheckReport:
+def oracle_suite(*, instances: int = 200, seed: int = 0) -> CheckReport:
     """Fast engine vs naive fixed-point oracle vs randomized asynchronous
-    schedule on small random instances; exact agreement required."""
+    schedule on random instances of 2 to 10 banks; exact agreement required."""
     name = "small-instance oracle"
     if instances < 0:
         raise ValueError(f"instances must be >= 0, got {instances}")
     theta_dist, _ = case_presets("A")
-    params = BalanceParams(0.1, 0.01, theta_dist)
+    params = BalanceParams(_GAMMA, _DELTA, theta_dist)
     for k in range(instances):
         rng = stream_rng(seed, _CHK_ORACLE, k)
-        n = int(rng.integers(2, max_nodes + 1))
+        n = int(rng.integers(2, 11))
         z = float(rng.uniform(0, n - 1))
         loan = case_presets("C")[1] if k % 2 else case_presets("A")[1]
         net = generate_er(n, z, loan, rng)
@@ -190,69 +184,52 @@ def _ks_statistic(sample: np.ndarray, mean: float, sd: float) -> float:
     return float(np.maximum(grid - cdf, cdf - (grid - 1.0 / n)).max())
 
 
-def distribution_suite(
-    *,
-    capital_ratio: float = 0.1,
-    default_prob: float = 0.01,
-    n_banks: int = 1000,
-    trials: int = 1000,
-    seed: int = 0,
-) -> CheckReport:
-    """Calibration of the sampled inputs.
+def distribution_suite(*, seed: int = 0) -> CheckReport:
+    """Calibration of the sweep's own draws: 1000 trials on one 1000-bank
+    case-A network, drawn by the sweep's draw path on the check's streams.
 
-    Pooled over n_banks x trials draws: the frequency of outright failures
-    under the shock model and of negative sampled thresholds must each sit
-    within 4 binomial standard deviations of the target default probability;
-    the sampled thresholds must also pass a KS test at the 1% level against
-    their implied normal law.
+    Pooled over banks x trials, the frequencies of outright failures under
+    the shock model, of negative sampled thresholds and of round-0 flips of
+    non-lenders must each sit within 4 binomial standard deviations of the
+    target default probability; the sampled thresholds must also pass a KS
+    test at the 1% level against their implied normal law.
     """
     name = "input distributions"
+    n_banks, trials = 1000, range(1000)
     theta_dist, loan_dist = case_presets("A")
-    params = BalanceParams(capital_ratio, default_prob, theta_dist)
+    params = BalanceParams(_GAMMA, _DELTA, theta_dist)
     net = generate_er(n_banks, 3.0, loan_dist, stream_seed(seed, _CHK_DIST, 0))
     thetas = theta_dist.sample(n_banks, stream_rng(seed, _CHK_DIST, 1))
     sheets = build_sheets(net, params, thetas=thetas)
-
-    n_fund = 0
-    neg_thr = 0
-    active_total = 0
-    collected = []
     active = net.interbank_assets > 0
-    for t in range(trials):
-        shocks = draw_shocks(sheets, stream_rng(seed, _CHK_DIST, 2, t))
-        n_fund += int((shocks.asset_returns < -sheets.net_worth).sum())
-        thresholds = sample_thresholds(net, params, thetas, stream_rng(seed, _CHK_DIST, 3, t))
-        vals = thresholds[active]
-        neg_thr += int((vals < 0).sum())
-        active_total += int(active.sum())
-        if len(collected) < 100:
-            collected.append(vals)
 
-    pooled = n_banks * trials
-    bound = 4.0 * math.sqrt(default_prob * (1.0 - default_prob))
-    fund_freq = n_fund / pooled
-    if abs(fund_freq - default_prob) > bound / math.sqrt(pooled):
-        return CheckReport(name, False,
-                           f"fundamental-default frequency {fund_freq:.5f} misses "
-                           f"{default_prob} by more than 4 sigma")
-    thr_freq = neg_thr / active_total
-    if abs(thr_freq - default_prob) > bound / math.sqrt(active_total):
-        return CheckReport(name, False,
-                           f"negative-threshold frequency {thr_freq:.5f} misses "
-                           f"{default_prob} by more than 4 sigma")
+    normals, _ = _draw_rows(n_banks, seed, _CHK_DIST, 2, trials=trials)
+    returns = shock_returns(normals, sheets)
+    normals, flips = _draw_rows(n_banks, seed, _CHK_DIST, 3, trials=trials, flip_prob=_DELTA)
+    vals = thresholds_from_normals(normals, net, params, thetas)[:, active]
 
-    sample = np.concatenate(collected)
-    mean = capital_ratio / theta_dist.mean()
-    sd = mean / abs(normal_quantile(default_prob))
-    stat = _ks_statistic(sample, mean, sd)
+    bound = 4.0 * math.sqrt(_DELTA * (1.0 - _DELTA))
+    rates = []
+    for label, hits in (("fundamental-default", returns < -sheets.net_worth),
+                        ("negative-threshold", vals < 0),
+                        ("non-lender flip", flips[:, ~active])):
+        rate = np.count_nonzero(hits) / hits.size
+        if abs(rate - _DELTA) > bound / math.sqrt(hits.size):
+            return CheckReport(name, False, f"{label} frequency {rate:.5f} misses "
+                                            f"{_DELTA} by more than 4 sigma")
+        rates.append(rate)
+
+    sample = vals[:100].ravel()
+    mean = _GAMMA / theta_dist.mean()
+    stat = _ks_statistic(sample, mean, mean / abs(params.default_quantile))
     crit = 1.6276 / math.sqrt(len(sample))  # asymptotic 1% Kolmogorov critical value
     if stat > crit:
         return CheckReport(name, False,
                            f"threshold sample fails KS at 1% ({stat:.5f} > {crit:.5f})")
     return CheckReport(
         name, True,
-        f"failure rate {fund_freq:.5f}, negative-threshold rate {thr_freq:.5f} "
-        f"(target {default_prob}), KS {stat:.5f} < {crit:.5f}",
+        "failure rate {:.5f}, negative-threshold rate {:.5f}, non-lender flip rate {:.5f} "
+        "(target {}), KS {:.5f} < {:.5f}".format(*rates, _DELTA, stat, crit),
     )
 
 
@@ -299,8 +276,7 @@ def brute_force_fixed_point(
             break
         rounds += 1
         defaulted = new
-    return CascadeResult(np.asarray(defaulted, dtype=bool), int(n_fundamental),
-                         int(sum(defaulted)), rounds)
+    return CascadeResult(np.asarray(defaulted, dtype=bool), int(n_fundamental), rounds)
 
 
 def run_balance_cascade_async(
@@ -333,4 +309,4 @@ def run_balance_cascade_async(
             if loss - returns[i] > worth[i]:
                 defaulted[i] = True
                 changed = True
-    return CascadeResult(defaulted, n_fundamental, int(defaulted.sum()), 0)
+    return CascadeResult(defaulted, n_fundamental, 0)

@@ -73,14 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n", type=int, default=1000, help="number of banks")
     sweep.add_argument("--gamma", type=float, default=0.1, help="tentative capital ratio")
     sweep.add_argument("--delta", type=float, default=0.01, help="fundamental default probability")
-    sweep.add_argument("--theta-l", type=float, default=None,
+    theta = sweep.add_mutually_exclusive_group()
+    theta.add_argument("--theta-l", type=float, default=None,
                        help="override: constant interbank-asset share")
-    sweep.add_argument("--theta-range", type=float, nargs=2, metavar=("LO", "HI"), default=None,
+    theta.add_argument("--theta-range", type=float, nargs=2, metavar=("LO", "HI"), default=None,
                        help="override: uniform interbank-asset share")
-    sweep.add_argument("--loan-size", type=float, default=None,
-                       help="override: constant loan size")
-    sweep.add_argument("--loan-range", type=float, nargs=2, metavar=("LO", "HI"), default=None,
-                       help="override: uniform loan size")
+    loan = sweep.add_mutually_exclusive_group()
+    loan.add_argument("--loan-size", type=float, default=None,
+                      help="override: constant loan size")
+    loan.add_argument("--loan-range", type=float, nargs=2, metavar=("LO", "HI"), default=None,
+                      help="override: uniform loan size")
     sweep.add_argument("--z", type=_parse_degree_grid, default="0:10:0.5",
                        help="degree grid, start:stop:step or comma list (default 0:10:0.5)")
     sweep.add_argument("--networks", type=int, default=20, help="networks per degree")

@@ -9,6 +9,7 @@ its output is independent of how work is spread across processes.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
@@ -85,6 +86,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("capital_ratio", "default_prob", "crisis_cutoff", "degree_grid"):
+            value = getattr(self, name)  # a str grid fails as a sequence of strs
+            for v in (value if name == "degree_grid" else (value,)):
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ValueError(f"{name} must hold numbers, got {value!r}")
         if self.network_generator not in NETWORK_GENERATORS:
             raise ValueError(f"unknown network_generator {self.network_generator!r}")
         if self.case not in CASES:
@@ -141,14 +147,6 @@ class CrisisStats:
     mismatches: int
 
 
-@dataclass
-class _Tally:
-    runs: int = 0
-    crises: int = 0
-    size_sum: float = 0.0
-    size_sq_sum: float = 0.0
-
-
 def _models_run(model: str) -> tuple[str, ...]:
     return (model,) if model in ("bs", "threshold") else ("bs", "threshold")
 
@@ -170,17 +168,16 @@ def _network_inputs(cfg: ExperimentConfig, z_index: int, net_index: int):
     return net, params, thetas, sheets
 
 
-def _draw_rows(cfg: ExperimentConfig, stream: int, z_index: int, net_index: int,
-               trials: range, flip_prob: float | None = None):
-    """(normals, flips or None), one row per trial: each trial's standard
-    normals, then with ``flip_prob`` its independent round-0 flips, from its
-    own stream, so a row does not depend on which other trials share the
-    batch. One :func:`stream_rngs` pass seeds all the streams."""
-    n = cfg.n_banks
+def _draw_rows(n: int, master_seed: int, stream: int, *indices: int, trials: range,
+               flip_prob: float | None = None):
+    """(normals, flips or None), one row of ``n`` banks per trial: each
+    trial's standard normals, then with ``flip_prob`` its independent round-0
+    flips, from its own stream ``(master_seed, stream, *indices, trial)``, so
+    a row does not depend on which other trials share the batch. One
+    :func:`stream_rngs` pass seeds all the streams."""
     normals = np.empty((len(trials), n))
     flips = None if flip_prob is None else np.empty((len(trials), n), dtype=bool)
-    for row, rng in enumerate(stream_rngs(cfg.master_seed, stream, z_index, net_index,
-                                          trials=trials)):
+    for row, rng in enumerate(stream_rngs(master_seed, stream, *indices, trials=trials)):
         rng.standard_normal(out=normals[row])
         if flips is not None:
             np.less(rng.random(n), flip_prob, out=flips[row])
@@ -208,14 +205,15 @@ def _batch_outcomes(
     """
     out: dict = {}
     if cfg.model != "threshold":
-        normals, _ = _draw_rows(cfg, STREAM_SHOCKS, z_index, net_index, trials)
+        normals, _ = _draw_rows(cfg.n_banks, cfg.master_seed, STREAM_SHOCKS, z_index,
+                                net_index, trials=trials)
         returns = shock_returns(normals, sheets)
         out["bs"] = balance_rows(net, sheets.net_worth, returns)
     if cfg.model == "both-coupled":
         thresholds, flips = coupled_rows(net, sheets.net_worth, returns)
     elif cfg.model != "bs":
-        normals, flips = _draw_rows(cfg, STREAM_THRESHOLDS, z_index, net_index, trials,
-                                    params.default_prob)
+        normals, flips = _draw_rows(cfg.n_banks, cfg.master_seed, STREAM_THRESHOLDS, z_index,
+                                    net_index, trials=trials, flip_prob=params.default_prob)
         thresholds = thresholds_from_normals(normals, net, params, thetas)
     if cfg.model != "bs":
         out["threshold"] = threshold_rows(net, thresholds, flips)
@@ -223,8 +221,9 @@ def _batch_outcomes(
 
 
 def _network_task(args) -> tuple[tuple[int, int], dict]:
-    """Run all trials for one (degree, network) cell. Top level so process
-    pools can pickle it."""
+    """Run all trials for one (degree, network) cell and tally each engine
+    run as (crises, summed crisis sizes, summed squared crisis sizes). Top
+    level so process pools can pickle it."""
     cfg, z_index, net_index = args
     net, params, thetas, sheets = _network_inputs(cfg, z_index, net_index)
     outcomes = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,
@@ -239,8 +238,7 @@ def _network_task(args) -> tuple[tuple[int, int], dict]:
         for f in frac[crisis]:  # sequential sums keep output worker-invariant
             size_sum += float(f)
             sq_sum += float(f) * float(f)
-        tallies[m] = _Tally(runs=cfg.trials_per_network, crises=int(crisis.sum()),
-                            size_sum=size_sum, size_sq_sum=sq_sum)
+        tallies[m] = (int(crisis.sum()), size_sum, sq_sum)
 
     mismatches = 0
     if cfg.model == "both-coupled":
@@ -308,17 +306,20 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1, progress=None) -> list
         if progress is not None:
             progress(done * cfg.trials_per_network, total_trials)
 
+    runs = cfg.networks_per_degree * cfg.trials_per_network
     rows: list[CrisisStats] = []
     for zi, degree in enumerate(cfg.degree_grid):
         cells = [cell_results[(zi, ni)] for ni in range(cfg.networks_per_degree)]
         mismatches = sum(c["mismatches"] for c in cells)
         for m in _models_run(cfg.model):
-            runs = sum(c["tallies"][m].runs for c in cells)
-            crises = sum(c["tallies"][m].crises for c in cells)
-            size_sum = sq_sum = 0.0
-            for c in cells:  # fixed network order keeps float sums reproducible
-                size_sum += c["tallies"][m].size_sum
-                sq_sum += c["tallies"][m].size_sq_sum
+            crises, size_sum, sq_sum = 0, 0.0, 0.0
+            # a left-to-right loop in fixed network order, not sum(), whose
+            # float result is compensated from Python 3.12 on
+            for c in cells:
+                cell_crises, cell_size_sum, cell_sq_sum = c["tallies"][m]
+                crises += cell_crises
+                size_sum += cell_size_sum
+                sq_sum += cell_sq_sum
             freq = crises / runs
             ci = _Z95 * math.sqrt(freq * (1.0 - freq) / runs)
             mean_size = (size_sum / crises) if crises else None

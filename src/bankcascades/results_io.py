@@ -74,8 +74,9 @@ def write_manifest(cfg: ExperimentConfig, rows: list[CrisisStats], path, *,
 
 def load_manifest(path) -> tuple[ExperimentConfig, list[CrisisStats]]:
     """Read back a manifest: the config to rerun plus the recorded rows. A
-    key the schema does not know, like a value of the wrong JSON type, makes
-    the manifest malformed (ValueError)."""
+    key the schema does not know, like a value of the wrong JSON type or one
+    the config rejects, makes the manifest malformed (a ValueError naming
+    the manifest)."""
     doc = json.loads(Path(path).read_text())
     try:
         config = {"network_generator": "er-v1", **doc["config"]}  # written before er-v2
@@ -84,6 +85,6 @@ def load_manifest(path) -> tuple[ExperimentConfig, list[CrisisStats]]:
                 config[key] = cls(**config[key])
         cfg = ExperimentConfig(**config)
         rows = [CrisisStats(**_renamed(r, _RESULT_FIELDS)) for r in doc["results"]]
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed manifest: {exc}") from None
     return cfg, rows

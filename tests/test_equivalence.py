@@ -24,13 +24,14 @@ from bankcascades import (
     sample_thresholds,
     thresholds_from_shocks,
 )
-from bankcascades import experiment
+from bankcascades import checks, experiment
 from bankcascades.balance_cascade import balance_rows, shock_returns
 from bankcascades.checks import (
     _boundary_probe,
     _compare_coupled,
     _run_ge_mutant,
     brute_force_fixed_point,
+    distribution_suite,
 )
 from bankcascades.experiment import (
     MODELS,
@@ -94,6 +95,40 @@ def test_boundary_probe_agrees_under_strict_rule():
     bs, thr = _coupled_pair(net, sheets, shocks)
     assert bs.same_outcome(thr)
     assert not bs.defaulted[0]  # the exact tie favours survival
+
+
+def test_boundary_probe_maps_to_its_pinned_thresholds_and_flips():
+    net, sheets, shocks = _boundary_probe()
+    assert sheets.net_worth.tolist() == [4.0, 1.0, 1.0, 1.0, 1.0]
+    thresholds, flips = thresholds_from_shocks(net, sheets, shocks)
+    assert thresholds[0] == 0.5 and np.isnan(thresholds[1:]).all()
+    assert flips.tolist() == [False, True, True, False, False]
+
+
+@pytest.mark.parametrize("seed,figures", [
+    (0, ("failure rate 0.00992", "negative-threshold rate 0.01003", "(target 0.01)",
+         "KS 0.00233 < 0.00528")),
+    (3, ("failure rate 0.00996", "negative-threshold rate 0.01001", "(target 0.01)",
+         "KS 0.00355 < 0.00527")),
+])
+def test_distribution_suite_prints_its_pinned_figures(seed, figures):
+    report = distribution_suite(seed=seed)
+    assert report.passed
+    for figure in figures:
+        assert figure in report.detail
+
+
+def test_distribution_suite_calibrates_the_non_lender_flips(monkeypatch):
+    assert "non-lender flip rate 0.01018 (target 0.01)" in distribution_suite(seed=0).detail
+
+    def doubled_flips(*args, flip_prob=None, **kwargs):
+        flip_prob = None if flip_prob is None else 2 * flip_prob
+        return experiment._draw_rows(*args, flip_prob=flip_prob, **kwargs)
+
+    monkeypatch.setattr(checks, "_draw_rows", doubled_flips)
+    report = distribution_suite(seed=0)
+    assert not report.passed
+    assert report.detail.startswith("non-lender flip frequency 0.020")
 
 
 def test_ge_mutation_is_detected_on_the_probe():

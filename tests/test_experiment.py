@@ -206,8 +206,8 @@ def test_pooling_matches_per_network_aggregates():
     for zi, degree in enumerate(cfg.degree_grid):
         cells = [_network_task((cfg, zi, ni))[1] for ni in range(cfg.networks_per_degree)]
         for row in (r for r in rows if r.degree == degree):
-            runs = sum(c["tallies"][row.model].runs for c in cells)
-            crises = sum(c["tallies"][row.model].crises for c in cells)
+            runs = cfg.networks_per_degree * cfg.trials_per_network
+            crises = sum(c["tallies"][row.model][0] for c in cells)
             assert row.n_runs == runs
             assert row.n_crises == crises
             assert row.crisis_frequency == crises / runs
