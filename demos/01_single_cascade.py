@@ -32,10 +32,11 @@ print(f"total defaults after contagion:          {result.n_total}  "
       f"({result.fraction:.0%} of the system)")
 print(f"propagation rounds:                      {result.rounds}")
 
+# result.step holds the round in which each bank defaulted (-1: survived)
 hit = np.flatnonzero(result.defaulted)
-fundamental = shocks.asset_returns < -sheets.net_worth
+print(f"defaults per round:                      {np.bincount(result.step[hit]).tolist()}")
 for i in hit[:12]:
-    kind = "fundamental" if fundamental[i] else "contagion"
+    kind = "fundamental" if result.step[i] == 0 else f"round {result.step[i]}"
     out_deg, in_deg, lent, borrowed = bc.degrees(net, int(i))
     print(f"  bank {i:3d} [{kind:11s}] lent {lent:4.1f} to {out_deg} banks, "
           f"borrowed {borrowed:4.1f}")

@@ -3,10 +3,11 @@
 Two engines simulate the same contagion process on directed random loan
 networks: one works through explicit bank balance sheets hit by random
 asset returns, the other through per-bank flip thresholds sampled from the
-law those returns imply. Fed the same draw they produce identical default
-sets; fed independent draws they produce statistically indistinguishable
-crisis frequencies and sizes. The experiment harness sweeps average degree
-to map out the connectivity window where system-wide crises occur.
+law those returns imply. Fed the same draw they default the same banks in
+the same rounds; fed independent draws they produce statistically
+indistinguishable crisis frequencies and sizes. The experiment harness
+sweeps average degree to map out the connectivity window where system-wide
+crises occur.
 """
 from . import balance, balance_cascade, experiment, network, threshold_cascade
 from .balance import *

@@ -9,6 +9,9 @@ reaches a fixed point in at most N rounds. The propagation kernel here,
 :func:`_batch_propagate`, is the only one in the package, and only the row
 functions :func:`balance_rows` and ``threshold_cascade.threshold_rows`` call
 it: the sweep on all trials of a network, everything else on a batch of one.
+Every outcome is a step matrix, one row per trial: the round in which each
+bank defaulted (0 for its own loss, -1 for never). Default sets, round
+counts and fundamental-default counts are all read from it.
 """
 from __future__ import annotations
 
@@ -41,38 +44,38 @@ class ShockDraw:
 
 @dataclass(frozen=True, eq=False)
 class CascadeResult:
-    """Outcome of one cascade: who defaulted, and how it unfolded.
+    """Outcome of one cascade: ``step[i]`` is the synchronous round in which
+    bank i defaulted, 0 for a default on its own loss and -1 for a survivor.
 
-    ``rounds`` counts the synchronous propagation rounds after the initial
-    shock that added at least one new default; a pure shock with no
-    contagion has ``rounds == 0``.
+    ``rounds`` counts the rounds after the initial shock that added at least
+    one default; a pure shock with no contagion has ``rounds == 0``.
     """
 
-    defaulted: np.ndarray
-    n_fundamental: int
-    rounds: int
+    step: np.ndarray
+
+    @property
+    def defaulted(self) -> np.ndarray:
+        return self.step >= 0
+
+    @property
+    def n_fundamental(self) -> int:
+        return int(np.count_nonzero(self.step == 0))
+
+    @property
+    def rounds(self) -> int:
+        return int(self.step.max(initial=0))
 
     @property
     def n_total(self) -> int:
-        return int(np.count_nonzero(self.defaulted))
+        return int(np.count_nonzero(self.step >= 0))
 
     @property
     def fraction(self) -> float:
-        return self.n_total / len(self.defaulted)
-
-    @classmethod
-    def from_rows(cls, rows: tuple) -> "CascadeResult":
-        """Trial 0 of a row function's (fundamental, flipped, rounds) output."""
-        n_fundamental, flipped, rounds = rows
-        return cls(flipped[0], int(n_fundamental[0]), int(rounds[0]))
+        return self.n_total / len(self.step)
 
     def same_outcome(self, other: "CascadeResult") -> bool:
-        """True when default set, round count and seed-default count all match."""
-        return (
-            self.n_fundamental == other.n_fundamental
-            and self.rounds == other.rounds
-            and bool(np.array_equal(self.defaulted, other.defaulted))
-        )
+        """True when every bank defaults in the same round, or survives, in both."""
+        return bool(np.array_equal(self.step, other.step))
 
 
 def shock_returns(z: np.ndarray, sheets: BalanceSheets) -> np.ndarray:
@@ -96,46 +99,44 @@ def draw_shocks(sheets: BalanceSheets, rng_seed) -> ShockDraw:
 
 def _batch_propagate(
     net: DirectedNetwork,
-    flipped: np.ndarray,
-    can_flip: np.ndarray,
+    start: np.ndarray,
     thresholds: np.ndarray,
     edge_amount: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The one cascade kernel: propagate many trials of one network together,
     superstep by superstep, to their synchronous fixed points.
 
-    ``flipped`` is (trials, banks), holds each trial's round-0 flips and is
-    mutated in place. In every superstep, ``edge_amount`` of each edge into a
+    ``start`` is (trials, banks) and marks each trial's round-0 flips; it is
+    not modified. In every superstep, ``edge_amount`` of each edge into a
     newly flipped borrower is added to the lender's exposure in that trial,
-    and every lender that ``can_flip`` and has not flipped yet flips once its
-    exposure strictly exceeds its threshold. Batching only removes per-round
+    and every lender that has not flipped yet flips once its exposure
+    strictly exceeds its threshold. Only lenders receive exposure, so a
+    non-lender flips at round 0 or never. Batching only removes per-round
     Python overhead; the per-trial engines run a batch of one.
 
     - Within a superstep, each (trial, lender) exposure receives its additions
       in ascending borrower order: the frontier stays sorted by (trial, bank)
       and ``np.add.at`` applies additions in input order.
-    - Exposures of lenders that have flipped or cannot flip are no longer
-      accumulated, since nothing reads them again. Only the exposures a
-      superstep changed are compared with their thresholds.
+    - Exposures of lenders that have flipped are no longer accumulated, since
+      nothing reads them again. Only the exposures a superstep changed are
+      compared with their thresholds.
 
-    Returns (flipped, rounds-per-trial), where a trial's round count is the
-    number of supersteps that flipped at least one of its banks.
+    Returns the (trials, banks) step matrix: the superstep in which each bank
+    flipped (0 for round 0), or -1 if it never did, in the smallest signed
+    dtype that holds -N (int16 at N = 1000).
     """
-    flipped = np.ascontiguousarray(flipped)  # flat view below must alias it
-    n_trials, n = flipped.shape
-    rounds = np.zeros(n_trials, dtype=np.int64)
+    n_trials, n = start.shape
+    step = start.astype(np.min_scalar_type(-n))  # 1 where flipped at round 0
+    step -= 1
     exposure = np.zeros(n_trials * n)
     thr_flat = np.ascontiguousarray(thresholds).ravel()
-    flip_flat = flipped.ravel()
-    live = (can_flip & ~flipped).ravel()  # (trial, lender) keys that may still flip
+    step_flat = step.ravel()  # ``step`` is a fresh C-ordered array: a view
+    live = (~start).ravel()  # (trial, bank) keys that may still flip
     in_degree, in_lender, edge_end = net.in_degree, net.in_lender, net.in_indptr[1:]
-    frontier = flip_flat.nonzero()[0]  # flat (trial, bank) keys, sorted
+    frontier = np.flatnonzero(start)  # flat (trial, bank) keys, sorted
     superstep = 0
     while frontier.size:
-        tt, jj = np.divmod(frontier, n)
-        # a trial whose frontier empties never gets one back, so the last
-        # superstep that flipped anything in it is its round count
-        rounds[tt] = superstep
+        jj = frontier % n
         base = frontier - jj
         # one entry per edge into the frontier: its frontier position, then
         # its index into the borrower-grouped edge arrays
@@ -163,25 +164,20 @@ def _batch_propagate(
         first[0] = True
         np.not_equal(hit[1:], hit[:-1], out=first[1:])
         frontier = hit.compress(first)
-        flip_flat[frontier] = True
+        step_flat[frontier] = superstep
         live[frontier] = False
-    return flipped, rounds
+    return step
 
 
-def balance_rows(net: DirectedNetwork, worth: np.ndarray,
-                 returns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def balance_rows(net: DirectedNetwork, worth: np.ndarray, returns: np.ndarray) -> np.ndarray:
     """The balance-sheet rule over (trials, banks) rows of asset returns.
 
     Initial defaults are the banks with ``return < -net_worth``. In each
     synchronous round a live bank defaults iff its accumulated write-offs
     minus its own return strictly exceed its net worth; ties survive.
-    Returns fundamental defaults per trial, the flip matrix and rounds per
-    trial.
+    Returns the kernel's step matrix.
     """
-    start = returns < -worth
-    n_fundamental = start.sum(axis=1)  # before the kernel flips ``start`` in place
-    return (n_fundamental, *_batch_propagate(net, start, np.ones(net.n_nodes, dtype=bool),
-                                             worth + returns, net.in_loan))
+    return _batch_propagate(net, returns < -worth, worth + returns, net.in_loan)
 
 
 def run_balance_cascade(
@@ -193,4 +189,4 @@ def run_balance_cascade(
     returns = shocks.asset_returns
     if len(sheets) != net.n_nodes or len(returns) != net.n_nodes:
         raise ValueError("network, sheets and shocks must agree on the number of banks")
-    return CascadeResult.from_rows(balance_rows(net, sheets.net_worth, returns[None]))
+    return CascadeResult(balance_rows(net, sheets.net_worth, returns[None])[0])

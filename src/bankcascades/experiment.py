@@ -131,8 +131,9 @@ class CrisisStats:
     crisis, or None when the cell saw no crisis at all;
     ``mean_crisis_size_se`` is that mean's standard error (None below two
     crises). ``mismatches`` is the number of coupled trials whose two
-    engines disagreed (always 0 for other models and, per the equivalence
-    property, expected 0 everywhere).
+    engines' step rows differ, that is, where some bank defaulted in one
+    engine only or in a different round (always 0 for other models and, per
+    the sample-path equivalence, expected 0 everywhere).
     """
 
     degree: float
@@ -200,8 +201,8 @@ def _batch_outcomes(
     functions apply (:func:`shock_returns`, :func:`thresholds_from_normals`)
     then run once over the (trials, banks) matrix, with bit-identical
     results, and the engines' row functions propagate it. Returns, per
-    engine run ('bs', 'threshold'), a tuple (fundamental defaults per trial,
-    flip matrix, rounds per trial).
+    engine run ('bs', 'threshold'), the kernel's (trials, banks) step matrix:
+    the round in which each bank defaulted, or -1.
     """
     out: dict = {}
     if cfg.model != "threshold":
@@ -231,8 +232,7 @@ def _network_task(args) -> tuple[tuple[int, int], dict]:
 
     tallies = {}
     for m in _models_run(cfg.model):
-        n_fund, flipped, rounds = outcomes[m]
-        frac = flipped.sum(axis=1) / cfg.n_banks
+        frac = np.count_nonzero(outcomes[m] >= 0, axis=1) / cfg.n_banks
         crisis = frac >= cfg.crisis_cutoff
         size_sum = sq_sum = 0.0
         for f in frac[crisis]:  # sequential sums keep output worker-invariant
@@ -241,11 +241,9 @@ def _network_task(args) -> tuple[tuple[int, int], dict]:
         tallies[m] = (int(crisis.sum()), size_sum, sq_sum)
 
     mismatches = 0
-    if cfg.model == "both-coupled":
-        nf_b, fl_b, ro_b = outcomes["bs"]
-        nf_t, fl_t, ro_t = outcomes["threshold"]
-        agree = (fl_b == fl_t).all(axis=1) & (nf_b == nf_t) & (ro_b == ro_t)
-        mismatches = int((~agree).sum())
+    if cfg.model == "both-coupled":  # trials whose step rows differ anywhere
+        mismatches = int(np.count_nonzero(
+            (outcomes["bs"] != outcomes["threshold"]).any(axis=1)))
     return (z_index, net_index), {"tallies": tallies, "mismatches": mismatches}
 
 
@@ -265,9 +263,9 @@ def run_trial(
         if not 0 <= index < count:
             raise ValueError(f"{name} {index} outside the sweep's range [0, {count - 1}]")
     net, params, thetas, sheets = _network_inputs(cfg, z_index, net_index)
-    rows = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,
-                           range(trial_index, trial_index + 1))
-    out: dict = {m: CascadeResult.from_rows(r) for m, r in rows.items()}
+    steps = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,
+                            range(trial_index, trial_index + 1))
+    out: dict = {m: CascadeResult(step[0]) for m, step in steps.items()}
     out["mismatch"] = (cfg.model == "both-coupled"
                        and not out["bs"].same_outcome(out["threshold"]))
     return out

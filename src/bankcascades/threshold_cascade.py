@@ -10,7 +10,9 @@ shock draw via ``(net_worth + return) / interbank_assets``; in the mapped
 form this engine reproduces the balance-sheet engine trial for trial. The
 mapping (:func:`coupled_rows`) and the cascade (:func:`threshold_rows`, this
 side's one caller of the kernel) take (trials, banks) rows: the sweep passes
-all trials of a network, everything else a batch of one.
+all trials of a network, everything else a batch of one. The cascade returns
+the kernel's step matrix, the round in which each bank flipped (-1 for
+never), so coupled agreement means the same bank flips in the same round.
 """
 from __future__ import annotations
 
@@ -108,7 +110,7 @@ def coupled_rows(net: DirectedNetwork, worth: np.ndarray,
 
 
 def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray,
-                   flips: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   flips: np.ndarray) -> np.ndarray:
     """The threshold rule over (trials, banks) rows.
 
     Round 0 flips every lender with a negative threshold (written into
@@ -116,14 +118,10 @@ def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray,
     thresholds are not read. Each later synchronous round flips a lender iff
     the summed weights of its flipped borrowers strictly exceed its threshold
     (a weight is the loan over the lender's total lending); flipped banks
-    stay flipped. Returns fundamental flips per trial, the flip matrix and
-    rounds per trial.
+    stay flipped. Returns the kernel's step matrix.
     """
-    active = net.interbank_assets > 0
-    np.copyto(flips, thresholds < 0, where=active)
-    n_fundamental = flips.sum(axis=1)  # before the kernel flips ``flips`` in place
-    return (n_fundamental,
-            *_batch_propagate(net, flips, active, thresholds, net.in_edge_weights))
+    np.copyto(flips, thresholds < 0, where=net.interbank_assets > 0)
+    return _batch_propagate(net, flips, thresholds, net.in_edge_weights)
 
 
 def thresholds_from_shocks(
@@ -146,7 +144,7 @@ def run_threshold_cascade(
     on one row, with ``inactive_flips`` marking the non-lenders that flip
     at round 0."""
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    start = np.array(inactive_flips, dtype=bool)  # a copy: the cascade flips it
+    start = np.array(inactive_flips, dtype=bool)  # a copy: round 0 is written into it
     if len(thresholds) != net.n_nodes or len(start) != net.n_nodes:
         raise ValueError("thresholds and flip vector must have one entry per bank")
-    return CascadeResult.from_rows(threshold_rows(net, thresholds[None], start[None]))
+    return CascadeResult(threshold_rows(net, thresholds[None], start[None])[0])

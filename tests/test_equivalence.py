@@ -1,8 +1,9 @@
 """The central property: the two engines are the same model.
 
 Mapping one concrete shock draw into flip thresholds must reproduce the
-balance-sheet cascade exactly: same default set, same seed-default count,
-same number of propagation rounds, on every instance.
+balance-sheet cascade exactly: the same bank defaults in the same round, on
+every instance. Both engines return a step matrix, one row per trial, with
+each bank's default round (-1 for never), and the tests compare whole rows.
 """
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from bankcascades import (
     sample_thresholds,
     thresholds_from_shocks,
 )
-from bankcascades import checks, experiment
+from bankcascades import CascadeResult, checks, experiment
 from bankcascades.balance_cascade import balance_rows, shock_returns
 from bankcascades.checks import (
     _boundary_probe,
@@ -75,6 +76,34 @@ def test_chain_example_maps_identically(chain_net, case_a_params):
     assert bs.n_total == thr.n_total == 3
     assert bs.rounds == thr.rounds == 2
     assert bs.n_fundamental == thr.n_fundamental == 1
+
+
+def test_same_outcome_compares_each_banks_round():
+    # 0 fails on its own loss, 1 lends to 0, 2 and 3 lend to 1
+    net = from_edges(4, [(1, 0, 1.0), (2, 1, 1.0), (3, 1, 1.0)])
+    sheets = sheets_from_worth(np.full(4, 0.5), net.interbank_assets)
+    res = run_balance_cascade(net, sheets, ShockDraw(np.array([-1.0, 0.0, 0.0, 0.0])))
+    assert res.step.tolist() == [0, 1, 2, 2]
+    # banks 1 and 2 swap rounds: the default set, the round count and the
+    # round-0 count all stay the same, but the sample path does not
+    swapped = CascadeResult(res.step[[0, 2, 1, 3]])
+    assert swapped.defaulted.tolist() == res.defaulted.tolist()
+    assert (swapped.rounds, swapped.n_fundamental) == (res.rounds, res.n_fundamental) == (2, 1)
+    assert not res.same_outcome(swapped)
+
+
+@pytest.mark.parametrize("n,dtype", [(128, np.int8), (129, np.int16), (300, np.int16)])
+def test_lending_chain_cascades_n_minus_one_rounds_without_wrapping(n, dtype):
+    # bank i lends to bank i + 1 and the last bank fails outright, so bank
+    # n - 1 - k defaults in round k; int8 holds round 127 but not 128
+    net = from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    sheets = sheets_from_worth(np.full(n, 0.5), net.interbank_assets)
+    returns = np.zeros(n)
+    returns[-1] = -1.0
+    for res in _coupled_pair(net, sheets, ShockDraw(returns)):
+        assert res.step.dtype == dtype
+        assert res.step.max() == res.rounds == n - 1
+        assert res.step.tolist() == list(range(n - 1, -1, -1))
 
 
 @settings(max_examples=120, deadline=None)
@@ -180,11 +209,9 @@ def test_round_zero_tie_survives_in_the_sweep_path(monkeypatch):
     survived = 0
     for t, row in enumerate(returns):
         ref = brute_force_fixed_point(net, sheets, ShockDraw(row))
-        survived += not ref.defaulted[lender]
+        survived += ref[lender] < 0
         for m in ("bs", "threshold"):
-            n_fund, flipped, rounds = out[m]
-            assert flipped[t].tolist() == ref.defaulted.tolist(), (m, t)
-            assert n_fund[t] == ref.n_fundamental and rounds[t] == ref.rounds, (m, t)
+            assert out[m][t].tolist() == ref.tolist(), (m, t)
     assert survived  # the tie is decided, not masked by a defaulted borrower
 
 
@@ -242,13 +269,9 @@ def _assert_batched_path_equals_run_trial(case, model, master_seed):
         out = _batch_outcomes(cfg, net, params, thetas, sheets, zi, 0,
                               range(cfg.trials_per_network))
         assert set(out) == set(_models_run(model))
-        for m in out:
-            n_fund, flipped, rounds = out[m]
+        for m, step in out.items():
             for ti in range(cfg.trials_per_network):
-                ref = run_trial(cfg, zi, 0, ti)[m]
-                assert np.array_equal(ref.defaulted, flipped[ti])
-                assert ref.n_fundamental == n_fund[ti]
-                assert ref.rounds == rounds[ti]
+                assert run_trial(cfg, zi, 0, ti)[m].step.tolist() == step[ti].tolist(), (m, ti)
 
 
 # -- the batched kernel against the brute-force oracle, row by row ------------
@@ -268,10 +291,8 @@ def _assert_batch_rows_match_oracle(net, worth, returns):
 
     for t, row in enumerate(returns):
         ref = brute_force_fixed_point(net, sheets, ShockDraw(row.copy()))
-        for n_fundamental, flipped, rounds in (bs, thr):
-            assert np.array_equal(flipped[t], ref.defaulted), f"row {t}"
-            assert n_fundamental[t] == ref.n_fundamental, f"row {t}"
-            assert rounds[t] == ref.rounds, f"row {t}"
+        for step in (bs, thr):
+            assert step[t].tolist() == ref.tolist(), f"row {t}"
 
 
 def test_batch_kernel_rows_equal_per_trial_engines():
@@ -334,29 +355,30 @@ def test_batch_kernel_edge_cases_equal_per_trial_engines(scenario):
 def _naive_threshold_fixed_point(net, thresholds, inactive_flips):
     """Sampled-threshold cascade by exhaustive re-evaluation in plain Python:
     a lender flips once the loan-weighted share of its flipped borrowers
-    strictly exceeds its threshold; a non-lender flips only at round 0."""
+    strictly exceeds its threshold; a non-lender flips only at round 0.
+    Returns each bank's flip round, -1 for never."""
     n = net.n_nodes
     loans = {i: [(int(j), float(a)) for j, a in zip(*net.borrowers_of(i))] for i in range(n)}
     lent = {i: sum(a for _, a in loans[i]) for i in range(n)}
     flipped = [bool(thresholds[i] < 0) if lent[i] > 0 else bool(inactive_flips[i])
                for i in range(n)]
-    n_fundamental = sum(flipped)
+    step = [0 if f else -1 for f in flipped]
     rounds = 0
     while True:
-        new = list(flipped)
+        new = list(step)
         for i in range(n):
-            if flipped[i] or not lent[i] > 0:
+            if step[i] >= 0 or not lent[i] > 0:
                 continue
             share = 0.0
             for j, amount in loans[i]:
-                if flipped[j]:
+                if step[j] >= 0:
                     share += amount / lent[i]
             if share > thresholds[i]:
-                new[i] = True
-        if new == flipped:
-            return flipped, n_fundamental, rounds
+                new[i] = rounds + 1
+        if new == step:
+            return step
         rounds += 1
-        flipped = new
+        step = new
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -379,9 +401,7 @@ def test_batched_rows_match_naive_references_on_small_nets(model):
                 if model != "threshold":
                     rng = stream_rng(seed, STREAM_SHOCKS, zi, ni, ti)
                     shocks = ShockDraw(rng.normal(0.0, sheets.return_std))
-                    oracle = brute_force_fixed_point(net, sheets, shocks)
-                    refs["bs"] = (oracle.defaulted.tolist(), oracle.n_fundamental,
-                                  oracle.rounds)
+                    refs["bs"] = brute_force_fixed_point(net, sheets, shocks).tolist()
                     if model == "both-coupled":
                         refs["threshold"] = refs["bs"]
                 if model in ("threshold", "both-independent"):
@@ -391,10 +411,7 @@ def test_batched_rows_match_naive_references_on_small_nets(model):
                     flips = rng.random(cfg.n_banks) < params.default_prob
                     refs["threshold"] = _naive_threshold_fixed_point(net, thresholds, flips)
                 assert set(refs) == set(out)
-                for m, (defaulted, n_fundamental, rounds) in refs.items():
-                    got_fund, got_flipped, got_rounds = out[m]
-                    assert got_flipped[ti].tolist() == defaulted, (m, zi, ni, ti)
-                    assert got_fund[ti] == n_fundamental, (m, zi, ni, ti)
-                    assert got_rounds[ti] == rounds, (m, zi, ni, ti)
-                    contagious += rounds > 0
+                for m, step in refs.items():
+                    assert out[m][ti].tolist() == step, (m, zi, ni, ti)
+                    contagious += max(step) > 0
     assert contagious >= 10  # the comparison is not vacuous
