@@ -23,9 +23,10 @@ print(f"bank 0 sheet: external {sheets.external_assets[0]:.2f}, "
       f"return std {sheets.return_std[0]:.4f}")
 
 # a 1% fundamental default probability means quiet draws are common at
-# N=60, so exaggerate the volatility for the demonstration
-shocks = bc.ShockDraw(3.0 * bc.draw_shocks(sheets, SEED).asset_returns)
-result = bc.run_balance_cascade(net, sheets, shocks)
+# N=60, so exaggerate the volatility for the demonstration; the returns are
+# a plain array, one per bank
+returns = 3.0 * bc.draw_shocks(sheets, SEED)
+result = bc.run_balance_cascade(net, sheets, returns)
 
 print(f"\nfundamental defaults (own losses only): {result.n_fundamental}")
 print(f"total defaults after contagion:          {result.n_total}  "

@@ -20,12 +20,12 @@ for seed in range(12):
     z = float(rng.uniform(1.0, 8.0))
     net = bc.generate_er(500, z, loan_dist, rng)
     sheets = bc.build_sheets(net, params, rng_seed=rng)
-    shocks = bc.draw_shocks(sheets, rng)
+    returns = bc.draw_shocks(sheets, rng)
 
-    balance = bc.run_balance_cascade(net, sheets, shocks)
+    balance = bc.run_balance_cascade(net, sheets, returns)
 
     # the entire mapping: thresholds for lenders, outright failures for the rest
-    thresholds, initial_flips = bc.thresholds_from_shocks(net, sheets, shocks)
+    thresholds, initial_flips = bc.thresholds_from_shocks(net, sheets, returns)
     threshold = bc.run_threshold_cascade(net, thresholds, initial_flips)
 
     same = balance.same_outcome(threshold)
@@ -36,11 +36,11 @@ for seed in range(12):
 print(f"\nsample-path equivalence on all instances: {all_equal}")
 
 # the threshold engine never looked at a balance sheet; standalone, it can
-# sample its thresholds directly from the law the sheet parameters imply
+# sample its thresholds directly from the law the sheet parameters imply,
+# and the round-0 flips of the banks that lend nothing, in one draw
 net = bc.generate_er(500, 4.0, loan_dist, 99)
 thetas = params.theta_dist.sample(500, np.random.default_rng(1))
-thresholds = bc.sample_thresholds(net, params, thetas, 2)
-flips = bc.draw_inactive_flips(net.interbank_assets > 0, params.default_prob, 3)
+thresholds, flips = bc.draw_thresholds(net, params, thetas, 2)
 standalone = bc.run_threshold_cascade(net, thresholds, flips)
 print(f"standalone threshold run (no sheets built): {standalone.n_total} defaults, "
       f"{standalone.rounds} rounds")

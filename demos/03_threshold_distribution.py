@@ -23,7 +23,8 @@ active = net.interbank_assets > 0
 
 samples = []
 for trial in range(120):
-    samples.append(bc.sample_thresholds(net, params, thetas, 1000 + trial)[active])
+    thresholds, _ = bc.draw_thresholds(net, params, thetas, 1000 + trial)
+    samples.append(thresholds[active])
 sample = np.concatenate(samples)
 
 q = params.default_quantile

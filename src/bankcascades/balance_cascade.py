@@ -9,9 +9,10 @@ reaches a fixed point in at most N rounds. The propagation kernel here,
 :func:`_batch_propagate`, is the only one in the package, and only the row
 functions :func:`balance_rows` and ``threshold_cascade.threshold_rows`` call
 it: the sweep on all trials of a network, everything else on a batch of one.
-Every outcome is a step matrix, one row per trial: the round in which each
-bank defaulted (0 for its own loss, -1 for never). Default sets, round
-counts and fundamental-default counts are all read from it.
+Asset returns are plain float arrays, one row per trial. Every outcome is a
+step matrix, one row per trial too: the round in which each bank defaulted
+(0 for its own loss, -1 for never). Default sets, round counts and
+fundamental-default counts are all read from it.
 """
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ import numpy as np
 
 from .balance import BalanceSheets
 from .network import DirectedNetwork
-from .rng import as_generator, normal_from_standard
+from .rng import as_generator, draw_rows, normal_from_standard
 
-__all__ = ["ShockDraw", "CascadeResult", "draw_shocks", "run_balance_cascade"]
+__all__ = ["CascadeResult", "draw_shocks", "run_balance_cascade"]
 
 
 def _require_finite(returns: np.ndarray) -> None:
@@ -31,15 +32,13 @@ def _require_finite(returns: np.ndarray) -> None:
         raise ValueError("asset returns must be finite")
 
 
-@dataclass(frozen=True, eq=False)
-class ShockDraw:
-    """Per-bank return on external assets for one trial."""
-
-    asset_returns: np.ndarray
-
-    def __post_init__(self):
-        _require_finite(self.asset_returns)
-        self.asset_returns.setflags(write=False)
+def _trial_returns(net: DirectedNetwork, sheets: BalanceSheets, returns) -> np.ndarray:
+    """One trial's asset returns as a float array: one per bank, all finite."""
+    returns = np.asarray(returns, dtype=np.float64)
+    if len(sheets) != net.n_nodes or returns.shape != (net.n_nodes,):
+        raise ValueError("network, sheets and returns must agree on the number of banks")
+    _require_finite(returns)
+    return returns
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,13 +87,13 @@ def shock_returns(z: np.ndarray, sheets: BalanceSheets) -> np.ndarray:
     return returns
 
 
-def draw_shocks(sheets: BalanceSheets, rng_seed) -> ShockDraw:
+def draw_shocks(sheets: BalanceSheets, rng_seed) -> np.ndarray:
     """Independent zero-mean normal returns, one per bank, scaled by each
-    bank's calibrated volatility."""
+    bank's calibrated volatility: row 0 of :func:`draw_rows`."""
     if len(sheets) == 0:
         raise ValueError("need at least one bank")
-    rng = as_generator(rng_seed)
-    return ShockDraw(shock_returns(rng.standard_normal(len(sheets)), sheets))
+    normals, _ = draw_rows([as_generator(rng_seed)], 1, len(sheets))
+    return shock_returns(normals, sheets)[0]
 
 
 def _batch_propagate(
@@ -183,10 +182,9 @@ def balance_rows(net: DirectedNetwork, worth: np.ndarray, returns: np.ndarray) -
 def run_balance_cascade(
     net: DirectedNetwork,
     sheets: BalanceSheets,
-    shocks: ShockDraw,
+    returns: np.ndarray,
 ) -> CascadeResult:
-    """Run one trial to its fixed point: :func:`balance_rows` on one row."""
-    returns = shocks.asset_returns
-    if len(sheets) != net.n_nodes or len(returns) != net.n_nodes:
-        raise ValueError("network, sheets and shocks must agree on the number of banks")
+    """Run one trial to its fixed point: :func:`balance_rows` on one row of
+    asset returns, which it does not modify and which must be finite."""
+    returns = _trial_returns(net, sheets, returns)
     return CascadeResult(balance_rows(net, sheets.net_worth, returns[None])[0])

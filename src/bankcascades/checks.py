@@ -4,10 +4,10 @@ Three independent lines of evidence that the two cascade engines implement
 the same model: exact trial-for-trial agreement when coupled through one
 shock draw (the same bank defaults in the same round), agreement of the fast
 engine with a naive fixed-point oracle on desk-scale networks, round by
-round, and distributional calibration of the sweep's own draws.
-The validation-only oracles, a brute-force fixed point and a random
-asynchronous schedule, live here too, apart from the product modules: they
-share no propagation code with the engines they check.
+round, and distributional calibration of the sweep's own draws (those of
+``rng.draw_rows``). The validation-only oracles, a brute-force fixed point
+and a random asynchronous schedule, live here too, apart from the product
+modules: they share no propagation code with the engines they check.
 """
 from __future__ import annotations
 
@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets, ThetaDistribution, build_sheets
-from .balance_cascade import (CascadeResult, ShockDraw, draw_shocks, run_balance_cascade,
+from .balance_cascade import (CascadeResult, _trial_returns, draw_shocks, run_balance_cascade,
                               shock_returns)
-from .experiment import _draw_rows, case_presets
+from .experiment import case_presets
 from .network import DirectedNetwork, from_edges, generate_er
-from .rng import as_generator, stream_rng, stream_seed
+from .rng import as_generator, draw_rows, stream_rng, stream_rngs, stream_seed
 from .threshold_cascade import (run_threshold_cascade, thresholds_from_normals,
                                 thresholds_from_shocks)
 
@@ -53,7 +53,7 @@ class CheckReport:
     counterexample: dict | None = None
 
 
-def _boundary_probe() -> tuple[DirectedNetwork, BalanceSheets, ShockDraw]:
+def _boundary_probe() -> tuple[DirectedNetwork, BalanceSheets, np.ndarray]:
     """Instance sitting exactly on the flip boundary, its sheets built with
     capital ratio and interbank share 1/4 so that every value is exact.
 
@@ -67,7 +67,7 @@ def _boundary_probe() -> tuple[DirectedNetwork, BalanceSheets, ShockDraw]:
     net = from_edges(5, [(0, j, 1.0) for j in (1, 2, 3, 4)])
     params = BalanceParams(0.25, _DELTA, ThetaDistribution.constant(0.25))
     sheets = build_sheets(net, params, thetas=np.full(5, 0.25))
-    return net, sheets, ShockDraw(np.array([-2.0, -2.0, -2.0, 0.0, 0.0]))
+    return net, sheets, np.array([-2.0, -2.0, -2.0, 0.0, 0.0])
 
 
 def _run_ge_mutant(net: DirectedNetwork, thresholds: np.ndarray,
@@ -79,9 +79,9 @@ def _run_ge_mutant(net: DirectedNetwork, thresholds: np.ndarray,
     return run_threshold_cascade(net, np.nextafter(thresholds, -np.inf), inactive_flips)
 
 
-def _compare_coupled(net, sheets, shocks, *, inject_fault: bool) -> tuple[bool, dict]:
-    res_bs = run_balance_cascade(net, sheets, shocks)
-    thresholds, flips = thresholds_from_shocks(net, sheets, shocks)
+def _compare_coupled(net, sheets, returns, *, inject_fault: bool) -> tuple[bool, dict]:
+    res_bs = run_balance_cascade(net, sheets, returns)
+    thresholds, flips = thresholds_from_shocks(net, sheets, returns)
     threshold_engine = _run_ge_mutant if inject_fault else run_threshold_cascade
     res_thr = threshold_engine(net, thresholds, flips)
     if res_bs.same_outcome(res_thr):
@@ -109,8 +109,8 @@ def equivalence_suite(
     if instances == 0:
         return CheckReport(name, True, "vacuous pass: 0 instances requested (warning)")
 
-    probe_net, probe_sheets, probe_shocks = _boundary_probe()
-    ok, info = _compare_coupled(probe_net, probe_sheets, probe_shocks, inject_fault=inject_fault)
+    probe_net, probe_sheets, probe_returns = _boundary_probe()
+    ok, info = _compare_coupled(probe_net, probe_sheets, probe_returns, inject_fault=inject_fault)
     if not ok:
         info.update({"case": "boundary-probe", "instance": -1, "network": probe_net})
         return CheckReport(name, False, "mismatch on the exact-tie boundary probe", info)
@@ -124,8 +124,8 @@ def equivalence_suite(
             net = generate_er(n_banks, z, loan_dist, stream_seed(seed, _CHK_NET, ci, k))
             thetas = theta_dist.sample(n_banks, stream_rng(seed, _CHK_THETA, ci, k))
             sheets = build_sheets(net, params, thetas=thetas)
-            shocks = draw_shocks(sheets, stream_rng(seed, _CHK_SHOCK, ci, k))
-            ok, info = _compare_coupled(net, sheets, shocks, inject_fault=inject_fault)
+            returns = draw_shocks(sheets, stream_rng(seed, _CHK_SHOCK, ci, k))
+            ok, info = _compare_coupled(net, sheets, returns, inject_fault=inject_fault)
             checked += 1
             if not ok:
                 info.update({"case": case, "instance": k, "z": z, "seed": seed,
@@ -156,13 +156,13 @@ def oracle_suite(*, instances: int = 200, seed: int = 0) -> CheckReport:
         net = generate_er(n, z, loan, rng)
         sheets = build_sheets(net, params, rng_seed=rng)
         # inflated volatility so small instances actually seed defaults
-        shocks = ShockDraw(rng.normal(0.0, 3.0 * sheets.return_std))
-        engine = run_balance_cascade(net, sheets, shocks)
-        if not np.array_equal(engine.step, brute_force_fixed_point(net, sheets, shocks)):
+        returns = rng.normal(0.0, 3.0 * sheets.return_std)
+        engine = run_balance_cascade(net, sheets, returns)
+        if not np.array_equal(engine.step, brute_force_fixed_point(net, sheets, returns)):
             return CheckReport(name, False, f"engine differs from oracle on instance {k}",
                                {"instance": k, "seed": seed, "network": net})
         for schedule in range(3):
-            async_defaulted = run_balance_cascade_async(net, sheets, shocks, rng)
+            async_defaulted = run_balance_cascade_async(net, sheets, returns, rng)
             if not np.array_equal(async_defaulted, engine.defaulted):
                 return CheckReport(
                     name, False,
@@ -199,9 +199,10 @@ def distribution_suite(*, seed: int = 0) -> CheckReport:
     sheets = build_sheets(net, params, thetas=thetas)
     active = net.interbank_assets > 0
 
-    normals, _ = _draw_rows(n_banks, seed, _CHK_DIST, 2, trials=trials)
+    normals, _ = draw_rows(stream_rngs(seed, _CHK_DIST, 2, trials=trials), len(trials), n_banks)
     returns = shock_returns(normals, sheets)
-    normals, flips = _draw_rows(n_banks, seed, _CHK_DIST, 3, trials=trials, flip_prob=_DELTA)
+    normals, flips = draw_rows(stream_rngs(seed, _CHK_DIST, 3, trials=trials), len(trials),
+                               n_banks, _DELTA)
     vals = thresholds_from_normals(normals, net, params, thetas)[:, active]
 
     bound = 4.0 * math.sqrt(_DELTA * (1.0 - _DELTA))
@@ -235,7 +236,7 @@ def distribution_suite(*, seed: int = 0) -> CheckReport:
 def brute_force_fixed_point(
     net: DirectedNetwork,
     sheets: BalanceSheets,
-    shocks: ShockDraw,
+    returns: np.ndarray,
 ) -> np.ndarray:
     """Desk-scale oracle: least fixed point by exhaustive re-evaluation.
 
@@ -248,11 +249,8 @@ def brute_force_fixed_point(
     n = net.n_nodes
     if n > 20:
         raise ValueError("brute-force oracle is limited to networks of <= 20 nodes")
-    returns = shocks.asset_returns
+    returns = _trial_returns(net, sheets, returns)
     worth = sheets.net_worth
-    if len(sheets) != n or len(returns) != n:
-        raise ValueError("network, sheets and shocks must agree on the number of banks")
-
     step = [0 if returns[i] < -worth[i] else -1 for i in range(n)]
     rounds = 0
     while True:
@@ -276,7 +274,7 @@ def brute_force_fixed_point(
 def run_balance_cascade_async(
     net: DirectedNetwork,
     sheets: BalanceSheets,
-    shocks: ShockDraw,
+    returns: np.ndarray,
     rng_seed,
 ) -> np.ndarray:
     """Random-order, one-bank-at-a-time schedule. Validation harness only:
@@ -284,10 +282,8 @@ def run_balance_cascade_async(
     point as the synchronous engine. It has no rounds, so it returns only
     who defaulted, as a bool vector."""
     n = net.n_nodes
-    returns = shocks.asset_returns
+    returns = _trial_returns(net, sheets, returns)
     worth = sheets.net_worth
-    if len(sheets) != n or len(returns) != n:
-        raise ValueError("network, sheets and shocks must agree on the number of banks")
     rng = as_generator(rng_seed)
 
     defaulted = returns < -worth

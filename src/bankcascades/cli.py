@@ -10,6 +10,7 @@ Exit codes: 0 success / all checks pass, 1 runtime or check failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,8 +35,10 @@ def _parse_degree_grid(text: str) -> tuple[float, ...]:
             raise argparse.ArgumentTypeError("degree grid step must be > 0")
         if stop < start:
             raise argparse.ArgumentTypeError("degree grid stop must be >= start")
-        count = int((stop - start) / step + 1e-9) + 1
-        return tuple(start + k * step for k in range(count))
+        span = (stop - start) / step + 1e-9
+        if not math.isfinite(span):  # an infinite bound, or a step that underflows
+            raise argparse.ArgumentTypeError("degree grid must have a finite number of points")
+        return tuple(start + k * step for k in range(int(span) + 1))
     return tuple(float(p) for p in text.split(","))
 
 
@@ -154,7 +157,7 @@ def cmd_sweep(args) -> int:
             cfg, _ = load_manifest(args.from_manifest)
         else:
             cfg = _config_from_args(args)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,7 +4,8 @@ frequency and conditional crisis size.
 
 Every random quantity is keyed by (master_seed, stream, z-index,
 network-index, trial-index), so a sweep is reproducible trial by trial and
-its output is independent of how work is spread across processes.
+its output is independent of how work is spread across processes. A trial's
+draw is a row of ``rng.draw_rows``, as in ``draw_shocks``/``draw_thresholds``.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .rng import (
     STREAM_SHOCKS,
     STREAM_THETA,
     STREAM_THRESHOLDS,
+    draw_rows,
     stream_rng,
     stream_rngs,
     stream_seed,
@@ -169,22 +171,6 @@ def _network_inputs(cfg: ExperimentConfig, z_index: int, net_index: int):
     return net, params, thetas, sheets
 
 
-def _draw_rows(n: int, master_seed: int, stream: int, *indices: int, trials: range,
-               flip_prob: float | None = None):
-    """(normals, flips or None), one row of ``n`` banks per trial: each
-    trial's standard normals, then with ``flip_prob`` its independent round-0
-    flips, from its own stream ``(master_seed, stream, *indices, trial)``, so
-    a row does not depend on which other trials share the batch. One
-    :func:`stream_rngs` pass seeds all the streams."""
-    normals = np.empty((len(trials), n))
-    flips = None if flip_prob is None else np.empty((len(trials), n), dtype=bool)
-    for row, rng in enumerate(stream_rngs(master_seed, stream, *indices, trials=trials)):
-        rng.standard_normal(out=normals[row])
-        if flips is not None:
-            np.less(rng.random(n), flip_prob, out=flips[row])
-    return normals, flips
-
-
 def _batch_outcomes(
     cfg: ExperimentConfig,
     net: DirectedNetwork,
@@ -197,24 +183,24 @@ def _batch_outcomes(
 ) -> dict:
     """The given trials of one network cell, propagated in one batch.
 
-    The rows come from :func:`_draw_rows`; the laws that the public draw
+    The rows come from :func:`draw_rows`, each trial on its own stream, all
+    seeded in one :func:`stream_rngs` pass; the laws that the public draw
     functions apply (:func:`shock_returns`, :func:`thresholds_from_normals`)
-    then run once over the (trials, banks) matrix, with bit-identical
-    results, and the engines' row functions propagate it. Returns, per
-    engine run ('bs', 'threshold'), the kernel's (trials, banks) step matrix:
-    the round in which each bank defaulted, or -1.
+    then run once over the (trials, banks) matrix, and the engines' row
+    functions propagate it. Returns, per engine run ('bs', 'threshold'), the
+    kernel's (trials, banks) step matrix: the round in which each bank
+    defaulted, or -1.
     """
     out: dict = {}
     if cfg.model != "threshold":
-        normals, _ = _draw_rows(cfg.n_banks, cfg.master_seed, STREAM_SHOCKS, z_index,
-                                net_index, trials=trials)
-        returns = shock_returns(normals, sheets)
+        rngs = stream_rngs(cfg.master_seed, STREAM_SHOCKS, z_index, net_index, trials=trials)
+        returns = shock_returns(draw_rows(rngs, len(trials), cfg.n_banks)[0], sheets)
         out["bs"] = balance_rows(net, sheets.net_worth, returns)
     if cfg.model == "both-coupled":
         thresholds, flips = coupled_rows(net, sheets.net_worth, returns)
     elif cfg.model != "bs":
-        normals, flips = _draw_rows(cfg.n_banks, cfg.master_seed, STREAM_THRESHOLDS, z_index,
-                                    net_index, trials=trials, flip_prob=params.default_prob)
+        rngs = stream_rngs(cfg.master_seed, STREAM_THRESHOLDS, z_index, net_index, trials=trials)
+        normals, flips = draw_rows(rngs, len(trials), cfg.n_banks, params.default_prob)
         thresholds = thresholds_from_normals(normals, net, params, thetas)
     if cfg.model != "bs":
         out["threshold"] = threshold_rows(net, thresholds, flips)

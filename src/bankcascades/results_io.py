@@ -73,18 +73,20 @@ def write_manifest(cfg: ExperimentConfig, rows: list[CrisisStats], path, *,
 
 
 def load_manifest(path) -> tuple[ExperimentConfig, list[CrisisStats]]:
-    """Read back a manifest: the config to rerun plus the recorded rows. A
-    key the schema does not know, like a value of the wrong JSON type or one
-    the config rejects, makes the manifest malformed (a ValueError naming
-    the manifest)."""
-    doc = json.loads(Path(path).read_text())
+    """Read back a manifest: the config to rerun plus the recorded rows. Text
+    that is not JSON, a missing or unknown key, a value of the wrong JSON
+    type and one the config rejects all make the manifest malformed (a
+    ValueError naming the manifest)."""
     try:
+        doc = json.loads(Path(path).read_text())
         config = {"network_generator": "er-v1", **doc["config"]}  # written before er-v2
         for key, cls in (("theta_dist", ThetaDistribution), ("loan_dist", LoanSizeDistribution)):
             if config.get(key) is not None:
                 config[key] = cls(**config[key])
         cfg = ExperimentConfig(**config)
         rows = [CrisisStats(**_renamed(r, _RESULT_FIELDS)) for r in doc["results"]]
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed manifest: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed manifest: {exc}") from None
     return cfg, rows

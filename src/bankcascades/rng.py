@@ -1,4 +1,4 @@
-"""Seed plumbing: every random quantity in the package flows through here.
+"""Seed plumbing and the trial drawer: every random quantity flows through here.
 
 Trial-level reproducibility works by deriving an independent stream from
 ``(master_seed, stream_tag, *indices)`` with :class:`numpy.random.SeedSequence`,
@@ -22,6 +22,10 @@ words through :class:`_SeedState`, so every generator equals
 numpy's ``SeedSequence`` algorithm, which numpy keeps stable across versions
 because published seeds depend on it; ``tests/test_rng.py`` pins every
 batched stream to plain ``SeedSequence`` seeding.
+
+:func:`draw_rows` is the only code that draws a trial: a sweep hands it
+:func:`stream_rngs`, a single trial (``draw_shocks``, ``draw_thresholds``) one
+generator, whose row 0 it takes.
 """
 from __future__ import annotations
 
@@ -165,6 +169,20 @@ def stream_rngs(master_seed: int, stream: int, *indices: int,
                                 dtype=np.uint32) for k in range(width)]
         states[positions] = _pcg64_seed_states(prefix + trial_words)
     return (np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states)
+
+
+def draw_rows(rngs, n_rows: int, n: int, flip_prob: float | None = None):
+    """(normals, flips or None), one row of ``n`` banks for each of the
+    ``n_rows`` generators in ``rngs`` (which may be lazy): its standard
+    normals, then with ``flip_prob`` its independent round-0 flips, so a row
+    does not depend on which other rows share the batch."""
+    normals = np.empty((n_rows, n))
+    flips = None if flip_prob is None else np.empty((n_rows, n), dtype=bool)
+    for row, rng in enumerate(rngs):
+        rng.standard_normal(out=normals[row])
+        if flips is not None:
+            np.less(rng.random(n), flip_prob, out=flips[row])
+    return normals, flips
 
 
 def normal_from_standard(z: np.ndarray, loc, scale) -> np.ndarray:

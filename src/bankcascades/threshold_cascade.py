@@ -5,10 +5,11 @@ fraction of its defaulted borrowers strictly exceeds that threshold (with
 equal loan sizes the fraction is simply flipped-over-total borrowers). A
 negative threshold means the bank fails at the outset, which is how the
 initial shock enters. Thresholds are either sampled directly from the
-normal law implied by the sheet parameters, or mapped from a concrete
-shock draw via ``(net_worth + return) / interbank_assets``; in the mapped
-form this engine reproduces the balance-sheet engine trial for trial. The
-mapping (:func:`coupled_rows`) and the cascade (:func:`threshold_rows`, this
+normal law implied by the sheet parameters (:func:`draw_thresholds`, one
+row of the sweep's draw), or mapped from an array of asset returns via
+``(net_worth + return) / interbank_assets``; in the mapped form this engine
+reproduces the balance-sheet engine trial for trial. The mapping
+(:func:`coupled_rows`) and the cascade (:func:`threshold_rows`, this
 side's one caller of the kernel) take (trials, banks) rows: the sweep passes
 all trials of a network, everything else a batch of one. The cascade returns
 the kernel's step matrix, the round in which each bank flipped (-1 for
@@ -19,16 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets
-from .balance_cascade import CascadeResult, ShockDraw, _batch_propagate
+from .balance_cascade import CascadeResult, _batch_propagate, _trial_returns
 from .network import DirectedNetwork
-from .rng import as_generator, normal_from_standard
+from .rng import as_generator, draw_rows, normal_from_standard
 
 __all__ = [
-    "sample_thresholds",
+    "draw_thresholds",
     "shadow_threshold_pdf",
     "run_threshold_cascade",
     "thresholds_from_shocks",
-    "draw_inactive_flips",
 ]
 
 
@@ -51,29 +51,24 @@ def thresholds_from_normals(
     return thresholds
 
 
-def sample_thresholds(
+def draw_thresholds(
     net: DirectedNetwork,
     params: BalanceParams,
     theta_draws: np.ndarray,
     rng_seed,
-) -> np.ndarray:
-    """Draw each lending bank's threshold directly from its implied law
-    (see :func:`thresholds_from_normals`); non-lenders get NaN. No sheets are
-    consulted: the parameters and loan sizes are all the model needs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One trial of the standalone threshold model, as (thresholds,
+    inactive_flips): row 0 of :func:`draw_rows`. Lenders' thresholds follow
+    their implied law (see :func:`thresholds_from_normals`); each non-lender
+    flips at round 0 with the default probability. No sheets are consulted.
     """
     n = net.n_nodes
     theta_draws = np.asarray(theta_draws, dtype=np.float64)
     if theta_draws.shape != (n,):
         raise ValueError("theta_draws must have one entry per bank")
-    rng = as_generator(rng_seed)
-    return thresholds_from_normals(rng.standard_normal(n), net, params, theta_draws)
-
-
-def draw_inactive_flips(active: np.ndarray, default_prob: float, rng_seed) -> np.ndarray:
-    """Round-0 flips for non-lending banks: each flips independently with
-    the common default probability (they carry no threshold)."""
-    rng = as_generator(rng_seed)
-    return ~active & (rng.random(len(active)) < default_prob)
+    normals, flips = draw_rows([as_generator(rng_seed)], 1, n, params.default_prob)
+    flips &= ~(net.interbank_assets > 0)
+    return thresholds_from_normals(normals, net, params, theta_draws)[0], flips[0]
 
 
 def shadow_threshold_pdf(x, interbank_assets: float, capital_ratio: float,
@@ -127,12 +122,13 @@ def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray,
 def thresholds_from_shocks(
     net: DirectedNetwork,
     sheets: BalanceSheets,
-    shocks: ShockDraw,
+    returns: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map one concrete shock draw onto the threshold model by
+    """Map one trial's asset returns onto the threshold model by
     :func:`coupled_rows`. Feeding the result to :func:`run_threshold_cascade`
-    reproduces the balance-sheet engine's outcome on the same draw."""
-    return coupled_rows(net, sheets.net_worth, shocks.asset_returns)
+    reproduces the balance-sheet engine's outcome on the same draw. The
+    returns must be finite, and are not modified."""
+    return coupled_rows(net, sheets.net_worth, _trial_returns(net, sheets, returns))
 
 
 def run_threshold_cascade(

@@ -318,3 +318,40 @@ def test_manifest_with_a_malformed_result_is_an_error(result, tmp_path):
     manifest.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="malformed manifest"):
         load_manifest(manifest)
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "0:1:1e-320"])
+@pytest.mark.parametrize("command", ["sweep", "check"])
+def test_degree_grid_without_a_finite_point_count_is_a_usage_error(command, grid, tmp_path,
+                                                                    capsys):
+    # the step count overflows to inf: an infinite bound, or a step that underflows
+    argv = [command, f"--z={grid}"]
+    if command == "sweep":
+        argv += ["--case", "A", "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--z" in err and "finite number of points" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fault", ["config", "results", "not-json"])
+def test_manifest_missing_a_section_or_not_json_is_named_as_malformed(fault, tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    if fault == "not-json":
+        manifest.write_text('{"artifact": "bankcascades",')
+    else:
+        data = json.loads((ER_V1_FIXTURE / "manifest.json").read_text())
+        del data[fault]
+        manifest.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="malformed manifest"):
+        load_manifest(manifest)
+    code = main(["sweep", "--quiet", "--from-manifest", str(manifest),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {manifest}: malformed manifest") and "Traceback" not in err
+    if fault != "not-json":
+        assert repr(fault) in err
+    assert not (tmp_path / "out").exists()

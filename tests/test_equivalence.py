@@ -5,6 +5,8 @@ balance-sheet cascade exactly: the same bank defaults in the same round, on
 every instance. Both engines return a step matrix, one row per trial, with
 each bank's default round (-1 for never), and the tests compare whole rows.
 """
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,17 +14,16 @@ from hypothesis import strategies as st
 
 from bankcascades import (
     BalanceParams,
+    DirectedNetwork,
     LoanSizeDistribution,
-    ShockDraw,
     ThetaDistribution,
     build_sheets,
-    draw_inactive_flips,
     draw_shocks,
+    draw_thresholds,
     from_edges,
     generate_er,
     run_balance_cascade,
     run_threshold_cascade,
-    sample_thresholds,
     thresholds_from_shocks,
 )
 from bankcascades import CascadeResult, checks, experiment
@@ -43,7 +44,7 @@ from bankcascades.experiment import (
     case_presets,
     run_trial,
 )
-from bankcascades.rng import STREAM_SHOCKS, STREAM_THRESHOLDS, stream_rng
+from bankcascades.rng import STREAM_SHOCKS, STREAM_THRESHOLDS, draw_rows, stream_rng
 from bankcascades.threshold_cascade import coupled_rows, threshold_rows
 
 from conftest import sheets_from_worth
@@ -71,7 +72,7 @@ def test_coupled_engines_agree_on_random_instances(case):
 
 def test_chain_example_maps_identically(chain_net, case_a_params):
     sheets = build_sheets(chain_net, case_a_params, rng_seed=0)
-    shocks = ShockDraw(np.array([0.0, 0.0, -1.0]))
+    shocks = np.array([0.0, 0.0, -1.0])
     bs, thr = _coupled_pair(chain_net, sheets, shocks)
     assert bs.n_total == thr.n_total == 3
     assert bs.rounds == thr.rounds == 2
@@ -82,7 +83,7 @@ def test_same_outcome_compares_each_banks_round():
     # 0 fails on its own loss, 1 lends to 0, 2 and 3 lend to 1
     net = from_edges(4, [(1, 0, 1.0), (2, 1, 1.0), (3, 1, 1.0)])
     sheets = sheets_from_worth(np.full(4, 0.5), net.interbank_assets)
-    res = run_balance_cascade(net, sheets, ShockDraw(np.array([-1.0, 0.0, 0.0, 0.0])))
+    res = run_balance_cascade(net, sheets, np.array([-1.0, 0.0, 0.0, 0.0]))
     assert res.step.tolist() == [0, 1, 2, 2]
     # banks 1 and 2 swap rounds: the default set, the round count and the
     # round-0 count all stay the same, but the sample path does not
@@ -100,7 +101,7 @@ def test_lending_chain_cascades_n_minus_one_rounds_without_wrapping(n, dtype):
     sheets = sheets_from_worth(np.full(n, 0.5), net.interbank_assets)
     returns = np.zeros(n)
     returns[-1] = -1.0
-    for res in _coupled_pair(net, sheets, ShockDraw(returns)):
+    for res in _coupled_pair(net, sheets, returns):
         assert res.step.dtype == dtype
         assert res.step.max() == res.rounds == n - 1
         assert res.step.tolist() == list(range(n - 1, -1, -1))
@@ -114,9 +115,35 @@ def test_coupled_equivalence_property(seed, n, dense, scale):
     net = generate_er(n, dense * (n - 1), LoanSizeDistribution.uniform(0.2, 1.8), rng)
     params = BalanceParams(0.1, 0.01, ThetaDistribution.uniform(0.2, 0.4))
     sheets = build_sheets(net, params, rng_seed=rng)
-    shocks = ShockDraw(rng.normal(0.0, scale * sheets.return_std))
+    shocks = rng.normal(0.0, scale * sheets.return_std)
     bs, thr = _coupled_pair(net, sheets, shocks)
     assert bs.same_outcome(thr)
+
+
+@pytest.mark.parametrize("k", [-30, -1, 1, 30])
+def test_power_of_two_scaling_leaves_every_step_unchanged(k):
+    # loans, every sheet column but the interbank share, and the returns
+    # scaled by 2**k: every sum, comparison and quotient the engines make
+    # scales exactly, so both engines' step vectors are bit-identical
+    theta_dist, loan_dist = case_presets("C")
+    params = BalanceParams(0.1, 0.01, theta_dist)
+    scale = 2.0 ** k
+    contagious = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        net = generate_er(150, (2.0, 3.0, 5.0)[seed % 3], loan_dist, rng)
+        sheets = build_sheets(net, params, rng_seed=rng)
+        returns = 3.0 * draw_shocks(sheets, rng)
+        scaled_net = DirectedNetwork(net.n_nodes, net.lender, net.borrower, net.loan_size * scale)
+        scaled_sheets = replace(sheets, **{
+            f.name: getattr(sheets, f.name) * scale
+            for f in fields(sheets) if f.name != "interbank_share"})
+        want = _coupled_pair(net, sheets, returns)
+        got = _coupled_pair(scaled_net, scaled_sheets, returns * scale)
+        for w, g in zip(want, got):
+            assert g.step.dtype == w.step.dtype and g.step.tobytes() == w.step.tobytes(), seed
+        contagious += want[0].rounds > 0
+    assert contagious == 30  # every network spreads defaults: the comparison is not vacuous
 
 
 def test_boundary_probe_agrees_under_strict_rule():
@@ -150,11 +177,11 @@ def test_distribution_suite_prints_its_pinned_figures(seed, figures):
 def test_distribution_suite_calibrates_the_non_lender_flips(monkeypatch):
     assert "non-lender flip rate 0.01018 (target 0.01)" in distribution_suite(seed=0).detail
 
-    def doubled_flips(*args, flip_prob=None, **kwargs):
+    def doubled_flips(rngs, n_rows, n, flip_prob=None):
         flip_prob = None if flip_prob is None else 2 * flip_prob
-        return experiment._draw_rows(*args, flip_prob=flip_prob, **kwargs)
+        return draw_rows(rngs, n_rows, n, flip_prob)
 
-    monkeypatch.setattr(checks, "_draw_rows", doubled_flips)
+    monkeypatch.setattr(checks, "draw_rows", doubled_flips)
     report = distribution_suite(seed=0)
     assert not report.passed
     assert report.detail.startswith("non-lender flip frequency 0.020")
@@ -176,7 +203,7 @@ def test_round_zero_tie_survives_and_the_ge_mutant_flips_it():
     # mapped threshold is exactly 0.0, which the strict rule keeps
     net = from_edges(3, [(0, 1, 1.0), (0, 2, 1.0)])
     sheets = sheets_from_worth(np.ones(3), net.interbank_assets)
-    shocks = ShockDraw(np.array([-1.0, 0.0, 0.0]))
+    shocks = np.array([-1.0, 0.0, 0.0])
     bs, thr = _coupled_pair(net, sheets, shocks)
     thresholds, flips = thresholds_from_shocks(net, sheets, shocks)
     assert thresholds[0] == 0.0
@@ -208,7 +235,7 @@ def test_round_zero_tie_survives_in_the_sweep_path(monkeypatch):
     (returns,) = tied
     survived = 0
     for t, row in enumerate(returns):
-        ref = brute_force_fixed_point(net, sheets, ShockDraw(row))
+        ref = brute_force_fixed_point(net, sheets, row)
         survived += ref[lender] < 0
         for m in ("bs", "threshold"):
             assert out[m][t].tolist() == ref.tolist(), (m, t)
@@ -245,14 +272,13 @@ def test_run_trial_at_a_multiword_trial_index_equals_per_trial_engines(model):
         if model == "both-coupled":
             thresholds, flips = thresholds_from_shocks(net, sheets, shocks)
         else:
-            rng = stream_rng(21, STREAM_THRESHOLDS, 0, 0, ti)
-            thresholds = sample_thresholds(net, params, thetas, rng)
-            flips = draw_inactive_flips(net.interbank_assets > 0, params.default_prob, rng)
+            thresholds, flips = draw_thresholds(
+                net, params, thetas, stream_rng(21, STREAM_THRESHOLDS, 0, 0, ti))
         refs["threshold"] = run_threshold_cascade(net, thresholds, flips)
         got = run_trial(cfg, 0, 0, ti)
         for m, ref in refs.items():
             assert got[m].same_outcome(ref), (m, ti)
-        returns[ti] = shocks.asset_returns
+        returns[ti] = shocks
     assert not np.array_equal(returns[2**32 + 3], returns[3])
 
 
@@ -290,7 +316,7 @@ def _assert_batch_rows_match_oracle(net, worth, returns):
     thr = threshold_rows(net, *coupled_rows(net, worth, returns))
 
     for t, row in enumerate(returns):
-        ref = brute_force_fixed_point(net, sheets, ShockDraw(row.copy()))
+        ref = brute_force_fixed_point(net, sheets, row)
         for step in (bs, thr):
             assert step[t].tolist() == ref.tolist(), f"row {t}"
 
@@ -400,7 +426,7 @@ def test_batched_rows_match_naive_references_on_small_nets(model):
                 refs = {}
                 if model != "threshold":
                     rng = stream_rng(seed, STREAM_SHOCKS, zi, ni, ti)
-                    shocks = ShockDraw(rng.normal(0.0, sheets.return_std))
+                    shocks = rng.normal(0.0, sheets.return_std)
                     refs["bs"] = brute_force_fixed_point(net, sheets, shocks).tolist()
                     if model == "both-coupled":
                         refs["threshold"] = refs["bs"]

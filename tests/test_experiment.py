@@ -8,7 +8,6 @@ import scipy.stats
 from bankcascades import (
     BalanceParams,
     LoanSizeDistribution,
-    ShockDraw,
     ThetaDistribution,
     build_sheets,
     from_edges,
@@ -85,13 +84,13 @@ def test_case_presets_are_overridable():
 def test_oracle_trivial_empty_network():
     net = from_edges(4, [])
     sheets = sheets_from_worth([1.0] * 4, [0.0] * 4)
-    step = brute_force_fixed_point(net, sheets, ShockDraw(np.zeros(4)))
+    step = brute_force_fixed_point(net, sheets, np.zeros(4))
     assert step.tolist() == [-1, -1, -1, -1]
 
 
 def test_oracle_on_three_bank_chain(chain_net, case_a_params):
     sheets = build_sheets(chain_net, case_a_params, rng_seed=0)
-    step = brute_force_fixed_point(chain_net, sheets, ShockDraw(np.array([0.0, 0.0, -1.0])))
+    step = brute_force_fixed_point(chain_net, sheets, np.array([0.0, 0.0, -1.0]))
     assert step.tolist() == [2, 1, 0]  # 2 fails outright, then 1, then 0
 
 
@@ -99,7 +98,7 @@ def test_oracle_refuses_large_networks(case_a_params):
     net = generate_er(21, 2.0, LoanSizeDistribution.constant(1.0), 0)
     sheets = build_sheets(net, case_a_params, rng_seed=0)
     with pytest.raises(ValueError):
-        brute_force_fixed_point(net, sheets, ShockDraw(np.zeros(21)))
+        brute_force_fixed_point(net, sheets, np.zeros(21))
 
 
 def test_engine_matches_oracle_on_random_instances():
@@ -110,7 +109,7 @@ def test_engine_matches_oracle_on_random_instances():
         net = generate_er(n, float(rng.uniform(0, n - 1)),
                           LoanSizeDistribution.uniform(0.2, 1.8), rng)
         sheets = build_sheets(net, params, rng_seed=rng)
-        shocks = ShockDraw(rng.normal(0.0, 3.0 * sheets.return_std))
+        shocks = rng.normal(0.0, 3.0 * sheets.return_std)
         fast = run_balance_cascade(net, sheets, shocks)
         assert fast.step.tolist() == brute_force_fixed_point(net, sheets, shocks).tolist()
         alt = run_balance_cascade_async(net, sheets, shocks, rng)

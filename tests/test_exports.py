@@ -27,10 +27,11 @@ def test_every_name_in_all_resolves(module):
 def test_package_exports_every_public_engine_name():
     # the names the package keeps public after dropping its wrapper types
     for name in ("ThetaDistribution", "LoanSizeDistribution", "BalanceSheets",
-                 "sample_thresholds", "thresholds_from_shocks", "run_threshold_cascade",
+                 "draw_thresholds", "thresholds_from_shocks", "run_threshold_cascade",
                  "shadow_threshold_pdf", "save_sheets_csv"):
         assert name in bankcascades.__all__
-    for gone in ("ThresholdAssignment", "BankBalanceSheet", "shadow_threshold"):
+    for gone in ("ThresholdAssignment", "BankBalanceSheet", "shadow_threshold", "ShockDraw",
+                 "sample_thresholds", "draw_inactive_flips"):
         assert not hasattr(bankcascades, gone)
 
 
@@ -39,10 +40,10 @@ def test_package_exports_exactly_the_public_names():
     # and benchmark harnesses call these names
     assert sorted(bankcascades.__all__) == [
         "BalanceParams", "BalanceSheets", "CASES", "CascadeResult", "CrisisStats",
-        "DirectedNetwork", "ExperimentConfig", "LoanSizeDistribution", "MODELS", "ShockDraw",
+        "DirectedNetwork", "ExperimentConfig", "LoanSizeDistribution", "MODELS",
         "ThetaDistribution", "__version__", "build_sheets", "case_presets", "degrees",
-        "draw_inactive_flips", "draw_shocks", "from_edges", "generate_er", "load_edge_list",
+        "draw_shocks", "draw_thresholds", "from_edges", "generate_er", "load_edge_list",
         "normal_quantile", "run_balance_cascade", "run_sweep", "run_threshold_cascade",
-        "run_trial", "sample_thresholds", "save_edge_list", "save_sheets_csv",
-        "shadow_threshold_pdf", "thresholds_from_shocks",
+        "run_trial", "save_edge_list", "save_sheets_csv", "shadow_threshold_pdf",
+        "thresholds_from_shocks",
     ]

@@ -14,10 +14,9 @@ from bankcascades import (
     LoanSizeDistribution,
     ThetaDistribution,
     build_sheets,
-    draw_inactive_flips,
     draw_shocks,
+    draw_thresholds,
     generate_er,
-    sample_thresholds,
 )
 from bankcascades.rng import stream_rng, stream_rngs, stream_seed
 
@@ -100,7 +99,7 @@ def test_negative_coordinate_of_a_batch_raises_like_stream_seed(key, trials):
 def test_draw_shocks_is_numpy_normal(seed):
     net = generate_er(400, 3.0, LoanSizeDistribution.constant(1.0), 11)
     sheets = build_sheets(net, PARAMS, rng_seed=12)
-    got = draw_shocks(sheets, np.random.default_rng(seed)).asset_returns
+    got = draw_shocks(sheets, np.random.default_rng(seed))
     want = np.random.default_rng(seed).normal(0.0, sheets.return_std)
     assert _bits(got) == _bits(want)
 
@@ -111,7 +110,7 @@ def test_draw_shocks_keeps_the_sign_of_zero_at_zero_volatility():
     sigma = np.zeros(n)
     sigma[::4] = 0.5
     sheets = sheets_from_worth(np.ones(n), np.ones(n), sigma=sigma)
-    got = draw_shocks(sheets, np.random.default_rng(3)).asset_returns
+    got = draw_shocks(sheets, np.random.default_rng(3))
     want = np.random.default_rng(3).normal(0.0, sigma)
     assert not np.signbit(got[sigma == 0]).any()
     assert _bits(got) == _bits(want)
@@ -125,9 +124,7 @@ def test_sampled_thresholds_then_flips_are_numpy_draws(degree, seed):
     lends = net.interbank_assets > 0
     assert lends.any() and not lends.all()
 
-    rng = np.random.default_rng(seed)
-    thresholds = sample_thresholds(net, PARAMS, thetas, rng)
-    flips = draw_inactive_flips(lends, PARAMS.default_prob, rng)
+    thresholds, flips = draw_thresholds(net, PARAMS, thetas, np.random.default_rng(seed))
 
     oracle = np.random.default_rng(seed)
     ratio = PARAMS.capital_ratio / thetas

@@ -8,13 +8,11 @@ import scipy.stats
 from bankcascades import (
     BalanceParams,
     LoanSizeDistribution,
-    ShockDraw,
     ThetaDistribution,
-    draw_inactive_flips,
+    draw_thresholds,
     from_edges,
     generate_er,
     run_threshold_cascade,
-    sample_thresholds,
     shadow_threshold_pdf,
     thresholds_from_shocks,
 )
@@ -30,7 +28,7 @@ def _shadow_thresholds(returns):
     unit to each of banks 1-3) and every bank has net worth 1."""
     net = from_edges(4, [(0, j, 1.0) for j in (1, 2, 3)])
     sheets = sheets_from_worth(np.ones(4), net.interbank_assets)
-    return thresholds_from_shocks(net, sheets, ShockDraw(np.asarray(returns, dtype=float)))
+    return thresholds_from_shocks(net, sheets, returns)
 
 
 def test_shadow_threshold_at_zero_return():
@@ -63,7 +61,7 @@ def _sample_case_a(n_samples: int):
     out = []
     t = 0
     while sum(len(x) for x in out) < n_samples:
-        out.append(sample_thresholds(net, params, thetas, 9000 + t)[active])
+        out.append(draw_thresholds(net, params, thetas, 9000 + t)[0][active])
         t += 1
     return np.concatenate(out), params
 
@@ -101,21 +99,24 @@ def test_extreme_default_probability_rejected():
 
 def test_inactive_banks_have_nan_thresholds(case_a_params):
     net = from_edges(3, [(0, 1, 1.0)])
-    thresholds = sample_thresholds(net, case_a_params, np.full(3, 0.3), 1)
+    thresholds, flips = draw_thresholds(net, case_a_params, np.full(3, 0.3), 1)
     assert (net.interbank_assets > 0).tolist() == [True, False, False]
     assert np.isfinite(thresholds[0])
     assert np.isnan(thresholds[1:]).all()
+    assert not flips[0]  # a lender flips on its threshold, never on a coin
     # weights of each active lender sum to one
     sums = np.bincount(net.in_lender, weights=net.in_edge_weights, minlength=3)
     assert sums[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_inactive_flip_rate(case_a_params):
-    active = np.zeros(20_000, dtype=bool)
-    flips = draw_inactive_flips(active, 0.01, 4)
-    assert abs(flips.mean() - 0.01) <= 4 * math.sqrt(0.01 * 0.99 / 20_000)
-    # active banks never flip through this channel
-    assert not draw_inactive_flips(~active, 0.01, 4).any()
+    n, thetas = 20_000, np.full(20_000, 0.3)
+    _, flips = draw_thresholds(from_edges(n, []), case_a_params, thetas, 4)
+    assert abs(flips.mean() - 0.01) <= 4 * math.sqrt(0.01 * 0.99 / n)
+    # lenders never flip through this channel: here every bank lends
+    ring = from_edges(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+    thresholds, flips = draw_thresholds(ring, case_a_params, thetas, 4)
+    assert not flips.any() and np.isfinite(thresholds).all()
 
 
 # -- the transformed density ----------------------------------------------
@@ -217,6 +218,6 @@ def test_weighted_rule_equals_count_rule_for_unit_loans():
 
 def test_dimension_mismatch_rejected(case_a_params):
     net = generate_er(10, 2.0, LoanSizeDistribution.constant(1.0), 0)
-    thr = sample_thresholds(net, case_a_params, np.full(10, 0.3), 1)
+    thr, _ = draw_thresholds(net, case_a_params, np.full(10, 0.3), 1)
     with pytest.raises(ValueError):
         run_threshold_cascade(net, thr, np.zeros(9, dtype=bool))
