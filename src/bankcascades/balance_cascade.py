@@ -9,10 +9,12 @@ reaches a fixed point in at most N rounds. The propagation kernel here,
 :func:`_batch_propagate`, is the only one in the package, and only the row
 functions :func:`balance_rows` and ``threshold_cascade.threshold_rows`` call
 it: the sweep on all trials of a network, everything else on a batch of one.
-Asset returns are plain float arrays, one row per trial. Every outcome is a
-step matrix, one row per trial too: the round in which each bank defaulted
-(0 for its own loss, -1 for never). Default sets, round counts and
-fundamental-default counts are all read from it.
+The kernel runs a batch in cache-sized blocks of trials, so its memory beyond
+the step matrix it returns does not grow with the trial count. Asset returns
+are plain float arrays, one row per trial. Every outcome is a step matrix,
+one row per trial too: the round in which each bank defaulted (0 for its own
+loss, -1 for never). Default sets, round counts and fundamental-default
+counts are all read from it.
 """
 from __future__ import annotations
 
@@ -25,6 +27,10 @@ from .network import DirectedNetwork
 from .rng import as_generator, draw_rows, normal_from_standard
 
 __all__ = ["CascadeResult", "draw_shocks", "run_balance_cascade"]
+
+# (trial, bank) keys per kernel block: 1 MiB per float64 array, so a block's
+# exposure and the thresholds it reads together fit a 2 MiB L2 cache
+_BLOCK_KEYS = 1 << 17
 
 
 def _require_finite(returns: np.ndarray) -> None:
@@ -106,19 +112,25 @@ def _batch_propagate(
     superstep by superstep, to their synchronous fixed points.
 
     ``start`` is (trials, banks) and marks each trial's round-0 flips; it is
-    not modified. In every superstep, ``edge_amount`` of each edge into a
-    newly flipped borrower is added to the lender's exposure in that trial,
-    and every lender that has not flipped yet flips once its exposure
-    strictly exceeds its threshold. Only lenders receive exposure, so a
-    non-lender flips at round 0 or never. Batching only removes per-round
-    Python overhead; the per-trial engines run a batch of one.
+    not modified, and neither is ``thresholds``. In every superstep,
+    ``edge_amount`` of each edge into a newly flipped borrower is added to
+    the lender's exposure in that trial, and every lender that has not
+    flipped yet flips once its exposure strictly exceeds its threshold. Only
+    lenders receive exposure, so a non-lender flips at round 0 or never.
+    Batching only removes per-round Python overhead; the per-trial engines
+    run a batch of one.
 
+    - Trials never interact, so they run in blocks of about ``_BLOCK_KEYS``
+      (trial, bank) keys, each with its own exposure and frontier. A block's
+      float arrays stay cache-sized, and the kernel's memory beyond its step
+      matrix does not grow with the trial count.
+    - A block retires each flipped key by setting its exposure to ``-inf``:
+      the round-0 flips first, then each new frontier. Adding a finite loss
+      leaves ``-inf`` in place and ``-inf > threshold`` never holds, so a
+      flipped key never flips again and needs no mask.
     - Within a superstep, each (trial, lender) exposure receives its additions
       in ascending borrower order: the frontier stays sorted by (trial, bank)
       and ``np.add.at`` applies additions in input order.
-    - Exposures of lenders that have flipped are no longer accumulated, since
-      nothing reads them again. Only the exposures a superstep changed are
-      compared with their thresholds.
 
     Returns the (trials, banks) step matrix: the superstep in which each bank
     flipped (0 for round 0), or -1 if it never did, in the smallest signed
@@ -127,44 +139,44 @@ def _batch_propagate(
     n_trials, n = start.shape
     step = start.astype(np.min_scalar_type(-n))  # 1 where flipped at round 0
     step -= 1
-    exposure = np.zeros(n_trials * n)
-    thr_flat = np.ascontiguousarray(thresholds).ravel()
-    step_flat = step.ravel()  # ``step`` is a fresh C-ordered array: a view
-    live = (~start).ravel()  # (trial, bank) keys that may still flip
-    in_degree, in_lender, edge_end = net.in_degree, net.in_lender, net.in_indptr[1:]
-    frontier = np.flatnonzero(start)  # flat (trial, bank) keys, sorted
-    superstep = 0
-    while frontier.size:
-        jj = frontier % n
-        base = frontier - jj
-        # one entry per edge into the frontier: its frontier position, then
-        # its index into the borrower-grouped edge arrays
-        counts = in_degree.take(jj)
-        pos = np.arange(jj.size).repeat(counts)
-        shift = edge_end.take(jj)
-        shift -= counts.cumsum()
-        idx = shift.take(pos)
-        keys = base.take(pos)
-        del pos  # one edge-sized array less at the superstep's peak
-        idx += np.arange(idx.size)
-        keys += in_lender.take(idx)
-        # only the live (trial, lender) keys can change state; take/compress
-        # rather than boolean-mask indexing, which is several times slower
-        # on these irregular masks
-        on_live = live.take(keys).nonzero()[0]
-        keys = keys.take(on_live)
-        np.add.at(exposure, keys, edge_amount.take(idx.take(on_live)))
-        hit = keys.compress(exposure.take(keys) > thr_flat.take(keys))
-        if not hit.size:
-            break
-        superstep += 1
-        hit.sort()
-        first = np.empty(hit.size, dtype=bool)  # first of each run of equal keys
-        first[0] = True
-        np.not_equal(hit[1:], hit[:-1], out=first[1:])
-        frontier = hit.compress(first)
-        step_flat[frontier] = superstep
-        live[frontier] = False
+    in_degree, edge_end = net.in_degree, net.in_indptr[1:]
+    # per borrower-grouped edge: lender minus borrower, the hop from a
+    # borrower's (trial, bank) key to its lender's
+    hop = net.in_lender - np.arange(n).repeat(in_degree)
+    rows = max(1, _BLOCK_KEYS // n)
+    for first_row in range(0, n_trials, rows):
+        block = slice(first_row, first_row + rows)
+        step_flat = step[block].ravel()  # whole rows of a fresh C-ordered array: a view
+        thr_flat = thresholds[block].ravel()  # only read
+        exposure = np.zeros(thr_flat.size)
+        frontier = np.flatnonzero(start[block])  # flat (trial, bank) keys, sorted
+        exposure[frontier] = -np.inf
+        superstep = 0
+        while frontier.size:
+            jj = frontier % n
+            # one entry per edge into the frontier: its frontier position,
+            # then its index into the borrower-grouped edge arrays
+            counts = in_degree.take(jj)
+            pos = np.arange(jj.size).repeat(counts)
+            shift = edge_end.take(jj)
+            shift -= counts.cumsum()
+            idx = shift.take(pos)
+            idx += np.arange(idx.size)
+            keys = frontier.take(pos)
+            del pos  # one edge-sized array less at the superstep's peak
+            keys += hop.take(idx)
+            np.add.at(exposure, keys, edge_amount.take(idx))
+            hit = keys.compress(exposure.take(keys) > thr_flat.take(keys))
+            if not hit.size:
+                break
+            superstep += 1
+            hit.sort()
+            first = np.empty(hit.size, dtype=bool)  # first of each run of equal keys
+            first[0] = True
+            np.not_equal(hit[1:], hit[:-1], out=first[1:])
+            frontier = hit.compress(first)
+            step_flat[frontier] = superstep
+            exposure[frontier] = -np.inf
     return step
 
 

@@ -5,6 +5,7 @@ balance-sheet cascade exactly: the same bank defaults in the same round, on
 every instance. Both engines return a step matrix, one row per trial, with
 each bank's default round (-1 for never), and the tests compare whole rows.
 """
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from bankcascades import (
     run_threshold_cascade,
     thresholds_from_shocks,
 )
-from bankcascades import CascadeResult, checks, experiment
+from bankcascades import CascadeResult, balance_cascade, checks, experiment, threshold_cascade
 from bankcascades.balance_cascade import balance_rows, shock_returns
 from bankcascades.checks import (
     _boundary_probe,
@@ -144,6 +145,41 @@ def test_power_of_two_scaling_leaves_every_step_unchanged(k):
             assert g.step.dtype == w.step.dtype and g.step.tobytes() == w.step.tobytes(), seed
         contagious += want[0].rounds > 0
     assert contagious == 30  # every network spreads defaults: the comparison is not vacuous
+
+
+def _case_c_rows(n, trials, seed):
+    """(net, worth, returns): a case-C network at z = 3 and ``trials`` rows
+    of three-sigma asset returns, enough to spread defaults."""
+    theta_dist, loan_dist = case_presets("C")
+    rng = np.random.default_rng(seed)
+    net = generate_er(n, 3.0, loan_dist, rng)
+    sheets = build_sheets(net, BalanceParams(0.1, 0.01, theta_dist), rng_seed=rng)
+    return net, sheets.net_worth, 3.0 * shock_returns(rng.standard_normal((trials, n)), sheets)
+
+
+def _both_rules(net, worth, returns):
+    return balance_rows(net, worth, returns), threshold_rows(net, *coupled_rows(net, worth, returns))
+
+
+def test_disjoint_union_steps_are_the_components_side_by_side():
+    # two case-C networks glued block-diagonally share no edge, so each
+    # keeps its own cascade: the union's step matrix is theirs, column-joined
+    contagious = 0
+    for seed in range(40):
+        parts = [_case_c_rows(n, 5, seed=2 * seed + k) for k, n in enumerate((150, 200))]
+        (net_a, worth_a, returns_a), (net_b, worth_b, returns_b) = parts
+        a = net_a.n_nodes
+        union = from_edges(a + net_b.n_nodes, [
+            *zip(net_a.lender, net_a.borrower, net_a.loan_size),
+            *zip(net_b.lender + a, net_b.borrower + a, net_b.loan_size)])
+        got = _both_rules(union, np.concatenate([worth_a, worth_b]),
+                          np.concatenate([returns_a, returns_b], axis=1))
+        alone = [_both_rules(*part) for part in parts]
+        for g, *w in zip(got, *alone):
+            w = np.concatenate(w, axis=1)
+            assert g.dtype == w.dtype and np.array_equal(g, w), seed
+        contagious += all(steps[0].max() > 0 for steps in alone)
+    assert contagious == 40  # both components spread defaults: the comparison is not vacuous
 
 
 def test_boundary_probe_agrees_under_strict_rule():
@@ -321,7 +357,9 @@ def _assert_batch_rows_match_oracle(net, worth, returns):
             assert step[t].tolist() == ref.tolist(), f"row {t}"
 
 
-def test_batch_kernel_rows_equal_per_trial_engines():
+def _kernel_probe_rows():
+    """(net, worth, returns): six trials of a 12-bank network, each probing
+    one corner of the kernel."""
     # 1 and 2 borrow from 0; the chain 10 -> 9 -> 0 carries a cascade on.
     # 3 lends 0.1, 0.2, 0.3, 0.4 (exactly 1.0 in all, so its edge weights
     # equal its loans) to 4..7. 11 is isolated; every non-lender has a NaN
@@ -343,13 +381,14 @@ def test_batch_kernel_rows_equal_per_trial_engines():
     returns[3, 9] = 1.0  # the same start as row 0, but the chain stops at 9
     returns[4, [11, 7]] = -2.0  # an isolated failure and a lone 0.4 loss
     returns[5, [1, 4, 5, 6]] = -2.0
-    _assert_batch_rows_match_oracle(net, worth, returns)
+    return net, worth, returns
 
 
-def test_batch_kernel_adds_in_borrower_order_after_round_zero():
+def _borrower_order_rows():
+    """(net, worth, returns): the accumulation-order probe of
+    :func:`_kernel_probe_rows`, moved off the initial frontier."""
     # 4, 5 and 6 lend to 8 and fail together in superstep 1, so lender 3
-    # takes its 0.1, 0.2 and 0.3 losses in one later superstep: the
-    # accumulation-order probe above, moved off the initial frontier
+    # takes its 0.1, 0.2 and 0.3 losses in one later superstep
     net = from_edges(9, [(3, 4, 0.1), (3, 5, 0.2), (3, 6, 0.3), (3, 7, 0.4),
                          (4, 8, 1.0), (5, 8, 1.0), (6, 8, 1.0)])
     assert (0.1 + 0.2) + 0.3 > 0.6 >= (0.3 + 0.2) + 0.1
@@ -358,7 +397,15 @@ def test_batch_kernel_adds_in_borrower_order_after_round_zero():
     returns = np.zeros((2, 9))
     returns[:, 8] = -2.0  # 8 fails at round 0 in both rows
     returns[0, [4, 5, 6]] = -0.5  # in row 1, 4, 5 and 6 sit on an exact tie and survive
-    _assert_batch_rows_match_oracle(net, worth, returns)
+    return net, worth, returns
+
+
+def test_batch_kernel_rows_equal_per_trial_engines():
+    _assert_batch_rows_match_oracle(*_kernel_probe_rows())
+
+
+def test_batch_kernel_adds_in_borrower_order_after_round_zero():
+    _assert_batch_rows_match_oracle(*_borrower_order_rows())
 
 
 @pytest.mark.parametrize("scenario", ["no-defaults", "all-defaulted", "no-edges", "one-trial"])
@@ -374,6 +421,53 @@ def test_batch_kernel_edge_cases_equal_per_trial_engines(scenario):
         returns = np.array([[0.0, 0.0, -5.0, 0.0]])
     net = from_edges(4, edges)
     _assert_batch_rows_match_oracle(net, np.full(4, 0.25), returns)
+
+
+# rows per kernel block: one, 4 (a 4 + 2 split of a six-trial batch), all
+@pytest.mark.parametrize("rows", [1, 4, None])
+def test_kernel_blocks_leave_every_step_and_input_unchanged(monkeypatch, rows):
+    cases = [_kernel_probe_rows(), _borrower_order_rows(), _case_c_rows(150, 200, seed=11)]
+    want = [_both_rules(*case) for case in cases]  # a single block each
+    kernel = balance_cascade._batch_propagate
+
+    def kernel_keeping_its_inputs(net, start, thresholds, edge_amount):
+        start_before, thresholds_before = start.copy(), thresholds.copy()
+        step = kernel(net, start, thresholds, edge_amount)
+        assert np.array_equal(start, start_before)
+        assert np.array_equal(thresholds, thresholds_before, equal_nan=True)
+        return step
+
+    monkeypatch.setattr(balance_cascade, "_batch_propagate", kernel_keeping_its_inputs)
+    monkeypatch.setattr(threshold_cascade, "_batch_propagate", kernel_keeping_its_inputs)
+    for (net, worth, returns), steps in zip(cases, want):
+        block_rows = len(returns) if rows is None else rows
+        monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS", block_rows * net.n_nodes)
+        for got, w in zip(_both_rules(net, worth, returns), steps):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+        assert np.array_equal(*steps)
+    assert (want[2][0].max(axis=1) > 0).sum() > 100  # most case-C rows spread defaults
+
+
+def test_kernel_memory_is_flat_in_the_trial_count():
+    # case A at z = 4 sits inside the crisis window, so nearly every trial
+    # cascades through most of the network; a kernel whose exposure, mask
+    # and edge temporaries span all 3000 trials peaks at ~81 MiB here
+    theta_dist, loan_dist = case_presets("A")
+    rng = np.random.default_rng(4)
+    net = generate_er(1000, 4.0, loan_dist, rng)
+    sheets = build_sheets(net, BalanceParams(0.1, 0.01, theta_dist), rng_seed=rng)
+    returns = shock_returns(rng.standard_normal((3000, 1000)), sheets)
+    start, thresholds = returns < -sheets.net_worth, sheets.net_worth + returns
+    del returns
+    net.in_degree, net.in_indptr, net.in_lender, net.in_loan  # build the cached indexes untraced
+    tracemalloc.start()
+    try:
+        step = balance_cascade._batch_propagate(net, start, thresholds, net.in_loan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (step.max(axis=1) > 10).mean() > 0.9
+    assert peak - step.nbytes <= 16 * 2**20
 
 
 # -- sweep rows on small nets against references that share no code ----------
