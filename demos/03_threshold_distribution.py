@@ -19,7 +19,7 @@ GAMMA, DELTA, THETA = 0.1, 0.01, 0.3
 params = bc.BalanceParams(GAMMA, DELTA, bc.ThetaDistribution.constant(THETA))
 net = bc.generate_er(1000, 3.0, bc.LoanSizeDistribution.constant(1.0), 4)
 thetas = np.full(1000, THETA)
-active = net.interbank_assets > 0
+active = net.is_lender
 
 samples = []
 for trial in range(120):

@@ -88,6 +88,15 @@ class ThetaDistribution(LoanSizeDistribution):
             raise ValueError(f"interbank shares must lie in (0, 1), got hi={self.hi}")
 
 
+def _require_shares(thetas: np.ndarray) -> None:
+    """Raise ValueError unless every interbank share is finite and in (0, 1),
+    the range :class:`ThetaDistribution` enforces on its law."""
+    bad = np.flatnonzero(~((thetas > 0) & (thetas < 1)))  # NaN fails both
+    if bad.size:
+        raise ValueError(f"{ThetaDistribution.quantity} must be finite and lie in (0, 1), "
+                         f"got {thetas[bad[0]]} for bank {bad[0]}")
+
+
 @dataclass(frozen=True)
 class BalanceParams:
     """Common sheet parameters.
@@ -172,12 +181,12 @@ def build_sheets(
         thetas = np.array(thetas, dtype=np.float64)  # copy: columns get frozen
         if thetas.shape != (n,):
             raise ValueError("thetas must have one entry per bank")
+        _require_shares(thetas)
 
     lent = net.interbank_assets
     borrowed = net.interbank_liabilities
-    active = lent > 0
 
-    total = np.where(active, lent / thetas, 1.0 / params.theta_dist.mean())
+    total = np.where(net.is_lender, lent / thetas, 1.0 / params.theta_dist.mean())
     worth = params.capital_ratio * total
     external = total - lent
     sigma = -worth / params.default_quantile

@@ -1,20 +1,22 @@
 """Default cascades driven by explicit balance sheets.
 
-One trial draws a return on every bank's external assets, marks the banks
-whose loss alone wipes out their net worth, then propagates defaults with
-zero recovery: a lender writes off the full face value of every loan to a
-defaulted borrower and fails as soon as write-offs minus its own asset
-return exceed its net worth. Propagation is synchronous and monotone, so it
-reaches a fixed point in at most N rounds. The propagation kernel here,
-:func:`_batch_propagate`, is the only one in the package, and only the row
-functions :func:`balance_rows` and ``threshold_cascade.threshold_rows`` call
-it: the sweep on all trials of a network, everything else on a batch of one.
-The kernel runs a batch in cache-sized blocks of trials, so its memory beyond
-the step matrix it returns does not grow with the trial count. Asset returns
-are plain float arrays, one row per trial. Every outcome is a step matrix,
-one row per trial too: the round in which each bank defaulted (0 for its own
-loss, -1 for never). Default sets, round counts and fundamental-default
-counts are all read from it.
+One trial draws a return on every bank's external assets, then propagates
+defaults with zero recovery: a lender writes off the full face value of every
+loan to a defaulted borrower, and a bank fails as soon as its write-offs
+minus its own asset return exceed its net worth. With no write-offs yet, that
+is round 0: the banks whose loss alone wipes out their net worth.
+Propagation is synchronous and monotone, so it reaches a fixed point in at
+most N rounds. The propagation kernel here, :func:`_batch_propagate`, is the
+only one in the package and decides every flip, round 0 included. The row
+functions :func:`balance_rows` and ``threshold_cascade.threshold_rows`` only
+map their inputs to thresholds and call it: the sweep on all trials of a
+network, everything else on a batch of one. The kernel runs a batch in
+cache-sized blocks of trials, so its memory beyond the step matrix it
+returns does not grow with the trial count. Asset returns are plain float
+arrays, one row per trial. Every outcome is a step matrix, one row per trial
+too: the round in which each bank defaulted (0 for its own loss, -1 for
+never). Default sets, round counts and fundamental-default counts are all
+read from it.
 """
 from __future__ import annotations
 
@@ -104,22 +106,28 @@ def draw_shocks(sheets: BalanceSheets, rng_seed) -> np.ndarray:
 
 def _batch_propagate(
     net: DirectedNetwork,
-    start: np.ndarray,
     thresholds: np.ndarray,
     edge_amount: np.ndarray,
+    flips: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The one cascade kernel: propagate many trials of one network together,
-    superstep by superstep, to their synchronous fixed points.
+    """The one cascade kernel, and the only place a flip is decided: propagate
+    many trials of one network together, superstep by superstep, to their
+    synchronous fixed points.
 
-    ``start`` is (trials, banks) and marks each trial's round-0 flips; it is
-    not modified, and neither is ``thresholds``. In every superstep,
-    ``edge_amount`` of each edge into a newly flipped borrower is added to
-    the lender's exposure in that trial, and every lender that has not
-    flipped yet flips once its exposure strictly exceeds its threshold. Only
-    lenders receive exposure, so a non-lender flips at round 0 or never.
-    Batching only removes per-round Python overhead; the per-trial engines
-    run a batch of one.
+    ``thresholds`` is (trials, banks), and so is ``flips`` if given; neither
+    is modified. A bank flips once its exposure strictly exceeds its
+    threshold. Exposure starts at 0, so superstep 0 (round 0) flips every
+    negative threshold, plus the keys ``flips`` marks (the threshold engine's
+    non-lenders). In each later superstep, ``edge_amount`` of each edge into
+    a newly flipped borrower is added to the lender's exposure in that
+    trial. Only lenders receive exposure, so a non-lender flips at round 0
+    or never. Batching only removes per-round Python overhead; the per-trial
+    engines run a batch of one.
 
+    - Round 0 is exact. The balance-sheet engine's threshold is fl(w + r)
+      (net worth w, asset return r). Rounding keeps the sign of the exact
+      sum and gives 0 only when r = -w, so fl(w + r) < 0 exactly when
+      r < -w. Only the exposure sums of later supersteps round.
     - Trials never interact, so they run in blocks of about ``_BLOCK_KEYS``
       (trial, bank) keys, each with its own exposure and frontier. A block's
       float arrays stay cache-sized, and the kernel's memory beyond its step
@@ -136,9 +144,8 @@ def _batch_propagate(
     flipped (0 for round 0), or -1 if it never did, in the smallest signed
     dtype that holds -N (int16 at N = 1000).
     """
-    n_trials, n = start.shape
-    step = start.astype(np.min_scalar_type(-n))  # 1 where flipped at round 0
-    step -= 1
+    n_trials, n = thresholds.shape
+    step = np.full((n_trials, n), -1, dtype=np.min_scalar_type(-n))
     in_degree, edge_end = net.in_degree, net.in_indptr[1:]
     # per borrower-grouped edge: lender minus borrower, the hop from a
     # borrower's (trial, bank) key to its lender's
@@ -148,8 +155,12 @@ def _batch_propagate(
         block = slice(first_row, first_row + rows)
         step_flat = step[block].ravel()  # whole rows of a fresh C-ordered array: a view
         thr_flat = thresholds[block].ravel()  # only read
+        start = thr_flat < 0  # exposure 0 strictly exceeds a negative threshold
+        if flips is not None:
+            start |= flips[block].ravel()
+        frontier = np.flatnonzero(start)  # flat (trial, bank) keys, sorted
+        step_flat[frontier] = 0
         exposure = np.zeros(thr_flat.size)
-        frontier = np.flatnonzero(start[block])  # flat (trial, bank) keys, sorted
         exposure[frontier] = -np.inf
         superstep = 0
         while frontier.size:
@@ -181,14 +192,14 @@ def _batch_propagate(
 
 
 def balance_rows(net: DirectedNetwork, worth: np.ndarray, returns: np.ndarray) -> np.ndarray:
-    """The balance-sheet rule over (trials, banks) rows of asset returns.
-
-    Initial defaults are the banks with ``return < -net_worth``. In each
-    synchronous round a live bank defaults iff its accumulated write-offs
-    minus its own return strictly exceed its net worth; ties survive.
-    Returns the kernel's step matrix.
+    """The balance-sheet rule over (trials, banks) rows of asset returns: the
+    kernel with each bank's threshold ``worth + return`` and each loan's face
+    value as exposure. A bank defaults at round 0 iff its return alone wipes
+    out its net worth, and in a later synchronous round iff its accumulated
+    write-offs strictly exceed net worth plus return; ties survive. Returns
+    the kernel's step matrix.
     """
-    return _batch_propagate(net, returns < -worth, worth + returns, net.in_loan)
+    return _batch_propagate(net, worth + returns, net.in_loan)
 
 
 def run_balance_cascade(

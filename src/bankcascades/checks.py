@@ -106,8 +106,11 @@ def equivalence_suite(
     name = "coupled equivalence"
     if instances < 0:
         raise ValueError(f"instances must be >= 0, got {instances}")
-    if instances == 0:
-        return CheckReport(name, True, "vacuous pass: 0 instances requested (warning)")
+    if instances and not degrees:
+        raise ValueError("degrees must not be empty")
+    if instances == 0 or not cases:
+        requested = "0 instances" if instances == 0 else "no cases"
+        return CheckReport(name, True, f"vacuous pass: {requested} requested (warning)")
 
     probe_net, probe_sheets, probe_returns = _boundary_probe()
     ok, info = _compare_coupled(probe_net, probe_sheets, probe_returns, inject_fault=inject_fault)
@@ -197,7 +200,7 @@ def distribution_suite(*, seed: int = 0) -> CheckReport:
     net = generate_er(n_banks, 3.0, loan_dist, stream_seed(seed, _CHK_DIST, 0))
     thetas = theta_dist.sample(n_banks, stream_rng(seed, _CHK_DIST, 1))
     sheets = build_sheets(net, params, thetas=thetas)
-    active = net.interbank_assets > 0
+    active = net.is_lender
 
     normals, _ = draw_rows(stream_rngs(seed, _CHK_DIST, 2, trials=trials), len(trials), n_banks)
     returns = shock_returns(normals, sheets)

@@ -141,6 +141,13 @@ class DirectedNetwork:
         return np.bincount(self.lender, weights=self.loan_size, minlength=self.n_nodes)
 
     @cached_property
+    def is_lender(self) -> np.ndarray:
+        """Per bank: does it lend anything (interbank assets > 0)?"""
+        lends = self.interbank_assets > 0
+        lends.setflags(write=False)
+        return lends
+
+    @cached_property
     def interbank_liabilities(self) -> np.ndarray:
         """Total amount each bank has borrowed (sum of its incoming loans)."""
         return np.bincount(self.borrower, weights=self.loan_size, minlength=self.n_nodes)

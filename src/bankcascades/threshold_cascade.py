@@ -3,23 +3,24 @@
 Each lending bank carries a scalar threshold: it flips once the weighted
 fraction of its defaulted borrowers strictly exceeds that threshold (with
 equal loan sizes the fraction is simply flipped-over-total borrowers). A
-negative threshold means the bank fails at the outset, which is how the
-initial shock enters. Thresholds are either sampled directly from the
-normal law implied by the sheet parameters (:func:`draw_thresholds`, one
+negative threshold means the bank fails at the outset (a fraction of 0
+exceeds it), which is how the initial shock enters. Thresholds are either
+sampled directly from the normal law implied by the sheet parameters (:func:`draw_thresholds`, one
 row of the sweep's draw), or mapped from an array of asset returns via
 ``(net_worth + return) / interbank_assets``; in the mapped form this engine
 reproduces the balance-sheet engine trial for trial. The mapping
 (:func:`coupled_rows`) and the cascade (:func:`threshold_rows`, this
 side's one caller of the kernel) take (trials, banks) rows: the sweep passes
-all trials of a network, everything else a batch of one. The cascade returns
-the kernel's step matrix, the round in which each bank flipped (-1 for
-never), so coupled agreement means the same bank flips in the same round.
+all trials of a network, everything else a batch of one. The kernel decides
+every flip, round 0 included, and returns its step matrix, the round in
+which each bank flipped (-1 for never), so coupled agreement means the same
+bank flips in the same round.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .balance import BalanceParams, BalanceSheets
+from .balance import BalanceParams, BalanceSheets, _require_shares
 from .balance_cascade import CascadeResult, _batch_propagate, _trial_returns
 from .network import DirectedNetwork
 from .rng import as_generator, draw_rows, normal_from_standard
@@ -47,7 +48,7 @@ def thresholds_from_normals(
     """
     ratio = params.capital_ratio / theta_draws
     thresholds = normal_from_standard(z, ratio, ratio / abs(params.default_quantile))
-    thresholds[..., ~(net.interbank_assets > 0)] = np.nan
+    thresholds[..., ~net.is_lender] = np.nan
     return thresholds
 
 
@@ -66,8 +67,9 @@ def draw_thresholds(
     theta_draws = np.asarray(theta_draws, dtype=np.float64)
     if theta_draws.shape != (n,):
         raise ValueError("theta_draws must have one entry per bank")
+    _require_shares(theta_draws)
     normals, flips = draw_rows([as_generator(rng_seed)], 1, n, params.default_prob)
-    flips &= ~(net.interbank_assets > 0)
+    flips &= ~net.is_lender
     return thresholds_from_normals(normals, net, params, theta_draws)[0], flips[0]
 
 
@@ -95,7 +97,7 @@ def coupled_rows(net: DirectedNetwork, worth: np.ndarray,
     non-lender gets NaN and a round-0 flip exactly when its return alone
     wipes out its net worth.
     """
-    inactive = ~(net.interbank_assets > 0)
+    inactive = ~net.is_lender
     with np.errstate(divide="ignore", invalid="ignore"):
         thresholds = (worth + returns) / net.interbank_assets
     thresholds[..., inactive] = np.nan
@@ -106,17 +108,15 @@ def coupled_rows(net: DirectedNetwork, worth: np.ndarray,
 
 def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray,
                    flips: np.ndarray) -> np.ndarray:
-    """The threshold rule over (trials, banks) rows.
-
-    Round 0 flips every lender with a negative threshold (written into
-    ``flips`` in place) plus the non-lenders that ``flips`` marks; their
-    thresholds are not read. Each later synchronous round flips a lender iff
-    the summed weights of its flipped borrowers strictly exceed its threshold
-    (a weight is the loan over the lender's total lending); flipped banks
-    stay flipped. Returns the kernel's step matrix.
+    """The threshold rule over (trials, banks) rows: the kernel with the
+    loan weights as exposure (a weight is the loan over the lender's total
+    lending), so a lender flips once the summed weights of its flipped
+    borrowers strictly exceed its threshold, at round 0 when the threshold
+    is negative. Non-lenders carry NaN thresholds and flip at round 0 where
+    ``flips`` marks them; ``flips`` on a lender is not read. Neither input is
+    modified. Returns the kernel's step matrix.
     """
-    np.copyto(flips, thresholds < 0, where=net.interbank_assets > 0)
-    return _batch_propagate(net, flips, thresholds, net.in_edge_weights)
+    return _batch_propagate(net, thresholds, net.in_edge_weights, flips & ~net.is_lender)
 
 
 def thresholds_from_shocks(
@@ -138,9 +138,13 @@ def run_threshold_cascade(
 ) -> CascadeResult:
     """Run the threshold cascade to its fixed point: :func:`threshold_rows`
     on one row, with ``inactive_flips`` marking the non-lenders that flip
-    at round 0."""
+    at round 0. Neither input is modified. A lender's threshold may be
+    +-inf but not NaN; a non-lender's is not read."""
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    start = np.array(inactive_flips, dtype=bool)  # a copy: round 0 is written into it
-    if len(thresholds) != net.n_nodes or len(start) != net.n_nodes:
+    flips = np.asarray(inactive_flips, dtype=bool)
+    if thresholds.shape != (net.n_nodes,) or flips.shape != (net.n_nodes,):
         raise ValueError("thresholds and flip vector must have one entry per bank")
-    return CascadeResult(threshold_rows(net, thresholds[None], start[None])[0])
+    if np.isnan(thresholds[net.is_lender]).any():
+        raise ValueError("a lender's threshold must not be NaN")
+    thresholds = np.where(net.is_lender, thresholds, np.nan)
+    return CascadeResult(threshold_rows(net, thresholds[None], flips[None])[0])

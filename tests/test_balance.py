@@ -11,6 +11,7 @@ from bankcascades import (
     ThetaDistribution,
     build_sheets,
     case_presets,
+    draw_thresholds,
     from_edges,
     generate_er,
     normal_quantile,
@@ -179,6 +180,22 @@ def test_theta_draws_reproducible_and_overridable():
         build_sheets(net, params)
     with pytest.raises(ValueError):
         build_sheets(net, params, rng_seed=1, thetas=thetas)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("bank", [0, 2])  # a lender, a non-lender
+def test_shares_outside_the_unit_interval_are_rejected_where_they_enter(bad, bank,
+                                                                         case_a_params):
+    # the range ThetaDistribution enforces on its law, for shares passed in:
+    # at 0 net worth and volatility are non-finite, at 1.5 external assets
+    # are negative, at -0.3 net worth is
+    net = from_edges(3, [(0, 1, 1.0), (1, 0, 2.0)])
+    thetas = np.full(3, 0.3)
+    thetas[bank] = bad
+    with pytest.raises(ValueError, match=f"interbank shares .* got {bad} for bank {bank}"):
+        build_sheets(net, case_a_params, thetas=thetas)
+    with pytest.raises(ValueError, match=f"interbank shares .* got {bad} for bank {bank}"):
+        draw_thresholds(net, case_a_params, thetas, 1)
 
 
 def test_sheets_csv_round_trip(tmp_path, case_a_params):

@@ -280,6 +280,18 @@ def test_suites_reject_negative_instance_counts(suite):
         suite(instances=-1)
 
 
+def test_equivalence_suite_rejects_an_empty_degree_list():
+    with pytest.raises(ValueError, match="degrees"):
+        equivalence_suite(instances=1, degrees=())
+    assert equivalence_suite(instances=0, degrees=()).passed  # nothing to draw a degree for
+
+
+def test_equivalence_suite_without_cases_is_a_vacuous_pass():
+    report = equivalence_suite(cases=(), instances=3)
+    assert report.passed
+    assert report.detail.startswith("vacuous pass") and report.detail.endswith("(warning)")
+
+
 @pytest.mark.parametrize("field,value", [
     ("degree_grid", 5), ("n_banks", "60"), (None, [1]), ("theta_dist", 0.3),
     ("networks_per_degree", 2.5), ("n_banks", 60.0), ("capital_ratio", "0.1"),

@@ -250,6 +250,44 @@ def test_round_zero_tie_survives_and_the_ge_mutant_flips_it():
     assert mutated.n_fundamental == 1
 
 
+def test_round_zero_ties_are_decided_exactly_by_both_rules():
+    # every bank's return at exactly -worth, one ulp below and one ulp above:
+    # one bank per row, then all banks at once in a random mix of the three.
+    # 0, 1, 2 and 4 lend; 3, 5 and 6 only borrow; 7 is isolated
+    net = from_edges(8, [(0, 1, 1.0), (0, 2, 0.5), (1, 3, 2.0), (2, 3, 1.0),
+                         (4, 5, 0.25), (4, 0, 0.125)])
+    assert net.is_lender.any() and not net.is_lender.all()
+    worth = np.geomspace(1e-3, 1e6, 8)
+    ties = [-worth, np.nextafter(-worth, -np.inf), np.nextafter(-worth, np.inf)]
+    pick = np.random.default_rng(5).integers(0, 3, size=(30, 8))
+    returns = np.concatenate([*map(np.diag, ties), np.choose(pick, ties)])
+    below = returns < -worth
+    assert below.sum(axis=1)[:24].tolist() == [0] * 8 + [1] * 8 + [0] * 8
+    for step in _both_rules(net, worth, returns):
+        assert np.array_equal(step == 0, below)
+    _assert_batch_rows_match_oracle(net, worth, returns)
+
+
+def test_row_functions_and_engines_leave_every_argument_unchanged():
+    net, worth, returns = _case_c_rows(150, 20, seed=3)
+    worth = worth.copy()  # a sheet column, which is frozen
+    thresholds, flips = coupled_rows(net, worth, returns)
+    flips |= np.random.default_rng(3).random(flips.shape) < 0.1  # lenders' flips are not read
+    assert ((thresholds < 0) & net.is_lender).any()  # lenders that fail at round 0
+    sheets = sheets_from_worth(worth.copy(), net.interbank_assets)
+    calls = [(balance_rows, worth, returns), (threshold_rows, thresholds, flips)]
+    for t in range(3):
+        calls += [(run_balance_cascade, sheets, returns[t]),
+                  (run_threshold_cascade, thresholds[t], flips[t])]
+    for fn, *args in calls:
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        assert all(a.flags.writeable for a in arrays)
+        before = [a.copy() for a in arrays]
+        fn(net, *args)
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b, equal_nan=True), fn.__name__
+
+
 def test_round_zero_tie_survives_in_the_sweep_path(monkeypatch):
     cfg = ExperimentConfig(
         n_banks=12, capital_ratio=0.1, default_prob=0.01, case="A", model="both-coupled",
@@ -430,11 +468,13 @@ def test_kernel_blocks_leave_every_step_and_input_unchanged(monkeypatch, rows):
     want = [_both_rules(*case) for case in cases]  # a single block each
     kernel = balance_cascade._batch_propagate
 
-    def kernel_keeping_its_inputs(net, start, thresholds, edge_amount):
-        start_before, thresholds_before = start.copy(), thresholds.copy()
-        step = kernel(net, start, thresholds, edge_amount)
-        assert np.array_equal(start, start_before)
+    def kernel_keeping_its_inputs(net, thresholds, edge_amount, flips=None):
+        thresholds_before = thresholds.copy()
+        flips_before = None if flips is None else flips.copy()
+        step = kernel(net, thresholds, edge_amount, flips)
         assert np.array_equal(thresholds, thresholds_before, equal_nan=True)
+        if flips is not None:
+            assert np.array_equal(flips, flips_before)
         return step
 
     monkeypatch.setattr(balance_cascade, "_batch_propagate", kernel_keeping_its_inputs)
@@ -457,12 +497,12 @@ def test_kernel_memory_is_flat_in_the_trial_count():
     net = generate_er(1000, 4.0, loan_dist, rng)
     sheets = build_sheets(net, BalanceParams(0.1, 0.01, theta_dist), rng_seed=rng)
     returns = shock_returns(rng.standard_normal((3000, 1000)), sheets)
-    start, thresholds = returns < -sheets.net_worth, sheets.net_worth + returns
+    thresholds = sheets.net_worth + returns
     del returns
     net.in_degree, net.in_indptr, net.in_lender, net.in_loan  # build the cached indexes untraced
     tracemalloc.start()
     try:
-        step = balance_cascade._batch_propagate(net, start, thresholds, net.in_loan)
+        step = balance_cascade._batch_propagate(net, thresholds, net.in_loan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -218,6 +218,31 @@ def test_weighted_rule_equals_count_rule_for_unit_loans():
 
 def test_dimension_mismatch_rejected(case_a_params):
     net = generate_er(10, 2.0, LoanSizeDistribution.constant(1.0), 0)
-    thr, _ = draw_thresholds(net, case_a_params, np.full(10, 0.3), 1)
+    thr, flips = draw_thresholds(net, case_a_params, np.full(10, 0.3), 1)
     with pytest.raises(ValueError):
         run_threshold_cascade(net, thr, np.zeros(9, dtype=bool))
+    # one entry per bank means shape (n,), not merely n rows
+    for bad_thr, bad_flips in ((np.stack([thr, thr], axis=1), flips),
+                               (thr, np.stack([flips, flips], axis=1)),
+                               (thr[None], flips)):
+        with pytest.raises(ValueError, match="one entry per bank"):
+            run_threshold_cascade(net, bad_thr, bad_flips)
+
+
+def test_nan_threshold_on_a_lender_is_rejected():
+    net = from_edges(3, [(0, 1, 1.0), (0, 2, 1.0)])
+    flips = np.array([False, True, True])
+    with pytest.raises(ValueError, match="NaN"):
+        run_threshold_cascade(net, np.full(3, np.nan), flips)
+    # NaN on the non-lenders is the contract; +-inf on the lender is legal
+    assert run_threshold_cascade(net, np.array([np.inf, np.nan, np.nan]), flips).step.tolist() \
+        == [-1, 0, 0]
+    assert run_threshold_cascade(net, np.array([-np.inf, np.nan, np.nan]), flips).step.tolist() \
+        == [0, 0, 0]
+
+
+def test_a_non_lenders_threshold_is_not_read():
+    # round 0 of a non-lender comes from its flip alone, whatever threshold it carries
+    net = from_edges(3, [(0, 1, 1.0), (0, 2, 1.0)])
+    res = run_threshold_cascade(net, np.array([0.7, -1.0, 0.3]), np.array([False, False, True]))
+    assert res.step.tolist() == [-1, -1, 0]
