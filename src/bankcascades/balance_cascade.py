@@ -9,9 +9,9 @@ Propagation is synchronous and monotone, so it reaches a fixed point in at
 most N rounds. The propagation kernel here, :func:`_batch_propagate`, is the
 only one in the package and decides every flip, round 0 included. The row
 functions :func:`balance_rows` and ``threshold_cascade.threshold_rows`` only
-map their inputs to thresholds and call it: the sweep on all trials of a
-network, everything else on a batch of one. The kernel runs a batch in
-cache-sized blocks of trials, so its memory beyond the step matrix it
+map their inputs to thresholds and call it: the sweep on a chunk of a
+network's trials, everything else on a batch of one. The kernel runs a batch
+in cache-sized blocks of trials, so its memory beyond the step matrix it
 returns does not grow with the trial count. Asset returns are plain float
 arrays, one row per trial. Every outcome is a step matrix, one row per trial
 too: the round in which each bank defaulted (0 for its own loss, -1 for
@@ -146,10 +146,7 @@ def _batch_propagate(
     """
     n_trials, n = thresholds.shape
     step = np.full((n_trials, n), -1, dtype=np.min_scalar_type(-n))
-    in_degree, edge_end = net.in_degree, net.in_indptr[1:]
-    # per borrower-grouped edge: lender minus borrower, the hop from a
-    # borrower's (trial, bank) key to its lender's
-    hop = net.in_lender - np.arange(n).repeat(in_degree)
+    in_degree, edge_end, hop = net.in_degree, net.in_indptr[1:], net.in_hop
     rows = max(1, _BLOCK_KEYS // n)
     for first_row in range(0, n_trials, rows):
         block = slice(first_row, first_row + rows)
@@ -191,15 +188,16 @@ def _batch_propagate(
     return step
 
 
-def balance_rows(net: DirectedNetwork, worth: np.ndarray, returns: np.ndarray) -> np.ndarray:
-    """The balance-sheet rule over (trials, banks) rows of asset returns: the
-    kernel with each bank's threshold ``worth + return`` and each loan's face
-    value as exposure. A bank defaults at round 0 iff its return alone wipes
-    out its net worth, and in a later synchronous round iff its accumulated
-    write-offs strictly exceed net worth plus return; ties survive. Returns
-    the kernel's step matrix.
+def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
+    """The balance-sheet rule over (trials, banks) rows of ``margin``, each
+    bank's net worth plus its asset return: the kernel with the margin as
+    threshold and each loan's face value as exposure. A bank defaults at
+    round 0 iff its return alone wipes out its net worth (a negative
+    margin), and in a later synchronous round iff its accumulated
+    write-offs strictly exceed its margin; ties survive. ``margin`` is not
+    modified. Returns the kernel's step matrix.
     """
-    return _batch_propagate(net, worth + returns, net.in_loan)
+    return _batch_propagate(net, margin, net.in_loan)
 
 
 def run_balance_cascade(
@@ -210,4 +208,4 @@ def run_balance_cascade(
     """Run one trial to its fixed point: :func:`balance_rows` on one row of
     asset returns, which it does not modify and which must be finite."""
     returns = _trial_returns(net, sheets, returns)
-    return CascadeResult(balance_rows(net, sheets.net_worth, returns[None])[0])
+    return CascadeResult(balance_rows(net, (sheets.net_worth + returns)[None])[0])

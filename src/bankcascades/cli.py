@@ -217,7 +217,8 @@ def cmd_check(args) -> int:
                 print(f"  counterexample: {info}")
             if net is not None:
                 try:
-                    dump = Path(args.dump_dir) / "counterexample_network.txt"
+                    args.dump_dir.mkdir(parents=True, exist_ok=True)
+                    dump = args.dump_dir / "counterexample_network.txt"
                     save_edge_list(net, dump)
                     print(f"  network dump: {dump}")
                 except OSError as exc:

@@ -6,6 +6,12 @@ Every random quantity is keyed by (master_seed, stream, z-index,
 network-index, trial-index), so a sweep is reproducible trial by trial and
 its output is independent of how work is spread across processes. A trial's
 draw is a row of ``rng.draw_rows``, as in ``draw_shocks``/``draw_thresholds``.
+
+A sweep runs each network's trials in chunks of about ``_CHUNK_KEYS``
+(trial, bank) keys, drawn and mapped in place in one buffer that the
+network's chunks share, and tallied in trial order. Each trial has its own
+streams, so neither the chunk size nor the worker count changes a byte of
+the output, and a sweep's memory does not grow with the trial count.
 """
 from __future__ import annotations
 
@@ -46,6 +52,11 @@ MODELS = ("bs", "threshold", "both-independent", "both-coupled")
 NETWORK_GENERATORS = ("er-v1", "er-v2")
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+# (trial, bank) keys per sweep chunk: a 4 MiB float64 buffer, reused for
+# every chunk of a network. Half and double this size measured many more
+# page faults per sweep (ROADMAP item 5).
+_CHUNK_KEYS = 1 << 19
 
 
 def case_presets(case: str) -> tuple[ThetaDistribution, LoanSizeDistribution]:
@@ -180,27 +191,37 @@ def _batch_outcomes(
     z_index: int,
     net_index: int,
     trials: range,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict:
     """The given trials of one network cell, propagated in one batch.
 
     The rows come from :func:`draw_rows`, each trial on its own stream, all
-    seeded in one :func:`stream_rngs` pass; the laws that the public draw
-    functions apply (:func:`shock_returns`, :func:`thresholds_from_normals`)
-    then run once over the (trials, banks) matrix, and the engines' row
-    functions propagate it. Returns, per engine run ('bs', 'threshold'), the
+    seeded in one :func:`stream_rngs` pass. One float array of (trials,
+    banks) rows carries every stage in place: the normals, the returns
+    (:func:`shock_returns`), the margin worth + return that
+    :func:`balance_rows` reads, then the thresholds, mapped from that margin
+    (:func:`coupled_rows`) or drawn anew (:func:`thresholds_from_normals`).
+    ``buffers`` is a (float, bool) pair with at least ``len(trials)`` rows,
+    which the sweep reuses for every chunk of a network; without it, fresh
+    arrays are made. Returns, per engine run ('bs', 'threshold'), the
     kernel's (trials, banks) step matrix: the round in which each bank
     defaulted, or -1.
     """
+    n_rows, n = len(trials), cfg.n_banks
+    if buffers is None:
+        buffers = np.empty((n_rows, n)), np.empty((n_rows, n), dtype=bool)
+    rows, flip_rows = (b[:n_rows] for b in buffers)  # leading whole rows: contiguous
     out: dict = {}
     if cfg.model != "threshold":
         rngs = stream_rngs(cfg.master_seed, STREAM_SHOCKS, z_index, net_index, trials=trials)
-        returns = shock_returns(draw_rows(rngs, len(trials), cfg.n_banks)[0], sheets)
-        out["bs"] = balance_rows(net, sheets.net_worth, returns)
+        normals, _ = draw_rows(rngs, n_rows, n, out=(rows, None))
+        margin = np.add(sheets.net_worth, shock_returns(normals, sheets), out=rows)
+        out["bs"] = balance_rows(net, margin)
     if cfg.model == "both-coupled":
-        thresholds, flips = coupled_rows(net, sheets.net_worth, returns)
+        thresholds, flips = coupled_rows(net, margin, flip_rows)
     elif cfg.model != "bs":
         rngs = stream_rngs(cfg.master_seed, STREAM_THRESHOLDS, z_index, net_index, trials=trials)
-        normals, flips = draw_rows(rngs, len(trials), cfg.n_banks, params.default_prob)
+        normals, flips = draw_rows(rngs, n_rows, n, params.default_prob, out=(rows, flip_rows))
         thresholds = thresholds_from_normals(normals, net, params, thetas)
     if cfg.model != "bs":
         out["threshold"] = threshold_rows(net, thresholds, flips)
@@ -210,26 +231,34 @@ def _batch_outcomes(
 def _network_task(args) -> tuple[tuple[int, int], dict]:
     """Run all trials for one (degree, network) cell and tally each engine
     run as (crises, summed crisis sizes, summed squared crisis sizes). Top
-    level so process pools can pickle it."""
+    level so process pools can pickle it.
+
+    The trials run in chunks of about ``_CHUNK_KEYS`` (trial, bank) keys,
+    each drawn into the same pair of buffers, so memory does not grow with
+    the trial count. Chunks are tallied in trial order, so every float sum
+    is the one a single batch of all trials would give.
+    """
     cfg, z_index, net_index = args
     net, params, thetas, sheets = _network_inputs(cfg, z_index, net_index)
-    outcomes = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,
-                               range(cfg.trials_per_network))
+    n, n_trials = cfg.n_banks, cfg.trials_per_network
+    chunk = min(n_trials, max(1, _CHUNK_KEYS // n))
+    buffers = np.empty((chunk, n)), np.empty((chunk, n), dtype=bool)
 
-    tallies = {}
-    for m in _models_run(cfg.model):
-        frac = np.count_nonzero(outcomes[m] >= 0, axis=1) / cfg.n_banks
-        crisis = frac >= cfg.crisis_cutoff
-        size_sum = sq_sum = 0.0
-        for f in frac[crisis]:  # sequential sums keep output worker-invariant
-            size_sum += float(f)
-            sq_sum += float(f) * float(f)
-        tallies[m] = (int(crisis.sum()), size_sum, sq_sum)
-
+    tallies = {m: [0, 0.0, 0.0] for m in _models_run(cfg.model)}
     mismatches = 0
-    if cfg.model == "both-coupled":  # trials whose step rows differ anywhere
-        mismatches = int(np.count_nonzero(
-            (outcomes["bs"] != outcomes["threshold"]).any(axis=1)))
+    for first in range(0, n_trials, chunk):
+        outcomes = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,
+                                   range(n_trials)[first:first + chunk], buffers)
+        for m, tally in tallies.items():
+            frac = np.count_nonzero(outcomes[m] >= 0, axis=1) / n
+            crisis = frac >= cfg.crisis_cutoff
+            tally[0] += int(crisis.sum())
+            for f in frac[crisis]:  # sequential sums keep output worker- and chunk-invariant
+                tally[1] += float(f)
+                tally[2] += float(f) * float(f)
+        if cfg.model == "both-coupled":  # trials whose step rows differ anywhere
+            mismatches += int(np.count_nonzero(
+                (outcomes["bs"] != outcomes["threshold"]).any(axis=1)))
     return (z_index, net_index), {"tallies": tallies, "mismatches": mismatches}
 
 

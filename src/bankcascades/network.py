@@ -132,6 +132,14 @@ class DirectedNetwork:
         return self.lender[self._in_order]
 
     @cached_property
+    def in_hop(self) -> np.ndarray:
+        """Per edge (borrower-grouped): lender minus borrower, the hop from a
+        borrower's flat (trial, bank) key to its lender's."""
+        hop = self.in_lender - np.arange(self.n_nodes).repeat(self.in_degree)
+        hop.setflags(write=False)
+        return hop
+
+    @cached_property
     def in_loan(self) -> np.ndarray:
         return self.loan_size[self._in_order]
 

@@ -171,13 +171,18 @@ def stream_rngs(master_seed: int, stream: int, *indices: int,
     return (np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states)
 
 
-def draw_rows(rngs, n_rows: int, n: int, flip_prob: float | None = None):
+def draw_rows(rngs, n_rows: int, n: int, flip_prob: float | None = None, out=None):
     """(normals, flips or None), one row of ``n`` banks for each of the
     ``n_rows`` generators in ``rngs`` (which may be lazy): its standard
     normals, then with ``flip_prob`` its independent round-0 flips, so a row
-    does not depend on which other rows share the batch."""
-    normals = np.empty((n_rows, n))
-    flips = None if flip_prob is None else np.empty((n_rows, n), dtype=bool)
+    does not depend on which other rows share the batch. ``out``, a (float,
+    bool) pair of (n_rows, n) arrays, receives the rows instead of new
+    arrays."""
+    normals, flips = out if out is not None else (np.empty((n_rows, n)), None)
+    if flip_prob is None:
+        flips = None
+    elif flips is None:
+        flips = np.empty((n_rows, n), dtype=bool)
     for row, rng in enumerate(rngs):
         rng.standard_normal(out=normals[row])
         if flips is not None:

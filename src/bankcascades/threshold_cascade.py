@@ -11,10 +11,10 @@ row of the sweep's draw), or mapped from an array of asset returns via
 reproduces the balance-sheet engine trial for trial. The mapping
 (:func:`coupled_rows`) and the cascade (:func:`threshold_rows`, this
 side's one caller of the kernel) take (trials, banks) rows: the sweep passes
-all trials of a network, everything else a batch of one. The kernel decides
-every flip, round 0 included, and returns its step matrix, the round in
-which each bank flipped (-1 for never), so coupled agreement means the same
-bank flips in the same round.
+a chunk of a network's trials, everything else a batch of one. The kernel
+decides every flip, round 0 included, and returns its step matrix, the round
+in which each bank flipped (-1 for never), so coupled agreement means the
+same bank flips in the same round.
 """
 from __future__ import annotations
 
@@ -88,22 +88,25 @@ def shadow_threshold_pdf(x, interbank_assets: float, capital_ratio: float,
     return L * return_pdf(x * L - capital_ratio * L / theta)
 
 
-def coupled_rows(net: DirectedNetwork, worth: np.ndarray,
-                 returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The coupled mapping of asset returns (one row per trial) onto the
-    threshold model, as (thresholds, inactive_flips).
+def coupled_rows(net: DirectedNetwork, margin: np.ndarray,
+                 flips: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The coupled mapping onto the threshold model, in place, as
+    (thresholds, inactive_flips). ``margin`` holds (trials, banks) rows of
+    net worth plus asset return, which ``balance_rows`` reads as thresholds,
+    and becomes the threshold rows; ``flips``, if given, receives the flips.
 
-    A lending bank's threshold is (net_worth + return) / interbank_assets; a
-    non-lender gets NaN and a round-0 flip exactly when its return alone
-    wipes out its net worth.
+    A lending bank's threshold is margin / interbank_assets; a non-lender
+    gets NaN and a round-0 flip exactly when its margin is negative, that
+    is, when its return alone wipes out its net worth (exact, by the
+    kernel's round-0 note).
     """
     inactive = ~net.is_lender
+    flips = np.less(margin, 0, out=flips)
+    flips &= inactive
     with np.errstate(divide="ignore", invalid="ignore"):
-        thresholds = (worth + returns) / net.interbank_assets
-    thresholds[..., inactive] = np.nan
-    inactive_flips = returns < -worth
-    inactive_flips &= inactive
-    return thresholds, inactive_flips
+        np.divide(margin, net.interbank_assets, out=margin)
+    margin[..., inactive] = np.nan
+    return margin, flips
 
 
 def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray,
@@ -128,7 +131,7 @@ def thresholds_from_shocks(
     :func:`coupled_rows`. Feeding the result to :func:`run_threshold_cascade`
     reproduces the balance-sheet engine's outcome on the same draw. The
     returns must be finite, and are not modified."""
-    return coupled_rows(net, sheets.net_worth, _trial_returns(net, sheets, returns))
+    return coupled_rows(net, sheets.net_worth + _trial_returns(net, sheets, returns))
 
 
 def run_threshold_cascade(

@@ -226,6 +226,16 @@ def test_check_detects_injected_fault(tmp_path, capsys):
     assert (tmp_path / "counterexample_network.txt").exists()
 
 
+def test_check_dump_dir_is_created_when_missing(tmp_path, capsys):
+    dump_dir = tmp_path / "not" / "yet"
+    code = main(["check", "--instances", "2", "--n", "120", "--oracle-instances", "5",
+                 "--inject-fault", "--dump-dir", str(dump_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "could not write network dump" not in captured.err
+    assert (dump_dir / "counterexample_network.txt").exists()
+
+
 def test_check_zero_instances_is_vacuous_pass(capsys):
     code = main(["check", "--instances", "0", "--oracle-instances", "5"])
     out = capsys.readouterr().out

@@ -158,7 +158,8 @@ def _case_c_rows(n, trials, seed):
 
 
 def _both_rules(net, worth, returns):
-    return balance_rows(net, worth, returns), threshold_rows(net, *coupled_rows(net, worth, returns))
+    bs = balance_rows(net, worth + returns)
+    return bs, threshold_rows(net, *coupled_rows(net, worth + returns))
 
 
 def test_disjoint_union_steps_are_the_components_side_by_side():
@@ -271,11 +272,11 @@ def test_round_zero_ties_are_decided_exactly_by_both_rules():
 def test_row_functions_and_engines_leave_every_argument_unchanged():
     net, worth, returns = _case_c_rows(150, 20, seed=3)
     worth = worth.copy()  # a sheet column, which is frozen
-    thresholds, flips = coupled_rows(net, worth, returns)
+    thresholds, flips = coupled_rows(net, worth + returns)  # maps a fresh margin in place
     flips |= np.random.default_rng(3).random(flips.shape) < 0.1  # lenders' flips are not read
     assert ((thresholds < 0) & net.is_lender).any()  # lenders that fail at round 0
     sheets = sheets_from_worth(worth.copy(), net.interbank_assets)
-    calls = [(balance_rows, worth, returns), (threshold_rows, thresholds, flips)]
+    calls = [(balance_rows, worth + returns), (threshold_rows, thresholds, flips)]
     for t in range(3):
         calls += [(run_balance_cascade, sheets, returns[t]),
                   (run_threshold_cascade, thresholds[t], flips[t])]
@@ -386,8 +387,8 @@ def _assert_batch_rows_match_oracle(net, worth, returns):
     returns = np.asarray(returns, dtype=np.float64)
     sheets = sheets_from_worth(worth, net.interbank_assets)
 
-    bs = balance_rows(net, worth, returns)
-    thr = threshold_rows(net, *coupled_rows(net, worth, returns))
+    bs = balance_rows(net, worth + returns)
+    thr = threshold_rows(net, *coupled_rows(net, worth + returns))
 
     for t, row in enumerate(returns):
         ref = brute_force_fixed_point(net, sheets, row)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -207,6 +208,63 @@ def test_pooling_matches_per_network_aggregates():
             assert row.n_runs == runs
             assert row.n_crises == crises
             assert row.crisis_frequency == crises / runs
+
+
+@pytest.mark.parametrize("case", experiment.CASES)
+@pytest.mark.parametrize("model", experiment.MODELS)
+def test_outputs_do_not_depend_on_the_chunk_size(case, model, monkeypatch):
+    # 7 trials: 3-row chunks split them 3 + 3 + 1, and the default chunk
+    # holds them all
+    cfg = _small_cfg(case=case, model=model, degree_grid=(1.0, 3.0), trials_per_network=7)
+    batch_outcomes = experiment._batch_outcomes
+    csvs, steps = [], []
+    for rows in (1, 3, None):
+        chunk_keys = experiment._CHUNK_KEYS if rows is None else rows * cfg.n_banks
+        monkeypatch.setattr(experiment, "_CHUNK_KEYS", chunk_keys)
+        seen = {}
+
+        def recording(*args):
+            out = batch_outcomes(*args)
+            _, _, _, _, _, zi, ni, trials, _ = args
+            assert len(trials) == min(chunk_keys // cfg.n_banks, 7 - trials.start)
+            for m, step in out.items():
+                seen.setdefault((zi, ni, m), []).append(step)
+            return out
+
+        monkeypatch.setattr(experiment, "_batch_outcomes", recording)
+        csvs.append(rows_to_csv(run_sweep(cfg)))
+        steps.append({key: np.concatenate(chunks) for key, chunks in seen.items()})
+    assert csvs[0] == csvs[1] == csvs[2]
+    assert steps[0].keys() == steps[1].keys() == steps[2].keys()
+    for key, step in steps[2].items():
+        assert step.shape == (7, cfg.n_banks)
+        assert np.array_equal(steps[0][key], step) and np.array_equal(steps[1][key], step), key
+    monkeypatch.undo()
+    for (zi, ni, m), step in steps[2].items():
+        for ti in (2, 3, 6):  # the ends of the first 3-row chunk, and the 1-row chunk
+            got = run_trial(cfg, zi, ni, ti)[m].step
+            assert got.tolist() == step[ti].tolist(), (zi, ni, m, ti)
+    assert any(step.max() > 0 for step in steps[2].values())  # some trial spreads defaults
+
+
+def test_sweep_memory_is_flat_in_the_trial_count():
+    # case A at z = 4 sits inside the crisis window, so nearly every trial
+    # cascades; one (trials x banks) float64 draw of all 3000 trials would
+    # alone take 24 MB
+    cfg = ExperimentConfig(
+        n_banks=1000, capital_ratio=0.1, default_prob=0.01, case="A", model="both-coupled",
+        degree_grid=(4.0,), networks_per_degree=1, trials_per_network=3000,
+        crisis_cutoff=0.05, master_seed=4,
+    )
+    tracemalloc.start()
+    try:
+        _, result = _network_task((cfg, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result["tallies"]["bs"][0] > 0.9 * cfg.trials_per_network
+    assert result["mismatches"] == 0
+    assert peak <= 24 * 2**20
 
 
 def test_single_trial_reproduction():

@@ -183,6 +183,17 @@ def test_in_edge_order_is_the_borrower_lender_lexsort(case):
     assert np.array_equal(net.in_lender, net.lender[want])
 
 
+@settings(max_examples=60, deadline=None)
+@given(_edge_sets())
+def test_in_hop_is_a_frozen_lender_minus_borrower_per_in_edge(case):
+    n, edges = case
+    net = from_edges(n, edges)
+    in_edges = sorted((borrower, lender) for lender, borrower, _ in edges)
+    assert net.in_hop.tolist() == [lender - borrower for borrower, lender in in_edges]
+    with pytest.raises(ValueError):
+        net.in_hop[...] = 0
+
+
 # -- network stream er-v2: geometric skips between successive edges -----------
 
 def _reference_er_v2(n, z, seed, loan_lo, loan_hi):
