@@ -8,11 +8,9 @@ target, which requires the inverse standard-normal CDF implemented below.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -26,7 +24,6 @@ __all__ = [
     "BalanceSheets",
     "normal_quantile",
     "build_sheets",
-    "save_sheets_csv",
 ]
 
 
@@ -205,18 +202,3 @@ def build_sheets(
         return_std=sigma,
     )
 
-
-_CSV_COLUMNS = ("bank_id", "a", "l", "b", "d", "p_bar", "w", "theta_l", "sigma")
-
-
-def save_sheets_csv(sheets: BalanceSheets, path) -> None:
-    """Write one row per bank with the short column names a, l, b, d, p_bar,
-    w, theta_l, sigma (external, interbank and riskless assets; deposits,
-    interbank liabilities, net worth; share; return std dev)."""
-    # tolist() gives Python floats: repr(np.float64) is "np.float64(...)" on numpy 2
-    columns = [getattr(sheets, f.name).tolist() for f in fields(sheets)]
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for i, row in enumerate(zip(*columns)):
-            writer.writerow([i, *map(repr, row)])

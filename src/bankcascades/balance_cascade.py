@@ -1,22 +1,12 @@
-"""Default cascades driven by explicit balance sheets.
+"""Default cascades driven by explicit balance sheets, and the one
+propagation kernel that both engines share.
 
 One trial draws a return on every bank's external assets, then propagates
 defaults with zero recovery: a lender writes off the full face value of every
 loan to a defaulted borrower, and a bank fails as soon as its write-offs
-minus its own asset return exceed its net worth. With no write-offs yet, that
-is round 0: the banks whose loss alone wipes out their net worth.
-Propagation is synchronous and monotone, so it reaches a fixed point in at
-most N rounds. The propagation kernel here, :func:`_batch_propagate`, is the
-only one in the package and decides every flip, round 0 included. The row
-functions :func:`balance_rows` and ``threshold_cascade.threshold_rows`` only
-map their inputs to thresholds and call it: the sweep on a chunk of a
-network's trials, everything else on a batch of one. The kernel runs a batch
-in cache-sized blocks of trials, so its memory beyond the step matrix it
-returns does not grow with the trial count. Asset returns are plain float
-arrays, one row per trial. Every outcome is a step matrix, one row per trial
-too: the round in which each bank defaulted (0 for its own loss, -1 for
-never). Default sets, round counts and fundamental-default counts are all
-read from it.
+minus its own asset return exceed its net worth. Every outcome is a step
+matrix, one row per trial: the round in which each bank defaulted (0 for its
+own loss, -1 for never).
 """
 from __future__ import annotations
 
@@ -100,34 +90,29 @@ def draw_shocks(sheets: BalanceSheets, rng_seed) -> np.ndarray:
     bank's calibrated volatility: row 0 of :func:`draw_rows`."""
     if len(sheets) == 0:
         raise ValueError("need at least one bank")
-    normals, _ = draw_rows([as_generator(rng_seed)], 1, len(sheets))
-    return shock_returns(normals, sheets)[0]
+    return shock_returns(draw_rows([as_generator(rng_seed)], 1, len(sheets)), sheets)[0]
 
 
-def _batch_propagate(
-    net: DirectedNetwork,
-    thresholds: np.ndarray,
-    edge_amount: np.ndarray,
-    flips: np.ndarray | None = None,
-) -> np.ndarray:
+def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
+                     edge_amount: np.ndarray) -> np.ndarray:
     """The one cascade kernel, and the only place a flip is decided: propagate
     many trials of one network together, superstep by superstep, to their
     synchronous fixed points.
 
-    ``thresholds`` is (trials, banks), and so is ``flips`` if given; neither
-    is modified. A bank flips once its exposure strictly exceeds its
-    threshold. Exposure starts at 0, so superstep 0 (round 0) flips every
-    negative threshold, plus the keys ``flips`` marks (the threshold engine's
-    non-lenders). In each later superstep, ``edge_amount`` of each edge into
-    a newly flipped borrower is added to the lender's exposure in that
-    trial. Only lenders receive exposure, so a non-lender flips at round 0
-    or never. Batching only removes per-round Python overhead; the per-trial
-    engines run a batch of one.
+    ``thresholds`` is (trials, banks) and is not modified. A bank flips once
+    its exposure strictly exceeds its threshold. Exposure starts at 0, so
+    superstep 0 (round 0) flips exactly the negative thresholds. In each
+    later superstep, ``edge_amount`` of each edge into a newly flipped
+    borrower is added to the lender's exposure in that trial. Only lenders
+    receive exposure, so a non-lender's entry is read only by its sign, at
+    round 0: -inf, NaN and +inf are all valid there. Batching only removes
+    per-round Python overhead; the per-trial engines run a batch of one.
 
-    - Round 0 is exact. The balance-sheet engine's threshold is fl(w + r)
-      (net worth w, asset return r). Rounding keeps the sign of the exact
-      sum and gives 0 only when r = -w, so fl(w + r) < 0 exactly when
-      r < -w. Only the exposure sums of later supersteps round.
+    - Round 0 is exact. A rounded sum or difference keeps the sign of the
+      exact one and is 0 only when it is, so fl(w + r) < 0 (net worth w,
+      asset return r) exactly when r < -w, and the standalone draw's
+      fl(u - p) < 0 exactly when u < p. Only the exposure sums of later
+      supersteps round.
     - Trials never interact, so they run in blocks of about ``_BLOCK_KEYS``
       (trial, bank) keys, each with its own exposure and frontier. A block's
       float arrays stay cache-sized, and the kernel's memory beyond its step
@@ -152,10 +137,7 @@ def _batch_propagate(
         block = slice(first_row, first_row + rows)
         step_flat = step[block].ravel()  # whole rows of a fresh C-ordered array: a view
         thr_flat = thresholds[block].ravel()  # only read
-        start = thr_flat < 0  # exposure 0 strictly exceeds a negative threshold
-        if flips is not None:
-            start |= flips[block].ravel()
-        frontier = np.flatnonzero(start)  # flat (trial, bank) keys, sorted
+        frontier = np.flatnonzero(thr_flat < 0)  # flat (trial, bank) keys, sorted
         step_flat[frontier] = 0
         exposure = np.zeros(thr_flat.size)
         exposure[frontier] = -np.inf

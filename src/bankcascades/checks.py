@@ -202,17 +202,17 @@ def distribution_suite(*, seed: int = 0) -> CheckReport:
     sheets = build_sheets(net, params, thetas=thetas)
     active = net.is_lender
 
-    normals, _ = draw_rows(stream_rngs(seed, _CHK_DIST, 2, trials=trials), len(trials), n_banks)
+    normals = draw_rows(stream_rngs(seed, _CHK_DIST, 2, trials=trials), len(trials), n_banks)
     returns = shock_returns(normals, sheets)
-    normals, flips = draw_rows(stream_rngs(seed, _CHK_DIST, 3, trials=trials), len(trials),
-                               n_banks, _DELTA)
-    vals = thresholds_from_normals(normals, net, params, thetas)[:, active]
+    rows = draw_rows(stream_rngs(seed, _CHK_DIST, 3, trials=trials), len(trials), n_banks,
+                     _DELTA, ~active)
+    vals = thresholds_from_normals(rows, net, params, thetas)[:, active]
 
     bound = 4.0 * math.sqrt(_DELTA * (1.0 - _DELTA))
     rates = []
     for label, hits in (("fundamental-default", returns < -sheets.net_worth),
                         ("negative-threshold", vals < 0),
-                        ("non-lender flip", flips[:, ~active])):
+                        ("non-lender flip", rows[:, ~active] < 0)):
         rate = np.count_nonzero(hits) / hits.size
         if abs(rate - _DELTA) > bound / math.sqrt(hits.size):
             return CheckReport(name, False, f"{label} frequency {rate:.5f} misses "

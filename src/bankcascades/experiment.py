@@ -4,14 +4,7 @@ frequency and conditional crisis size.
 
 Every random quantity is keyed by (master_seed, stream, z-index,
 network-index, trial-index), so a sweep is reproducible trial by trial and
-its output is independent of how work is spread across processes. A trial's
-draw is a row of ``rng.draw_rows``, as in ``draw_shocks``/``draw_thresholds``.
-
-A sweep runs each network's trials in chunks of about ``_CHUNK_KEYS``
-(trial, bank) keys, drawn and mapped in place in one buffer that the
-network's chunks share, and tallied in trial order. Each trial has its own
-streams, so neither the chunk size nor the worker count changes a byte of
-the output, and a sweep's memory does not grow with the trial count.
+its output is independent of how work is spread across processes.
 """
 from __future__ import annotations
 
@@ -191,40 +184,34 @@ def _batch_outcomes(
     z_index: int,
     net_index: int,
     trials: range,
-    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+    buffer: np.ndarray | None = None,
 ) -> dict:
     """The given trials of one network cell, propagated in one batch.
 
-    The rows come from :func:`draw_rows`, each trial on its own stream, all
-    seeded in one :func:`stream_rngs` pass. One float array of (trials,
-    banks) rows carries every stage in place: the normals, the returns
-    (:func:`shock_returns`), the margin worth + return that
-    :func:`balance_rows` reads, then the thresholds, mapped from that margin
-    (:func:`coupled_rows`) or drawn anew (:func:`thresholds_from_normals`).
-    ``buffers`` is a (float, bool) pair with at least ``len(trials)`` rows,
-    which the sweep reuses for every chunk of a network; without it, fresh
-    arrays are made. Returns, per engine run ('bs', 'threshold'), the
-    kernel's (trials, banks) step matrix: the round in which each bank
-    defaulted, or -1.
+    One float array of (trials, banks) rows carries every stage in place:
+    the draw (:func:`draw_rows`), the returns (:func:`shock_returns`), the
+    margin worth + return that :func:`balance_rows` reads, then the
+    thresholds, mapped from that margin (:func:`coupled_rows`) or drawn
+    anew (:func:`thresholds_from_normals`). ``buffer`` has at least
+    ``len(trials)`` rows; without it, a fresh array is made. Returns the
+    kernel's step matrix per engine run ('bs', 'threshold').
     """
     n_rows, n = len(trials), cfg.n_banks
-    if buffers is None:
-        buffers = np.empty((n_rows, n)), np.empty((n_rows, n), dtype=bool)
-    rows, flip_rows = (b[:n_rows] for b in buffers)  # leading whole rows: contiguous
+    rows = np.empty((n_rows, n)) if buffer is None else buffer[:n_rows]  # whole rows: contiguous
     out: dict = {}
     if cfg.model != "threshold":
         rngs = stream_rngs(cfg.master_seed, STREAM_SHOCKS, z_index, net_index, trials=trials)
-        normals, _ = draw_rows(rngs, n_rows, n, out=(rows, None))
+        normals = draw_rows(rngs, n_rows, n, out=rows)
         margin = np.add(sheets.net_worth, shock_returns(normals, sheets), out=rows)
         out["bs"] = balance_rows(net, margin)
     if cfg.model == "both-coupled":
-        thresholds, flips = coupled_rows(net, margin, flip_rows)
+        thresholds = coupled_rows(net, margin)
     elif cfg.model != "bs":
         rngs = stream_rngs(cfg.master_seed, STREAM_THRESHOLDS, z_index, net_index, trials=trials)
-        normals, flips = draw_rows(rngs, n_rows, n, params.default_prob, out=(rows, flip_rows))
+        normals = draw_rows(rngs, n_rows, n, params.default_prob, ~net.is_lender, out=rows)
         thresholds = thresholds_from_normals(normals, net, params, thetas)
     if cfg.model != "bs":
-        out["threshold"] = threshold_rows(net, thresholds, flips)
+        out["threshold"] = threshold_rows(net, thresholds)
     return out
 
 
@@ -234,21 +221,22 @@ def _network_task(args) -> tuple[tuple[int, int], dict]:
     level so process pools can pickle it.
 
     The trials run in chunks of about ``_CHUNK_KEYS`` (trial, bank) keys,
-    each drawn into the same pair of buffers, so memory does not grow with
-    the trial count. Chunks are tallied in trial order, so every float sum
-    is the one a single batch of all trials would give.
+    each drawn into the same buffer, so memory does not grow with the trial
+    count. Each trial has its own streams and chunks are tallied in trial
+    order, so every float sum, and so every output byte, is the one a
+    single batch of all trials would give.
     """
     cfg, z_index, net_index = args
     net, params, thetas, sheets = _network_inputs(cfg, z_index, net_index)
     n, n_trials = cfg.n_banks, cfg.trials_per_network
     chunk = min(n_trials, max(1, _CHUNK_KEYS // n))
-    buffers = np.empty((chunk, n)), np.empty((chunk, n), dtype=bool)
+    buffer = np.empty((chunk, n))
 
     tallies = {m: [0, 0.0, 0.0] for m in _models_run(cfg.model)}
     mismatches = 0
     for first in range(0, n_trials, chunk):
         outcomes = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,
-                                   range(n_trials)[first:first + chunk], buffers)
+                                   range(n_trials)[first:first + chunk], buffer)
         for m, tally in tallies.items():
             frac = np.count_nonzero(outcomes[m] >= 0, axis=1) / n
             crisis = frac >= cfg.crisis_cutoff

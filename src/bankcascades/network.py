@@ -180,11 +180,6 @@ class DirectedNetwork:
         lo, hi = self.out_indptr[node], self.out_indptr[node + 1]
         return self.borrower[lo:hi], self.loan_size[lo:hi]
 
-    def lenders_of(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lender ids, loan sizes) for one borrower."""
-        lo, hi = self.in_indptr[node], self.in_indptr[node + 1]
-        return self.in_lender[lo:hi], self.in_loan[lo:hi]
-
 
 def from_edges(n_nodes: int, edges) -> DirectedNetwork:
     """Build a network from an iterable of (lender, borrower, loan_size)."""

@@ -1,31 +1,8 @@
 """Seed plumbing and the trial drawer: every random quantity flows through here.
 
-Trial-level reproducibility works by deriving an independent stream from
-``(master_seed, stream_tag, *indices)`` with :class:`numpy.random.SeedSequence`,
-so any single network or trial can be regenerated in isolation, in any order,
-on any number of workers.
-
-The key reaches the ``SeedSequence`` as a ``uint32`` word array: each
-coordinate becomes its little-endian 32-bit words (0 becomes one zero word),
-concatenated in order. That is numpy's own rule for turning a tuple of
-non-negative ints into entropy, so the streams are bit-identical to
-``SeedSequence((master_seed, stream_tag, *indices))`` and have not changed
-since v0; building the array directly only skips numpy's slower coercion.
-
-:func:`stream_rngs` seeds a batch of trials at once. The key words of every
-trial go through ``SeedSequence``'s entropy mixing and
-``generate_state(4, uint64)`` (the four words ``PCG64`` seeds from) in one
-``uint32`` numpy pass, one column per key word; trials whose index spans the
-same number of words share a pass. Each trial's ``PCG64`` then takes those
-words through :class:`_SeedState`, so every generator equals
-``stream_rng(master_seed, stream, *indices, trial)``. The pass rests on
-numpy's ``SeedSequence`` algorithm, which numpy keeps stable across versions
-because published seeds depend on it; ``tests/test_rng.py`` pins every
-batched stream to plain ``SeedSequence`` seeding.
-
-:func:`draw_rows` is the only code that draws a trial: a sweep hands it
-:func:`stream_rngs`, a single trial (``draw_shocks``, ``draw_thresholds``) one
-generator, whose row 0 it takes.
+Each stream is derived from ``(master_seed, stream_tag, *indices)`` with
+:class:`numpy.random.SeedSequence`, so any single network or trial can be
+regenerated in isolation, in any order, on any number of workers.
 """
 from __future__ import annotations
 
@@ -79,7 +56,14 @@ def _key_words(value) -> list[int]:
 
 def stream_seed(master_seed: int, stream: int, *indices: int) -> np.random.SeedSequence:
     """Seed for one purpose-specific stream, keyed by non-negative integer
-    coordinates."""
+    coordinates.
+
+    The key reaches ``SeedSequence`` as each coordinate's little-endian
+    32-bit words (0 is one zero word), concatenated in order. That is
+    numpy's own rule for a tuple of non-negative ints, so the streams equal
+    ``SeedSequence((master_seed, stream, *indices))``, as they have since
+    v0; building the array directly only skips numpy's slower coercion.
+    """
     words = [w for value in (master_seed, stream, *indices) for w in _key_words(value)]
     return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
@@ -130,7 +114,9 @@ def _pcg64_seed_states(columns: list) -> np.ndarray:
     once. ``columns[k]`` is word k of every key: a uint32 array with one
     entry per key, or a Python int when all keys share it, so the words the
     keys share are mixed once. Returns four uint64 words per key, one key a
-    row."""
+    row. numpy keeps this algorithm stable across versions, because
+    published seeds depend on it; ``tests/test_rng.py`` pins every batched
+    stream to plain ``SeedSequence`` seeding."""
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(columns[i] if i < len(columns) else 0) for i in range(_POOL_SIZE)]
     for i_src in range(_POOL_SIZE):
@@ -171,23 +157,27 @@ def stream_rngs(master_seed: int, stream: int, *indices: int,
     return (np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states)
 
 
-def draw_rows(rngs, n_rows: int, n: int, flip_prob: float | None = None, out=None):
-    """(normals, flips or None), one row of ``n`` banks for each of the
-    ``n_rows`` generators in ``rngs`` (which may be lazy): its standard
-    normals, then with ``flip_prob`` its independent round-0 flips, so a row
-    does not depend on which other rows share the batch. ``out``, a (float,
-    bool) pair of (n_rows, n) arrays, receives the rows instead of new
-    arrays."""
-    normals, flips = out if out is not None else (np.empty((n_rows, n)), None)
-    if flip_prob is None:
-        flips = None
-    elif flips is None:
-        flips = np.empty((n_rows, n), dtype=bool)
-    for row, rng in enumerate(rngs):
-        rng.standard_normal(out=normals[row])
-        if flips is not None:
-            np.less(rng.random(n), flip_prob, out=flips[row])
-    return normals, flips
+def draw_rows(rngs, n_rows: int, n: int, flip_prob: float | None = None,
+              inactive: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """One row of ``n`` banks for each of the ``n_rows`` generators in
+    ``rngs`` (which may be lazy), written to ``out`` if given: its standard
+    normals, then with ``flip_prob`` its ``n`` uniforms u, so a row does not
+    depend on which other rows share the batch. A sweep passes one
+    generator per trial (:func:`stream_rngs`), a single trial one generator,
+    whose row 0 it takes.
+
+    With ``flip_prob``, each bank in the bool mask ``inactive`` (a
+    non-lender) keeps u - flip_prob instead of its normal, which is
+    negative, its round-0 flip, exactly when u < flip_prob.
+    """
+    rows = np.empty((n_rows, n)) if out is None else out
+    u = np.empty(n)
+    for row, rng in zip(rows, rngs):
+        rng.standard_normal(out=row)
+        if flip_prob is not None:
+            np.subtract(rng.random(out=u), flip_prob, out=u)
+            np.putmask(row, inactive, u)  # a masked ufunc is slower on an irregular mask
+    return rows
 
 
 def normal_from_standard(z: np.ndarray, loc, scale) -> np.ndarray:

@@ -1,20 +1,11 @@
 """Threshold-rule cascades that need no balance sheets.
 
 Each lending bank carries a scalar threshold: it flips once the weighted
-fraction of its defaulted borrowers strictly exceeds that threshold (with
-equal loan sizes the fraction is simply flipped-over-total borrowers). A
-negative threshold means the bank fails at the outset (a fraction of 0
-exceeds it), which is how the initial shock enters. Thresholds are either
-sampled directly from the normal law implied by the sheet parameters (:func:`draw_thresholds`, one
-row of the sweep's draw), or mapped from an array of asset returns via
-``(net_worth + return) / interbank_assets``; in the mapped form this engine
-reproduces the balance-sheet engine trial for trial. The mapping
-(:func:`coupled_rows`) and the cascade (:func:`threshold_rows`, this
-side's one caller of the kernel) take (trials, banks) rows: the sweep passes
-a chunk of a network's trials, everything else a batch of one. The kernel
-decides every flip, round 0 included, and returns its step matrix, the round
-in which each bank flipped (-1 for never), so coupled agreement means the
-same bank flips in the same round.
+fraction of its defaulted borrowers strictly exceeds that threshold, so a
+negative threshold fails at the outset. Thresholds are either sampled from
+the normal law that the sheet parameters imply (:func:`draw_thresholds`) or
+mapped from asset returns (:func:`thresholds_from_shocks`); in the mapped
+form this engine reproduces the balance-sheet engine trial for trial.
 """
 from __future__ import annotations
 
@@ -40,16 +31,23 @@ def thresholds_from_normals(
     theta_draws: np.ndarray,
 ) -> np.ndarray:
     """Map standard normal draws ``z`` (one row per trial) onto each lending
-    bank's threshold law, in place; non-lenders get NaN.
+    bank's threshold law, in place; a non-lender's entry keeps its value.
 
     The law of a bank with share theta is Normal(ratio, (ratio / |q|)^2)
     where ratio = capital_ratio / theta and q is the normal quantile of the
     default probability.
     """
-    ratio = params.capital_ratio / theta_draws
-    thresholds = normal_from_standard(z, ratio, ratio / abs(params.default_quantile))
-    thresholds[..., ~net.is_lender] = np.nan
-    return thresholds
+    lends = net.is_lender
+    ratio = np.where(lends, params.capital_ratio / theta_draws, 0.0)
+    scale = np.where(lends, ratio / abs(params.default_quantile), 1.0)
+    return normal_from_standard(z, ratio, scale)
+
+
+def _split(net: DirectedNetwork, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One trial row as the public (thresholds, inactive_flips): NaN and a
+    round-0 flip where the row is negative, for each non-lender."""
+    inactive = ~net.is_lender
+    return np.where(inactive, np.nan, row), (row < 0) & inactive
 
 
 def draw_thresholds(
@@ -68,9 +66,8 @@ def draw_thresholds(
     if theta_draws.shape != (n,):
         raise ValueError("theta_draws must have one entry per bank")
     _require_shares(theta_draws)
-    normals, flips = draw_rows([as_generator(rng_seed)], 1, n, params.default_prob)
-    flips &= ~net.is_lender
-    return thresholds_from_normals(normals, net, params, theta_draws)[0], flips[0]
+    rows = draw_rows([as_generator(rng_seed)], 1, n, params.default_prob, ~net.is_lender)
+    return _split(net, thresholds_from_normals(rows, net, params, theta_draws)[0])
 
 
 def shadow_threshold_pdf(x, interbank_assets: float, capital_ratio: float,
@@ -88,38 +85,29 @@ def shadow_threshold_pdf(x, interbank_assets: float, capital_ratio: float,
     return L * return_pdf(x * L - capital_ratio * L / theta)
 
 
-def coupled_rows(net: DirectedNetwork, margin: np.ndarray,
-                 flips: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The coupled mapping onto the threshold model, in place, as
-    (thresholds, inactive_flips). ``margin`` holds (trials, banks) rows of
-    net worth plus asset return, which ``balance_rows`` reads as thresholds,
-    and becomes the threshold rows; ``flips``, if given, receives the flips.
+def coupled_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
+    """The coupled mapping onto the threshold model: ``margin``, (trials,
+    banks) rows of net worth plus asset return, which ``balance_rows`` reads
+    as thresholds, divided in place by each bank's interbank assets L.
 
-    A lending bank's threshold is margin / interbank_assets; a non-lender
-    gets NaN and a round-0 flip exactly when its margin is negative, that
-    is, when its return alone wipes out its net worth (exact, by the
-    kernel's round-0 note).
+    A lender gets the threshold margin / L. A non-lender (L = 0) gets -inf,
+    NaN or +inf as its margin is negative, zero or positive, so it flips at
+    round 0 exactly when its return alone wipes out its net worth.
     """
-    inactive = ~net.is_lender
-    flips = np.less(margin, 0, out=flips)
-    flips &= inactive
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(margin, net.interbank_assets, out=margin)
-    margin[..., inactive] = np.nan
-    return margin, flips
+        return np.divide(margin, net.interbank_assets, out=margin)
 
 
-def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray,
-                   flips: np.ndarray) -> np.ndarray:
+def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray) -> np.ndarray:
     """The threshold rule over (trials, banks) rows: the kernel with the
     loan weights as exposure (a weight is the loan over the lender's total
     lending), so a lender flips once the summed weights of its flipped
     borrowers strictly exceed its threshold, at round 0 when the threshold
-    is negative. Non-lenders carry NaN thresholds and flip at round 0 where
-    ``flips`` marks them; ``flips`` on a lender is not read. Neither input is
-    modified. Returns the kernel's step matrix.
+    is negative. A non-lender flips at round 0 where its entry is negative,
+    and never after. ``thresholds`` is not modified. Returns the kernel's
+    step matrix.
     """
-    return _batch_propagate(net, thresholds, net.in_edge_weights, flips & ~net.is_lender)
+    return _batch_propagate(net, thresholds, net.in_edge_weights)
 
 
 def thresholds_from_shocks(
@@ -131,7 +119,7 @@ def thresholds_from_shocks(
     :func:`coupled_rows`. Feeding the result to :func:`run_threshold_cascade`
     reproduces the balance-sheet engine's outcome on the same draw. The
     returns must be finite, and are not modified."""
-    return coupled_rows(net, sheets.net_worth + _trial_returns(net, sheets, returns))
+    return _split(net, coupled_rows(net, sheets.net_worth + _trial_returns(net, sheets, returns)))
 
 
 def run_threshold_cascade(
@@ -149,5 +137,5 @@ def run_threshold_cascade(
         raise ValueError("thresholds and flip vector must have one entry per bank")
     if np.isnan(thresholds[net.is_lender]).any():
         raise ValueError("a lender's threshold must not be NaN")
-    thresholds = np.where(net.is_lender, thresholds, np.nan)
-    return CascadeResult(threshold_rows(net, thresholds[None], flips[None])[0])
+    row = np.where(net.is_lender, thresholds, np.where(flips, -np.inf, np.nan))
+    return CascadeResult(threshold_rows(net, row[None])[0])

@@ -1,5 +1,3 @@
-import csv
-import hashlib
 import math
 
 import numpy as np
@@ -10,12 +8,10 @@ from bankcascades import (
     BalanceParams,
     ThetaDistribution,
     build_sheets,
-    case_presets,
     draw_thresholds,
     from_edges,
     generate_er,
     normal_quantile,
-    save_sheets_csv,
 )
 from bankcascades.network import LoanSizeDistribution
 
@@ -197,28 +193,3 @@ def test_shares_outside_the_unit_interval_are_rejected_where_they_enter(bad, ban
     with pytest.raises(ValueError, match=f"interbank shares .* got {bad} for bank {bank}"):
         draw_thresholds(net, case_a_params, thetas, 1)
 
-
-def test_sheets_csv_round_trip(tmp_path, case_a_params):
-    net = generate_er(20, 3.0, LoanSizeDistribution.uniform(0.2, 1.8), 3)
-    sheets = build_sheets(net, case_a_params, rng_seed=2)
-    path = tmp_path / "sheets.csv"
-    save_sheets_csv(sheets, path)
-    with path.open() as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 20
-    assert list(rows[0]) == ["bank_id", "a", "l", "b", "d", "p_bar", "w", "theta_l", "sigma"]
-    for i, row in enumerate(rows):
-        assert float(row["w"]) == sheets.net_worth[i]
-        assert float(row["a"]) == sheets.external_assets[i]
-        assert float(row["sigma"]) == sheets.return_std[i]
-
-
-def test_sheets_csv_golden_bytes(tmp_path):
-    # the bytes save_sheets_csv wrote before it read the columns directly
-    theta_dist, loan_dist = case_presets("C")
-    net = generate_er(20, 3.0, loan_dist, 2)
-    sheets = build_sheets(net, BalanceParams(0.1, 0.01, theta_dist), rng_seed=2)
-    path = tmp_path / "sheets.csv"
-    save_sheets_csv(sheets, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "5eb31eb48f1846936ced66f3142f8e05f6877df7b6684e290cd40086a62bc8de")

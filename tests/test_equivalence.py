@@ -159,7 +159,7 @@ def _case_c_rows(n, trials, seed):
 
 def _both_rules(net, worth, returns):
     bs = balance_rows(net, worth + returns)
-    return bs, threshold_rows(net, *coupled_rows(net, worth + returns))
+    return bs, threshold_rows(net, coupled_rows(net, worth + returns))
 
 
 def test_disjoint_union_steps_are_the_components_side_by_side():
@@ -214,9 +214,9 @@ def test_distribution_suite_prints_its_pinned_figures(seed, figures):
 def test_distribution_suite_calibrates_the_non_lender_flips(monkeypatch):
     assert "non-lender flip rate 0.01018 (target 0.01)" in distribution_suite(seed=0).detail
 
-    def doubled_flips(rngs, n_rows, n, flip_prob=None):
+    def doubled_flips(rngs, n_rows, n, flip_prob=None, inactive=None):
         flip_prob = None if flip_prob is None else 2 * flip_prob
-        return draw_rows(rngs, n_rows, n, flip_prob)
+        return draw_rows(rngs, n_rows, n, flip_prob, inactive)
 
     monkeypatch.setattr(checks, "draw_rows", doubled_flips)
     report = distribution_suite(seed=0)
@@ -272,11 +272,12 @@ def test_round_zero_ties_are_decided_exactly_by_both_rules():
 def test_row_functions_and_engines_leave_every_argument_unchanged():
     net, worth, returns = _case_c_rows(150, 20, seed=3)
     worth = worth.copy()  # a sheet column, which is frozen
-    thresholds, flips = coupled_rows(net, worth + returns)  # maps a fresh margin in place
+    thresholds = coupled_rows(net, worth + returns)  # maps a fresh margin in place
+    flips = thresholds < 0
     flips |= np.random.default_rng(3).random(flips.shape) < 0.1  # lenders' flips are not read
     assert ((thresholds < 0) & net.is_lender).any()  # lenders that fail at round 0
     sheets = sheets_from_worth(worth.copy(), net.interbank_assets)
-    calls = [(balance_rows, worth + returns), (threshold_rows, thresholds, flips)]
+    calls = [(balance_rows, worth + returns), (threshold_rows, thresholds)]
     for t in range(3):
         calls += [(run_balance_cascade, sheets, returns[t]),
                   (run_threshold_cascade, thresholds[t], flips[t])]
@@ -388,7 +389,7 @@ def _assert_batch_rows_match_oracle(net, worth, returns):
     sheets = sheets_from_worth(worth, net.interbank_assets)
 
     bs = balance_rows(net, worth + returns)
-    thr = threshold_rows(net, *coupled_rows(net, worth + returns))
+    thr = threshold_rows(net, coupled_rows(net, worth + returns))
 
     for t, row in enumerate(returns):
         ref = brute_force_fixed_point(net, sheets, row)
@@ -469,13 +470,10 @@ def test_kernel_blocks_leave_every_step_and_input_unchanged(monkeypatch, rows):
     want = [_both_rules(*case) for case in cases]  # a single block each
     kernel = balance_cascade._batch_propagate
 
-    def kernel_keeping_its_inputs(net, thresholds, edge_amount, flips=None):
+    def kernel_keeping_its_inputs(net, thresholds, edge_amount):
         thresholds_before = thresholds.copy()
-        flips_before = None if flips is None else flips.copy()
-        step = kernel(net, thresholds, edge_amount, flips)
+        step = kernel(net, thresholds, edge_amount)
         assert np.array_equal(thresholds, thresholds_before, equal_nan=True)
-        if flips is not None:
-            assert np.array_equal(flips, flips_before)
         return step
 
     monkeypatch.setattr(balance_cascade, "_batch_propagate", kernel_keeping_its_inputs)
@@ -487,6 +485,26 @@ def test_kernel_blocks_leave_every_step_and_input_unchanged(monkeypatch, rows):
             assert got.dtype == w.dtype and np.array_equal(got, w)
         assert np.array_equal(*steps)
     assert (want[2][0].max(axis=1) > 0).sum() > 100  # most case-C rows spread defaults
+
+
+def test_a_non_lenders_round_zero_is_the_sign_of_its_entry_alone():
+    # a non-lender receives no exposure, so the kernel reads its entry only by
+    # sign, at round 0: each special value acts as -1.0 if negative, else as
+    # +1.0 (-0.0 and NaN are not negative)
+    specials = np.array([-np.inf, -1e300, -5e-324, -0.0, 0.0, 5e-324, np.inf, np.nan])
+    spread = 0
+    for net, worth, returns in (_kernel_probe_rows(), _case_c_rows(150, 200, seed=11)):
+        inactive = ~net.is_lender
+        rows = coupled_rows(net, worth + returns)
+        pick = np.random.default_rng(7).integers(0, specials.size, size=rows.shape)
+        rows[:, inactive] = specials[pick[:, inactive]]
+        signs = np.where(inactive & (rows < 0), -1.0, np.where(inactive, 1.0, rows))
+        for edge_amount in (net.in_loan, net.in_edge_weights):
+            step = balance_cascade._batch_propagate(net, rows, edge_amount)
+            assert np.array_equal(step, balance_cascade._batch_propagate(net, signs, edge_amount))
+            assert np.array_equal(step[:, inactive] == 0, rows[:, inactive] < 0)
+            spread += (step.max(axis=1) > 0).sum()
+    assert spread  # non-lender flips spread defaults: the comparison is not vacuous
 
 
 def test_kernel_memory_is_flat_in_the_trial_count():

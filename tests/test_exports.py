@@ -28,10 +28,10 @@ def test_package_exports_every_public_engine_name():
     # the names the package keeps public after dropping its wrapper types
     for name in ("ThetaDistribution", "LoanSizeDistribution", "BalanceSheets",
                  "draw_thresholds", "thresholds_from_shocks", "run_threshold_cascade",
-                 "shadow_threshold_pdf", "save_sheets_csv"):
+                 "shadow_threshold_pdf"):
         assert name in bankcascades.__all__
     for gone in ("ThresholdAssignment", "BankBalanceSheet", "shadow_threshold", "ShockDraw",
-                 "sample_thresholds", "draw_inactive_flips"):
+                 "sample_thresholds", "draw_inactive_flips", "save_sheets_csv"):
         assert not hasattr(bankcascades, gone)
 
 
@@ -44,6 +44,6 @@ def test_package_exports_exactly_the_public_names():
         "ThetaDistribution", "__version__", "build_sheets", "case_presets", "degrees",
         "draw_shocks", "draw_thresholds", "from_edges", "generate_er", "load_edge_list",
         "normal_quantile", "run_balance_cascade", "run_sweep", "run_threshold_cascade",
-        "run_trial", "save_edge_list", "save_sheets_csv", "shadow_threshold_pdf",
+        "run_trial", "save_edge_list", "shadow_threshold_pdf",
         "thresholds_from_shocks",
     ]

@@ -156,7 +156,8 @@ def test_generated_networks_are_consistent(n, z_frac, seed):
     for node in range(n):
         mask_out = net.lender == node
         assert net.interbank_assets[node] == pytest.approx(net.loan_size[mask_out].sum())
-        nbrs, loans = net.lenders_of(node)
+        lo, hi = net.in_indptr[node], net.in_indptr[node + 1]
+        nbrs, loans = net.in_lender[lo:hi], net.in_loan[lo:hi]
         mask_in = net.borrower == node
         assert loans.sum() == pytest.approx(net.loan_size[mask_in].sum())
         assert sorted(nbrs.tolist()) == sorted(net.lender[mask_in].tolist())

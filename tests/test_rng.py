@@ -18,7 +18,7 @@ from bankcascades import (
     draw_thresholds,
     generate_er,
 )
-from bankcascades.rng import stream_rng, stream_rngs, stream_seed
+from bankcascades.rng import draw_rows, stream_rng, stream_rngs, stream_seed
 
 from conftest import sheets_from_worth
 
@@ -133,3 +133,24 @@ def test_sampled_thresholds_then_flips_are_numpy_draws(degree, seed):
     want_flips = ~lends & (oracle.random(n) < PARAMS.default_prob)
     assert _bits(thresholds) == _bits(want)
     assert np.array_equal(flips, want_flips)
+
+
+def test_a_standalone_row_is_its_normals_then_its_uniforms_minus_delta():
+    # one row draws n normals, then n uniforms u; a non-lender keeps u - delta,
+    # which is negative exactly when u < delta, the draw's round-0 flip
+    n = 300
+    net = generate_er(n, 1.0, LoanSizeDistribution.constant(1.0), 23)
+    thetas = np.random.default_rng(24).uniform(0.2, 0.4, n)
+    lends, delta = net.is_lender, PARAMS.default_prob
+    assert lends.any() and not lends.all()
+    n_flips = 0
+    for seed in range(50):
+        oracle = np.random.default_rng(seed)
+        normals, u = oracle.standard_normal(n), oracle.random(n)
+        (row,) = draw_rows([np.random.default_rng(seed)], 1, n, delta, ~lends)
+        assert _bits(row[lends]) == _bits(normals[lends])
+        assert _bits(row[~lends]) == _bits(u[~lends] - delta)
+        _, flips = draw_thresholds(net, PARAMS, thetas, seed)
+        assert np.array_equal(flips, (u < delta) & ~lends)
+        n_flips += flips.sum()
+    assert n_flips  # some non-lender flips: the comparison is not vacuous
