@@ -52,14 +52,6 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _parse_cases(text: str) -> tuple[str, ...]:
-    cases = tuple(c.strip().upper() for c in text.split(","))
-    for c in cases:
-        if c not in CASES:
-            raise argparse.ArgumentTypeError(f"unknown case {c!r}")
-    return cases
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bankcascades",
@@ -106,10 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run the built-in verification suites")
     check.add_argument("--instances", type=_non_negative_int, default=100,
                        help="coupled instances per case (0 = vacuous pass)")
-    check.add_argument("--cases", type=_parse_cases, default=CASES, help="comma list of cases")
-    check.add_argument("--n", type=int, default=1000, help="banks per coupled instance")
-    check.add_argument("--z", type=_parse_degree_grid, default="1,3,5,8",
-                       help="degrees cycled over coupled instances")
     check.add_argument("--oracle-instances", type=_non_negative_int, default=200)
     check.add_argument("--seed", type=_non_negative_int, default=0, help="master seed (>= 0)")
     check.add_argument("--dump-dir", type=Path, default=Path("."),
@@ -189,19 +177,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    for z in args.z:
-        if not 0 <= z <= args.n - 1:  # also rejects NaN
-            print(f"error: degree {z} outside [0, n-1] for --n {args.n}", file=sys.stderr)
-            return 1
     reports = [
-        equivalence_suite(
-            cases=args.cases,
-            instances=args.instances,
-            n_banks=args.n,
-            degrees=args.z,
-            seed=args.seed,
-            inject_fault=args.inject_fault,
-        ),
+        equivalence_suite(instances=args.instances, seed=args.seed,
+                          inject_fault=args.inject_fault),
         oracle_suite(instances=args.oracle_instances, seed=args.seed),
         distribution_suite(seed=args.seed),
     ]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .balance import BalanceParams, BalanceSheets, ThetaDistribution, build_sheets
 from .balance_cascade import CascadeResult, balance_rows, shock_returns
-from .network import DirectedNetwork, LoanSizeDistribution, _generate_er_v1, generate_er
+from .network import DirectedNetwork, LoanSizeDistribution, generate_er
 from .rng import (
     STREAM_NETWORK,
     STREAM_SHOCKS,
@@ -42,7 +42,6 @@ __all__ = [
 
 CASES = ("A", "B", "C")
 MODELS = ("bs", "threshold", "both-independent", "both-coupled")
-NETWORK_GENERATORS = ("er-v1", "er-v2")
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -85,7 +84,6 @@ class ExperimentConfig:
     master_seed: int
     theta_dist: ThetaDistribution | None = None
     loan_dist: LoanSizeDistribution | None = None
-    network_generator: str = "er-v2"
 
     def __post_init__(self):
         for name in ("n_banks", "networks_per_degree", "trials_per_network", "master_seed"):
@@ -97,8 +95,6 @@ class ExperimentConfig:
             for v in (value if name == "degree_grid" else (value,)):
                 if isinstance(v, bool) or not isinstance(v, numbers.Real):
                     raise ValueError(f"{name} must hold numbers, got {value!r}")
-        if self.network_generator not in NETWORK_GENERATORS:
-            raise ValueError(f"unknown network_generator {self.network_generator!r}")
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
         if self.model not in MODELS:
@@ -160,11 +156,8 @@ def _models_run(model: str) -> tuple[str, ...]:
 
 def _network_inputs(cfg: ExperimentConfig, z_index: int, net_index: int):
     """Network, share draws and (when needed) sheets for one sweep cell."""
-    degree = cfg.degree_grid[z_index]
-    net = (generate_er if cfg.network_generator == "er-v2" else _generate_er_v1)(
-        cfg.n_banks, degree, cfg.resolved_loan_dist(),
-        stream_seed(cfg.master_seed, STREAM_NETWORK, z_index, net_index),
-    )
+    net = generate_er(cfg.n_banks, cfg.degree_grid[z_index], cfg.resolved_loan_dist(),
+                      stream_seed(cfg.master_seed, STREAM_NETWORK, z_index, net_index))
     thetas = cfg.resolved_theta_dist().sample(
         cfg.n_banks, stream_rng(cfg.master_seed, STREAM_THETA, z_index, net_index)
     )

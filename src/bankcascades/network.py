@@ -27,6 +27,9 @@ __all__ = [
     "load_edge_list",
 ]
 
+# The edge stream generate_er draws, stamped on every manifest: new draws need a new name.
+NETWORK_STREAM = "er-v2"
+
 
 @dataclass(frozen=True)
 class LoanSizeDistribution:
@@ -42,6 +45,8 @@ class LoanSizeDistribution:
     def __post_init__(self):
         if self.kind not in ("constant", "uniform"):
             raise ValueError(f"unknown {self.quantity} distribution kind {self.kind!r}")
+        if isinstance(self.lo, bool) or isinstance(self.hi, bool):
+            raise ValueError(f"{self.quantity} must be numbers, got {self.lo!r}, {self.hi!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"{self.quantity} must be finite, got lo={self.lo}, hi={self.hi}")
         if not 0 < self.lo <= self.hi:
@@ -205,29 +210,6 @@ def generate_er(
     row-major pair order are geometric (Batagelj & Brandes, PRE 2005), drawn in
     chunks sized by (n, p) alone, then one loan size per edge in that order.
     """
-    return _er_network(n, mean_degree, loan_dist, rng_seed, _skip_positions)
-
-
-def _generate_er_v1(n, mean_degree, loan_dist, rng_seed) -> DirectedNetwork:
-    """Stream ``er-v1``, O(n^2): reruns manifests written before ``er-v2``."""
-    return _er_network(n, mean_degree, loan_dist, rng_seed,
-                       lambda n_pairs, p, rng: np.flatnonzero(rng.random(n_pairs) < p))
-
-
-def _skip_positions(n_pairs: int, p: float, rng) -> np.ndarray:
-    # numpy gives INT64_MAX gaps at tiny p. Clipping gaps to n_pairs + 1 moves no position
-    # below n_pairs and bounds a chunk's positions by n_pairs + 2**62 < 2**63 (no wrap).
-    chunk = min(int(n_pairs * p + 4 * math.sqrt(n_pairs * p)) + 16, 2**62 // (n_pairs + 1))
-    parts, last = [], -1
-    while last < n_pairs:
-        parts.append(np.cumsum(np.minimum(rng.geometric(p, chunk), n_pairs + 1)) + last)
-        last = int(parts[-1][-1])
-    flat = np.concatenate(parts)
-    return flat[:np.searchsorted(flat, n_pairs)]
-
-
-def _er_network(n, mean_degree, loan_dist, rng_seed, positions) -> DirectedNetwork:
-    """Edges at the ascending row-major pair positions ``positions`` draws."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= mean_degree <= n - 1:  # also rejects NaN
@@ -236,7 +218,17 @@ def _er_network(n, mean_degree, loan_dist, rng_seed, positions) -> DirectedNetwo
     if n == 1 or mean_degree == 0:  # rng.geometric needs p > 0
         return from_edges(n, [])
 
-    flat = positions(n * (n - 1), mean_degree / (n - 1), rng)
+    n_pairs, p = n * (n - 1), mean_degree / (n - 1)
+    # numpy gives INT64_MAX gaps at tiny p. Clipping gaps to n_pairs + 1 moves no position
+    # below n_pairs and bounds a chunk's positions by n_pairs + 2**62 < 2**63 (no wrap).
+    chunk = min(int(n_pairs * p + 4 * math.sqrt(n_pairs * p)) + 16, 2**62 // (n_pairs + 1))
+    parts, last = [], -1
+    while last < n_pairs:
+        parts.append(np.cumsum(np.minimum(rng.geometric(p, chunk), n_pairs + 1)) + last)
+        last = int(parts[-1][-1])
+    flat = np.concatenate(parts)
+    del parts  # copied into flat: freeing the chunks now lowers peak memory
+    flat = flat[:np.searchsorted(flat, n_pairs)]
     lender, col = np.divmod(flat, n - 1)
     borrower = col + (col >= lender)  # skip the diagonal
     loan = loan_dist.sample(len(flat), rng)

@@ -3,8 +3,7 @@ that echoes the full configuration so any run can be reproduced exactly.
 
 Floats in both files are written as their shortest round-trip text
 (``repr``), so identical runs produce identical bytes and a reloaded
-manifest reruns to the same CSV. Manifests written in the earlier
-17-significant-digit float format hold the same values and still load.
+manifest reruns to the same CSV.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from pathlib import Path
 
 from .balance import ThetaDistribution
 from .experiment import CrisisStats, ExperimentConfig
-from .network import LoanSizeDistribution
+from .network import NETWORK_STREAM, LoanSizeDistribution
 
 __all__ = [
     "CSV_HEADER",
@@ -29,8 +28,8 @@ __all__ = [
 CSV_HEADER = "z,model,case,crisis_frequency,freq_ci,mean_crisis_size,n_runs,mismatches"
 NO_CRISIS_MARKER = "no-crisis"
 
-# The manifest schema: a config is ``asdict(ExperimentConfig)`` and a result
-# ``asdict(CrisisStats)`` with these fields renamed to their manifest keys.
+# The manifest schema: a config is ``asdict(ExperimentConfig)`` plus its stream stamp, and
+# a result ``asdict(CrisisStats)`` with these fields renamed to their manifest keys.
 _RESULT_KEYS = {"degree": "z", "frequency_ci_halfwidth": "freq_ci"}
 _RESULT_FIELDS = {key: field for field, key in _RESULT_KEYS.items()}
 
@@ -66,7 +65,7 @@ def write_manifest(cfg: ExperimentConfig, rows: list[CrisisStats], path, *,
         "version": __version__,
         "created_utc": created or datetime.now(timezone.utc).isoformat(),
         "master_seed": cfg.master_seed,
-        "config": asdict(cfg),
+        "config": {**asdict(cfg), "network_generator": NETWORK_STREAM},
         "results": [_renamed(asdict(r), _RESULT_KEYS) for r in rows],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -75,11 +74,13 @@ def write_manifest(cfg: ExperimentConfig, rows: list[CrisisStats], path, *,
 def load_manifest(path) -> tuple[ExperimentConfig, list[CrisisStats]]:
     """Read back a manifest: the config to rerun plus the recorded rows. Text
     that is not JSON, a missing or unknown key, a value of the wrong JSON
-    type and one the config rejects all make the manifest malformed (a
-    ValueError naming the manifest)."""
+    type, one the config rejects and a stream stamp other than
+    ``NETWORK_STREAM`` all make it malformed (a ValueError naming it)."""
     try:
         doc = json.loads(Path(path).read_text())
-        config = {"network_generator": "er-v1", **doc["config"]}  # written before er-v2
+        config = {**doc["config"]}  # a copy; ** rejects a config that is not a JSON object
+        if config.pop("network_generator", None) != NETWORK_STREAM:  # missing: predates er-v2
+            raise ValueError(f"network_generator must be {NETWORK_STREAM!r}, the one drawn now")
         for key, cls in (("theta_dist", ThetaDistribution), ("loan_dist", LoanSizeDistribution)):
             if config.get(key) is not None:
                 config[key] = cls(**config[key])

@@ -7,6 +7,7 @@ import pytest
 from bankcascades import ExperimentConfig, ThetaDistribution, run_sweep
 from bankcascades.checks import equivalence_suite, oracle_suite
 from bankcascades.cli import main
+from bankcascades.network import NETWORK_STREAM
 from bankcascades.results_io import (CSV_HEADER, NO_CRISIS_MARKER, load_manifest,
                                      write_manifest)
 
@@ -132,15 +133,6 @@ def test_conflicting_overrides_are_a_usage_error(flags, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["nan", "1,500"])
-def test_check_rejects_degrees_outside_the_network(grid, capsys):
-    code = main(["check", "--instances", "1", "--n", "100", "--z", grid])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err.startswith("error: degree ") and "Traceback" not in captured.err
-    assert "[PASS]" not in captured.out
-
-
 def test_degenerate_single_point_grid(tmp_path):
     code = main(["sweep", "--case", "A", "--model", "bs", "--n", "200", "--z", "0:0:1",
                  "--networks", "2", "--trials", "30", "--seed", "1", "--quiet",
@@ -151,13 +143,14 @@ def test_degenerate_single_point_grid(tmp_path):
     assert lines[1].startswith("0.0,bs,A,0.0,")
 
 
-def test_manifest_rerun_reproduces_csv(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_manifest_rerun_reproduces_csv(workers, tmp_path):
     first = _run_sweep(tmp_path / "one")
     cfg, rows = load_manifest(tmp_path / "one" / "manifest.json")
     assert len(rows) == 6
     code = main(["sweep", "--quiet",
                  "--from-manifest", str(tmp_path / "one" / "manifest.json"),
-                 "--out", str(tmp_path / "two")])
+                 "--workers", workers, "--out", str(tmp_path / "two")])
     assert code == 0
     assert (tmp_path / "two" / "results.csv").read_bytes() == first
 
@@ -209,7 +202,7 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
 
 
 def test_check_passes_on_small_run(capsys):
-    code = main(["check", "--instances", "3", "--n", "150", "--oracle-instances", "15"])
+    code = main(["check", "--instances", "3", "--oracle-instances", "15"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 3
@@ -217,7 +210,7 @@ def test_check_passes_on_small_run(capsys):
 
 
 def test_check_detects_injected_fault(tmp_path, capsys):
-    code = main(["check", "--instances", "2", "--n", "120", "--oracle-instances", "5",
+    code = main(["check", "--instances", "2", "--oracle-instances", "5",
                  "--inject-fault", "--dump-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 1
@@ -228,7 +221,7 @@ def test_check_detects_injected_fault(tmp_path, capsys):
 
 def test_check_dump_dir_is_created_when_missing(tmp_path, capsys):
     dump_dir = tmp_path / "not" / "yet"
-    code = main(["check", "--instances", "2", "--n", "120", "--oracle-instances", "5",
+    code = main(["check", "--instances", "2", "--oracle-instances", "5",
                  "--inject-fault", "--dump-dir", str(dump_dir)])
     captured = capsys.readouterr()
     assert code == 1
@@ -243,34 +236,36 @@ def test_check_zero_instances_is_vacuous_pass(capsys):
     assert "vacuous" in out and "warning" in out
 
 
+# a manifest written before network stream er-v2 existed: its config has no
+# network_generator stamp
 ER_V1_FIXTURE = Path(__file__).parent / "data" / "er-v1-sweep"
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_manifest_without_network_generator_reruns_the_er_v1_stream(workers, tmp_path):
-    # manifest and results.csv as written before network stream er-v2 existed
-    manifest = ER_V1_FIXTURE / "manifest.json"
-    assert "network_generator" not in json.loads(manifest.read_text())["config"]
-    assert load_manifest(manifest)[0].network_generator == "er-v1"
-    code = main(["sweep", "--quiet", "--from-manifest", str(manifest),
-                 "--workers", workers, "--out", str(tmp_path)])
-    assert code == 0
-    assert (tmp_path / "results.csv").read_bytes() == (ER_V1_FIXTURE / "results.csv").read_bytes()
-    rerun = json.loads((tmp_path / "manifest.json").read_text())
-    assert rerun["config"]["network_generator"] == "er-v1"
-
-
-def test_manifest_with_unknown_network_generator_is_rejected(tmp_path, capsys):
-    manifest = tmp_path / "manifest.json"
+def _stamped_manifest() -> dict:
+    """The pre-er-v2 sample with today's stream stamp: a manifest that loads,
+    so a fault planted in it is the only thing wrong with it."""
     data = json.loads((ER_V1_FIXTURE / "manifest.json").read_text())
-    data["config"]["network_generator"] = "er-v9"
+    data["config"]["network_generator"] = NETWORK_STREAM
+    return data
+
+
+@pytest.mark.parametrize("stamp", [None, "er-v1", "er-v9"], ids=["missing", "er-v1", "er-v9"])
+def test_manifest_with_unknown_network_generator_is_rejected(stamp, tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    data = _stamped_manifest()
+    manifest.write_text(json.dumps(data))
+    load_manifest(manifest)  # loads with the stamp
+    if stamp is None:
+        del data["config"]["network_generator"]
+    else:
+        data["config"]["network_generator"] = stamp
     manifest.write_text(json.dumps(data))
     code = main(["sweep", "--quiet", "--from-manifest", str(manifest),
                  "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert "network_generator" in err and "er-v9" in err
+    assert err.startswith(f"error: {manifest}: malformed manifest") and "Traceback" not in err
+    assert "network_generator" in err and repr(NETWORK_STREAM) in err
     assert not (tmp_path / "out").exists()
 
 
@@ -290,29 +285,19 @@ def test_suites_reject_negative_instance_counts(suite):
         suite(instances=-1)
 
 
-def test_equivalence_suite_rejects_an_empty_degree_list():
-    with pytest.raises(ValueError, match="degrees"):
-        equivalence_suite(instances=1, degrees=())
-    assert equivalence_suite(instances=0, degrees=()).passed  # nothing to draw a degree for
-
-
-def test_equivalence_suite_without_cases_is_a_vacuous_pass():
-    report = equivalence_suite(cases=(), instances=3)
-    assert report.passed
-    assert report.detail.startswith("vacuous pass") and report.detail.endswith("(warning)")
-
-
 @pytest.mark.parametrize("field,value", [
     ("degree_grid", 5), ("n_banks", "60"), (None, [1]), ("theta_dist", 0.3),
     ("networks_per_degree", 2.5), ("n_banks", 60.0), ("capital_ratio", "0.1"),
     ("trials_per_network", True), ("future_field", 1), ("degree_grid", "35"),
     ("degree_grid", [3.0, True]), ("crisis_cutoff", True),
+    ("loan_dist", {"kind": "constant", "lo": True, "hi": True}),
 ], ids=["degree_grid-int", "n_banks-str", "config-list", "theta_dist-float",
         "networks-float", "n_banks-float", "capital_ratio-str", "trials-bool",
-        "unknown-config-key", "degree_grid-str", "degree-bool", "crisis_cutoff-bool"])
+        "unknown-config-key", "degree_grid-str", "degree-bool", "crisis_cutoff-bool",
+        "loan_dist-bool"])
 def test_manifest_with_wrong_typed_config_is_an_error_not_a_traceback(field, value, tmp_path,
                                                                       capsys):
-    data = json.loads((ER_V1_FIXTURE / "manifest.json").read_text())
+    data = _stamped_manifest()
     if field is None:
         data["config"] = value
     else:
@@ -324,7 +309,7 @@ def test_manifest_with_wrong_typed_config_is_an_error_not_a_traceback(field, val
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
-    assert str(manifest) in err
+    assert str(manifest) in err and "network_generator" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -332,26 +317,22 @@ def test_manifest_with_wrong_typed_config_is_an_error_not_a_traceback(field, val
     {"z": 0.0, "future_field": 1}, [0.0, "bs"],
 ], ids=["unknown-result-key", "result-list"])
 def test_manifest_with_a_malformed_result_is_an_error(result, tmp_path):
-    data = json.loads((ER_V1_FIXTURE / "manifest.json").read_text())
+    data = _stamped_manifest()
     if isinstance(result, dict):
         result = {**data["results"][0], **result}
     data["results"][0] = result
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="malformed manifest"):
+    with pytest.raises(ValueError, match="malformed manifest") as exc:
         load_manifest(manifest)
+    assert "network_generator" not in str(exc.value)
 
 
 @pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "0:1:1e-320"])
-@pytest.mark.parametrize("command", ["sweep", "check"])
-def test_degree_grid_without_a_finite_point_count_is_a_usage_error(command, grid, tmp_path,
-                                                                    capsys):
+def test_degree_grid_without_a_finite_point_count_is_a_usage_error(grid, tmp_path, capsys):
     # the step count overflows to inf: an infinite bound, or a step that underflows
-    argv = [command, f"--z={grid}"]
-    if command == "sweep":
-        argv += ["--case", "A", "--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(["sweep", f"--z={grid}", "--case", "A", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--z" in err and "finite number of points" in err and "Traceback" not in err
@@ -364,7 +345,7 @@ def test_manifest_missing_a_section_or_not_json_is_named_as_malformed(fault, tmp
     if fault == "not-json":
         manifest.write_text('{"artifact": "bankcascades",')
     else:
-        data = json.loads((ER_V1_FIXTURE / "manifest.json").read_text())
+        data = _stamped_manifest()
         del data[fault]
         manifest.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="malformed manifest"):
@@ -376,4 +357,5 @@ def test_manifest_missing_a_section_or_not_json_is_named_as_malformed(fault, tmp
     assert err.startswith(f"error: {manifest}: malformed manifest") and "Traceback" not in err
     if fault != "not-json":
         assert repr(fault) in err
+    assert "network_generator" not in err
     assert not (tmp_path / "out").exists()

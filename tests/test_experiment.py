@@ -64,10 +64,6 @@ def test_config_validation():
         _small_cfg(capital_ratio=5.0)
     with pytest.raises(ValueError, match="default_prob"):
         _small_cfg(default_prob=0.7)
-    with pytest.raises(ValueError, match="network_generator"):
-        _small_cfg(network_generator="er-v3")
-    assert _small_cfg().network_generator == "er-v2"
-    assert _small_cfg(network_generator="er-v1").network_generator == "er-v1"
 
 
 def test_case_presets_are_overridable():
