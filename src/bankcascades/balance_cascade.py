@@ -93,6 +93,17 @@ def draw_shocks(sheets: BalanceSheets, rng_seed) -> np.ndarray:
     return shock_returns(draw_rows([as_generator(rng_seed)], 1, len(sheets)), sheets)[0]
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``keys`` sorted in place, then the first of each run of equal keys."""
+    if not keys.size:
+        return keys
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys.compress(first)
+
+
 def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
                      edge_amount: np.ndarray) -> np.ndarray:
     """The one cascade kernel, and the only place a flip is decided: propagate
@@ -107,6 +118,15 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
     receive exposure, so a non-lender's entry is read only by its sign, at
     round 0: -inf, NaN and +inf are all valid there. Batching only removes
     per-round Python overhead; the per-trial engines run a batch of one.
+
+    A leading run axis propagates several runs on one network in one call:
+    (runs, trials, banks) thresholds with (runs, edges) amounts, one
+    (thresholds, amounts) pair per run. Runs whose frontiers hold the same
+    keys share each superstep's edge expansion, sort and dedup; each run
+    still adds its own amounts in the same order and makes its own
+    comparison, and from the first superstep where their flips differ,
+    each run goes on alone. So every run's steps are, bit for bit, those
+    of a one-run call. The coupled sweep pairs its two engines this way.
 
     - Round 0 is exact. A rounded sum or difference keeps the sign of the
       exact one and is 0 only when it is, so fl(w + r) < 0 (net worth w,
@@ -125,48 +145,69 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
       in ascending borrower order: the frontier stays sorted by (trial, bank)
       and ``np.add.at`` applies additions in input order.
 
-    Returns the (trials, banks) step matrix: the superstep in which each bank
-    flipped (0 for round 0), or -1 if it never did, in the smallest signed
-    dtype that holds -N (int16 at N = 1000).
+    Returns the step matrix (a stack of them, one per run, given a run
+    axis): the superstep in which each bank flipped (0 for round 0), or -1
+    if it never did, in the smallest signed dtype that holds -N (int16 at
+    N = 1000).
     """
-    n_trials, n = thresholds.shape
-    step = np.full((n_trials, n), -1, dtype=np.min_scalar_type(-n))
+    n_trials, n = thresholds.shape[-2:]
+    step = np.full(thresholds.shape, -1, dtype=np.min_scalar_type(-n))
+    if thresholds.ndim == 2:
+        runs = [(thresholds, edge_amount, step)]
+    else:
+        runs = list(zip(thresholds, edge_amount, step))
     in_degree, edge_end, hop = net.in_degree, net.in_indptr[1:], net.in_hop
     rows = max(1, _BLOCK_KEYS // n)
     for first_row in range(0, n_trials, rows):
         block = slice(first_row, first_row + rows)
-        step_flat = step[block].ravel()  # whole rows of a fresh C-ordered array: a view
-        thr_flat = thresholds[block].ravel()  # only read
-        frontier = np.flatnonzero(thr_flat < 0)  # flat (trial, bank) keys, sorted
-        step_flat[frontier] = 0
-        exposure = np.zeros(thr_flat.size)
-        exposure[frontier] = -np.inf
-        superstep = 0
-        while frontier.size:
-            jj = frontier % n
-            # one entry per edge into the frontier: its frontier position,
-            # then its index into the borrower-grouped edge arrays
-            counts = in_degree.take(jj)
-            pos = np.arange(jj.size).repeat(counts)
-            shift = edge_end.take(jj)
-            shift -= counts.cumsum()
-            idx = shift.take(pos)
-            idx += np.arange(idx.size)
-            keys = frontier.take(pos)
-            del pos  # one edge-sized array less at the superstep's peak
-            keys += hop.take(idx)
-            np.add.at(exposure, keys, edge_amount.take(idx))
-            hit = keys.compress(exposure.take(keys) > thr_flat.take(keys))
-            if not hit.size:
-                break
-            superstep += 1
-            hit.sort()
-            first = np.empty(hit.size, dtype=bool)  # first of each run of equal keys
-            first[0] = True
-            np.not_equal(hit[1:], hit[:-1], out=first[1:])
-            frontier = hit.compress(first)
-            step_flat[frontier] = superstep
-            exposure[frontier] = -np.inf
+        pending = []  # (runs that share a frontier, that frontier, its superstep)
+        for run_thresholds, run_amount, run_step in runs:
+            thr_flat = run_thresholds[block].ravel()  # only read
+            frontier = np.flatnonzero(thr_flat < 0)  # flat (trial, bank) keys, sorted
+            # whole rows of a fresh C-ordered array: a view
+            run = (thr_flat, np.zeros(thr_flat.size), run_amount, run_step[block].ravel())
+            for group, shared, _ in pending:
+                if np.array_equal(shared, frontier):
+                    group.append(run)
+                    break
+            else:
+                pending.append(([run], frontier, 0))
+        while pending:
+            group, frontier, superstep = pending.pop()
+            # the first run's arrays as locals, so that a lone run, as in every
+            # one-run call, pays for no per-superstep loop or list
+            (thr_flat, exposure, amount, step_flat), *others = group
+            while frontier.size:
+                step_flat[frontier] = superstep
+                exposure[frontier] = -np.inf
+                for _, other_exposure, _, other_step in others:
+                    other_step[frontier] = superstep
+                    other_exposure[frontier] = -np.inf
+                jj = frontier % n
+                # one entry per edge into the frontier: its frontier position,
+                # then its index into the borrower-grouped edge arrays
+                counts = in_degree.take(jj)
+                pos = np.arange(jj.size).repeat(counts)
+                shift = edge_end.take(jj)
+                shift -= counts.cumsum()
+                idx = shift.take(pos)
+                idx += np.arange(idx.size)
+                keys = frontier.take(pos)
+                del pos  # one edge-sized array less at the superstep's peak
+                keys += hop.take(idx)
+                np.add.at(exposure, keys, amount.take(idx))
+                flip = exposure.take(keys) > thr_flat.take(keys)
+                superstep += 1
+                if others:
+                    flips = [flip]
+                    for other_thr, other_exposure, other_amount, _ in others:
+                        np.add.at(other_exposure, keys, other_amount.take(idx))
+                        flips.append(other_exposure.take(keys) > other_thr.take(keys))
+                    if not all(np.array_equal(flip, f) for f in flips[1:]):
+                        for run, f in zip(group, flips):  # the runs part: each goes on alone
+                            pending.append(([run], _sorted_unique(keys.compress(f)), superstep))
+                        break
+                frontier = _sorted_unique(keys.compress(flip))
     return step
 
 

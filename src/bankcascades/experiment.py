@@ -28,7 +28,7 @@ from .rng import (
     stream_rngs,
     stream_seed,
 )
-from .threshold_cascade import coupled_rows, threshold_rows, thresholds_from_normals
+from .threshold_cascade import _coupled_steps, threshold_rows, thresholds_from_normals
 
 __all__ = [
     "CASES",
@@ -46,8 +46,9 @@ MODELS = ("bs", "threshold", "both-independent", "both-coupled")
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 # (trial, bank) keys per sweep chunk: a 4 MiB float64 buffer, reused for
-# every chunk of a network. Half and double this size measured many more
-# page faults per sweep (ROADMAP item 5).
+# every chunk of a network. A coupled chunk fills both halves of it, margins
+# and their mapped thresholds, so it holds half as many trials. Half and
+# double this size measured many more page faults per sweep (ROADMAP item 5).
 _CHUNK_KEYS = 1 << 19
 
 
@@ -183,28 +184,33 @@ def _batch_outcomes(
 
     One float array of (trials, banks) rows carries every stage in place:
     the draw (:func:`draw_rows`), the returns (:func:`shock_returns`), the
-    margin worth + return that :func:`balance_rows` reads, then the
-    thresholds, mapped from that margin (:func:`coupled_rows`) or drawn
-    anew (:func:`thresholds_from_normals`). ``buffer`` has at least
-    ``len(trials)`` rows; without it, a fresh array is made. Returns the
-    kernel's step matrix per engine run ('bs', 'threshold').
+    margin worth + return that :func:`balance_rows` reads, then thresholds
+    drawn anew (:func:`thresholds_from_normals`). A coupled batch needs the
+    margin and its mapped thresholds at once: it draws into half 0 of a
+    (2, trials, banks) buffer, and :func:`_coupled_steps` maps half 1 and
+    runs both engines in one kernel call. ``buffer`` has that shape (or
+    (trials, banks) for other models) with at least ``len(trials)`` rows;
+    without it, a fresh array is made. Returns the kernel's step matrix per
+    engine run ('bs', 'threshold').
     """
     n_rows, n = len(trials), cfg.n_banks
-    rows = np.empty((n_rows, n)) if buffer is None else buffer[:n_rows]  # whole rows: contiguous
+    coupled = cfg.model == "both-coupled"
+    if buffer is None:
+        buffer = np.empty((2, n_rows, n) if coupled else (n_rows, n))
+    rows = buffer[..., :n_rows, :]  # whole rows of each half: contiguous
     out: dict = {}
     if cfg.model != "threshold":
         rngs = stream_rngs(cfg.master_seed, STREAM_SHOCKS, z_index, net_index, trials=trials)
-        normals = draw_rows(rngs, n_rows, n, out=rows)
-        margin = np.add(sheets.net_worth, shock_returns(normals, sheets), out=rows)
+        margin = draw_rows(rngs, n_rows, n, out=rows[0] if coupled else rows)
+        np.add(sheets.net_worth, shock_returns(margin, sheets), out=margin)
+        if coupled:
+            out["bs"], out["threshold"] = _coupled_steps(net, rows)
+            return out
         out["bs"] = balance_rows(net, margin)
-    if cfg.model == "both-coupled":
-        thresholds = coupled_rows(net, margin)
-    elif cfg.model != "bs":
+    if cfg.model != "bs":
         rngs = stream_rngs(cfg.master_seed, STREAM_THRESHOLDS, z_index, net_index, trials=trials)
         normals = draw_rows(rngs, n_rows, n, params.default_prob, ~net.is_lender, out=rows)
-        thresholds = thresholds_from_normals(normals, net, params, thetas)
-    if cfg.model != "bs":
-        out["threshold"] = threshold_rows(net, thresholds)
+        out["threshold"] = threshold_rows(net, thresholds_from_normals(normals, net, params, thetas))
     return out
 
 
@@ -215,15 +221,18 @@ def _network_task(args) -> tuple[tuple[int, int], dict]:
 
     The trials run in chunks of about ``_CHUNK_KEYS`` (trial, bank) keys,
     each drawn into the same buffer, so memory does not grow with the trial
-    count. Each trial has its own streams and chunks are tallied in trial
-    order, so every float sum, and so every output byte, is the one a
-    single batch of all trials would give.
+    count. A coupled chunk takes both halves of the buffer (see
+    :func:`_batch_outcomes`), so it holds half as many trials. Each trial
+    has its own streams and chunks are tallied in trial order, so every
+    float sum, and so every output byte, is the one a single batch of all
+    trials would give.
     """
     cfg, z_index, net_index = args
     net, params, thetas, sheets = _network_inputs(cfg, z_index, net_index)
     n, n_trials = cfg.n_banks, cfg.trials_per_network
-    chunk = min(n_trials, max(1, _CHUNK_KEYS // n))
-    buffer = np.empty((chunk, n))
+    coupled = cfg.model == "both-coupled"
+    chunk = min(n_trials, max(1, _CHUNK_KEYS // ((1 + coupled) * n)))
+    buffer = np.empty((2, chunk, n) if coupled else (chunk, n))
 
     tallies = {m: [0, 0.0, 0.0] for m in _models_run(cfg.model)}
     mismatches = 0
@@ -237,7 +246,7 @@ def _network_task(args) -> tuple[tuple[int, int], dict]:
             for f in frac[crisis]:  # sequential sums keep output worker- and chunk-invariant
                 tally[1] += float(f)
                 tally[2] += float(f) * float(f)
-        if cfg.model == "both-coupled":  # trials whose step rows differ anywhere
+        if coupled:  # trials whose step rows differ anywhere
             mismatches += int(np.count_nonzero(
                 (outcomes["bs"] != outcomes["threshold"]).any(axis=1)))
     return (z_index, net_index), {"tallies": tallies, "mismatches": mismatches}

@@ -229,11 +229,12 @@ def generate_er(
     flat = np.concatenate(parts)
     del parts  # copied into flat: freeing the chunks now lowers peak memory
     flat = flat[:np.searchsorted(flat, n_pairs)]
-    lender, col = np.divmod(flat, n - 1)
+    lender = flat // (n - 1)  # int64, like flat: no cast needed below
+    col = flat - lender * (n - 1)
     borrower = col + (col >= lender)  # skip the diagonal
     loan = loan_dist.sample(len(flat), rng)
     # flat order is already sorted by (lender, borrower)
-    return DirectedNetwork(n, lender.astype(np.int64), borrower.astype(np.int64), loan)
+    return DirectedNetwork(n, lender, borrower, loan)
 
 
 def degrees(net: DirectedNetwork, node: int) -> tuple[int, int, float, float]:

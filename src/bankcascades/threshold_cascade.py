@@ -110,6 +110,18 @@ def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray) -> np.ndarray:
     return _batch_propagate(net, thresholds, net.in_edge_weights)
 
 
+def _coupled_steps(net: DirectedNetwork, pair: np.ndarray) -> np.ndarray:
+    """Both coupled engines in one kernel call, on a (2, trials, banks)
+    ``pair`` whose half 0 holds margin rows: half 1 is overwritten with
+    their :func:`coupled_rows` mapping. Returns the step matrices of
+    :func:`balance_rows` on the margin and of :func:`threshold_rows` on the
+    mapping, stacked, each equal to its own call's; the two runs share each
+    superstep's edge expansion while they flip the same keys."""
+    np.copyto(pair[1], pair[0])
+    coupled_rows(net, pair[1])
+    return _batch_propagate(net, pair, np.stack((net.in_loan, net.in_edge_weights)))
+
+
 def thresholds_from_shocks(
     net: DirectedNetwork,
     sheets: BalanceSheets,

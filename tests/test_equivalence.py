@@ -487,6 +487,75 @@ def test_kernel_blocks_leave_every_step_and_input_unchanged(monkeypatch, rows):
     assert (want[2][0].max(axis=1) > 0).sum() > 100  # most case-C rows spread defaults
 
 
+def _tie_dense_margins(z, trials, seed):
+    """(net, margin): case-A margins rounded to integers, rint(w + 3r)
+    (ROADMAP item 11). Unit-loan sums and integer margins are exact, while
+    the threshold rule compares sums of fl(1/k) with fl(m/k), so the coupled
+    engines agree at round 0 and part mid-cascade on many trials."""
+    theta_dist, loan_dist = case_presets("A")
+    rng = np.random.default_rng(seed)
+    net = generate_er(1000, z, loan_dist, rng)
+    sheets = build_sheets(net, BalanceParams(0.1, 0.01, theta_dist), rng_seed=rng)
+    returns = shock_returns(rng.standard_normal((trials, 1000)), sheets)
+    return net, np.rint(sheets.net_worth + 3.0 * returns)
+
+
+def _coupled_run_pairs():
+    """(net, pair) inputs for a two-run kernel call: margin rows in half 0
+    and their coupled mapping in half 1."""
+    margins = [(net, worth + returns) for net, worth, returns in
+               (_kernel_probe_rows(), _borrower_order_rows(), _case_c_rows(150, 200, seed=11))]
+    margins += [_tie_dense_margins(z, 60, seed=int(z)) for z in (2.0, 4.0)]
+    # a negative subnormal margin maps to -0.0: the runs part at round 0
+    margins.append((from_edges(2, [(0, 1, 3.0)]), np.array([[-5e-324, 1.0]])))
+    # a 128-bank lending chain: round 127 is the last an int8 step holds
+    chain = np.full((1, 128), 0.5)
+    chain[0, -1] = -0.5
+    margins.append((from_edges(128, [(i, i + 1, 1.0) for i in range(127)]), chain))
+    return [(net, np.stack((m, coupled_rows(net, m.copy())))) for net, m in margins]
+
+
+# rows per kernel block: one, four, all
+@pytest.mark.parametrize("rows", [1, 4, None])
+def test_two_runs_give_the_steps_of_two_one_run_calls(monkeypatch, rows):
+    parted = {"round 0": 0, "later": 0}
+    for net, pair in _coupled_run_pairs():
+        monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS",
+                            (pair.shape[1] if rows is None else rows) * net.n_nodes)
+        amounts = np.stack((net.in_loan, net.in_edge_weights))
+        want = [balance_cascade._batch_propagate(net, t, a) for t, a in zip(pair, amounts)]
+        pair_before, amounts_before = pair.copy(), amounts.copy()
+        got = balance_cascade._batch_propagate(net, pair, amounts)
+        assert np.array_equal(pair, pair_before, equal_nan=True)
+        assert np.array_equal(amounts, amounts_before)
+        assert got.shape == pair.shape and got.dtype == want[0].dtype
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        # the sweep's call, which maps half 1 itself
+        buffer = np.full_like(pair, np.pi)
+        buffer[0] = pair[0]
+        for g, w in zip(threshold_cascade._coupled_steps(net, buffer), want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert np.array_equal(buffer, pair, equal_nan=True)
+        differ = (want[0] != want[1]).any(axis=1)
+        at_zero = ((want[0] == 0) != (want[1] == 0)).any(axis=1)
+        parted["round 0"] += int(at_zero.sum())
+        parted["later"] += int((differ & ~at_zero).sum())
+    assert parted["round 0"] == 1  # the subnormal corner
+    assert parted["later"] > 10  # tie-dense trials: the comparison is not vacuous
+
+
+def test_the_two_run_corners_keep_each_runs_own_steps():
+    (*_, (corner, corner_pair), (chain, chain_pair)) = _coupled_run_pairs()
+    amounts = np.stack((corner.in_loan, corner.in_edge_weights))
+    assert balance_cascade._batch_propagate(corner, corner_pair, amounts).tolist() == [
+        [[0, -1]], [[-1, -1]]]
+    amounts = np.stack((chain.in_loan, chain.in_edge_weights))
+    step = balance_cascade._batch_propagate(chain, chain_pair, amounts)
+    assert step.dtype == np.int8
+    assert step[:, 0].tolist() == [list(range(127, -1, -1))] * 2
+
+
 def test_a_non_lenders_round_zero_is_the_sign_of_its_entry_alone():
     # a non-lender receives no exposure, so the kernel reads its entry only by
     # sign, at round 0: each special value acts as -1.0 if negative, else as

@@ -18,9 +18,11 @@ from bankcascades import (
     run_trial,
 )
 from bankcascades import experiment
+from bankcascades.balance_cascade import balance_rows
 from bankcascades.checks import brute_force_fixed_point, run_balance_cascade_async
 from bankcascades.experiment import ExperimentConfig, _network_task, case_presets
 from bankcascades.results_io import rows_to_csv
+from bankcascades.threshold_cascade import coupled_rows, threshold_rows
 
 from conftest import sheets_from_worth
 
@@ -210,19 +212,21 @@ def test_pooling_matches_per_network_aggregates():
 @pytest.mark.parametrize("model", experiment.MODELS)
 def test_outputs_do_not_depend_on_the_chunk_size(case, model, monkeypatch):
     # 7 trials: 3-row chunks split them 3 + 3 + 1, and the default chunk
-    # holds them all
+    # holds them all. A coupled chunk's rows fill both halves of the buffer,
+    # so it takes twice the keys per row.
     cfg = _small_cfg(case=case, model=model, degree_grid=(1.0, 3.0), trials_per_network=7)
+    row_keys = (2 if model == "both-coupled" else 1) * cfg.n_banks
     batch_outcomes = experiment._batch_outcomes
     csvs, steps = [], []
     for rows in (1, 3, None):
-        chunk_keys = experiment._CHUNK_KEYS if rows is None else rows * cfg.n_banks
+        chunk_keys = experiment._CHUNK_KEYS if rows is None else rows * row_keys
         monkeypatch.setattr(experiment, "_CHUNK_KEYS", chunk_keys)
         seen = {}
 
         def recording(*args):
             out = batch_outcomes(*args)
             _, _, _, _, _, zi, ni, trials, _ = args
-            assert len(trials) == min(chunk_keys // cfg.n_banks, 7 - trials.start)
+            assert len(trials) == min(chunk_keys // row_keys, 7 - trials.start)
             for m, step in out.items():
                 seen.setdefault((zi, ni, m), []).append(step)
             return out
@@ -293,6 +297,39 @@ def test_coupled_sweep_reports_zero_mismatches():
     for degree, pair in by_degree.items():
         assert pair[0].crisis_frequency == pair[1].crisis_frequency
         assert pair[0].mean_crisis_size == pair[1].mean_crisis_size
+
+
+def test_coupled_sweep_counts_every_mismatch(monkeypatch):
+    # margins rounded to integers, rint(w + 3r), make the coupled engines part
+    # mid-cascade on many trials (ROADMAP item 11); the sweep's count must be
+    # the one that two separate one-run kernel calls give on the same margins
+    cfg = ExperimentConfig(
+        n_banks=1000, capital_ratio=0.1, default_prob=0.01, case="A", model="both-coupled",
+        degree_grid=(2.0,), networks_per_degree=1, trials_per_network=300,
+        crisis_cutoff=0.05, master_seed=2,
+    )
+    shock_returns, coupled_steps = experiment.shock_returns, experiment._coupled_steps
+    chunks = []
+
+    def tie_dense(z, sheets):
+        returns = shock_returns(z, sheets)
+        margin = np.rint(sheets.net_worth + 3.0 * returns)
+        return np.subtract(margin, sheets.net_worth, out=returns)
+
+    def recording(net, pair):
+        chunks.append((net, pair[0].copy()))
+        return coupled_steps(net, pair)
+
+    monkeypatch.setattr(experiment, "shock_returns", tie_dense)
+    monkeypatch.setattr(experiment, "_coupled_steps", recording)
+    _, result = _network_task((cfg, 0, 0))
+    assert [len(margin) for _, margin in chunks] == [262, 38]  # 2**19 keys over two halves
+    mismatches = 0
+    for net, margin in chunks:
+        bs = balance_rows(net, margin)
+        thr = threshold_rows(net, coupled_rows(net, margin.copy()))
+        mismatches += int((bs != thr).any(axis=1).sum())
+    assert result["mismatches"] == mismatches > 0
 
 
 def test_progress_callback_reports_completion():
