@@ -20,7 +20,7 @@ from .rng import as_generator, draw_rows, normal_from_standard
 
 __all__ = ["CascadeResult", "draw_shocks", "run_balance_cascade"]
 
-# (trial, bank) keys per kernel block: 1 MiB per float64 array, so a block's
+# (trial, bank) keys per kernel block: 1 MiB per float64 array, so one run's
 # exposure and the thresholds it reads together fit a 2 MiB L2 cache
 _BLOCK_KEYS = 1 << 17
 
@@ -120,11 +120,11 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
     per-round Python overhead; the per-trial engines run a batch of one.
 
     A leading run axis propagates several runs on one network in one call:
-    (runs, trials, banks) thresholds with (runs, edges) amounts, one
-    (thresholds, amounts) pair per run. Runs whose frontiers hold the same
-    keys share each superstep's edge expansion, sort and dedup; each run
-    still adds its own amounts in the same order and makes its own
-    comparison, and from the first superstep where their flips differ,
+    (runs, trials, banks) thresholds with a sequence of edge-amount arrays,
+    one per run. A block's runs go on together while all their flips agree,
+    round 0 included: they share each superstep's edge expansion, sort and
+    dedup, while each run adds its own amounts in the same order and makes
+    its own comparison. From the first superstep where any flips differ,
     each run goes on alone. So every run's steps are, bit for bit, those
     of a one-run call. The coupled sweep pairs its two engines this way.
 
@@ -134,7 +134,7 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
       fl(u - p) < 0 exactly when u < p. Only the exposure sums of later
       supersteps round.
     - Trials never interact, so they run in blocks of about ``_BLOCK_KEYS``
-      (trial, bank) keys, each with its own exposure and frontier. A block's
+      (trial, bank) keys, with one exposure per run and block. Each run's
       float arrays stay cache-sized, and the kernel's memory beyond its step
       matrix does not grow with the trial count.
     - A block retires each flipped key by setting its exposure to ``-inf``:
@@ -160,29 +160,27 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
     rows = max(1, _BLOCK_KEYS // n)
     for first_row in range(0, n_trials, rows):
         block = slice(first_row, first_row + rows)
-        pending = []  # (runs that share a frontier, that frontier, its superstep)
-        for run_thresholds, run_amount, run_step in runs:
-            thr_flat = run_thresholds[block].ravel()  # only read
-            frontier = np.flatnonzero(thr_flat < 0)  # flat (trial, bank) keys, sorted
-            # whole rows of a fresh C-ordered array: a view
-            run = (thr_flat, np.zeros(thr_flat.size), run_amount, run_step[block].ravel())
-            for group, shared, _ in pending:
-                if np.array_equal(shared, frontier):
-                    group.append(run)
-                    break
-            else:
-                pending.append(([run], frontier, 0))
+        # per run: its thresholds (only read), its exposure and its steps, as
+        # flat (trial, bank) keys; whole rows of a C-ordered array are a view
+        group = [(t[block].ravel(), np.zeros(t[block].size), amount, s[block].ravel())
+                 for t, amount, s in runs]
+        # (runs that go on together, keys, each run's flips of those keys,
+        # superstep); round 0 reads every key (None), with exposure 0
+        pending = [(group, None, [thr < 0 for thr, _, _, _ in group], 0)]
         while pending:
-            group, frontier, superstep = pending.pop()
-            # the first run's arrays as locals, so that a lone run, as in every
-            # one-run call, pays for no per-superstep loop or list
-            (thr_flat, exposure, amount, step_flat), *others = group
-            while frontier.size:
-                step_flat[frontier] = superstep
-                exposure[frontier] = -np.inf
-                for _, other_exposure, _, other_step in others:
-                    other_step[frontier] = superstep
-                    other_exposure[frontier] = -np.inf
+            group, keys, flips, superstep = pending.pop()
+            while True:
+                if len(flips) > 1 and any(not np.array_equal(flips[0], f) for f in flips[1:]):
+                    # the runs part: each goes on alone with its own flips
+                    pending += [([run], keys, [f], superstep) for run, f in zip(group, flips)]
+                    break
+                frontier = (np.flatnonzero(flips[0]) if keys is None
+                            else _sorted_unique(keys.compress(flips[0])))
+                if not frontier.size:
+                    break
+                for _, exposure, _, step_flat in group:
+                    step_flat[frontier] = superstep
+                    exposure[frontier] = -np.inf
                 jj = frontier % n
                 # one entry per edge into the frontier: its frontier position,
                 # then its index into the borrower-grouped edge arrays
@@ -195,19 +193,12 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
                 keys = frontier.take(pos)
                 del pos  # one edge-sized array less at the superstep's peak
                 keys += hop.take(idx)
-                np.add.at(exposure, keys, amount.take(idx))
-                flip = exposure.take(keys) > thr_flat.take(keys)
+                # each run adds, then compares, while its block's arrays are cached
+                flips = []
+                for thr, exposure, amount, _ in group:
+                    np.add.at(exposure, keys, amount.take(idx))
+                    flips.append(exposure.take(keys) > thr.take(keys))
                 superstep += 1
-                if others:
-                    flips = [flip]
-                    for other_thr, other_exposure, other_amount, _ in others:
-                        np.add.at(other_exposure, keys, other_amount.take(idx))
-                        flips.append(other_exposure.take(keys) > other_thr.take(keys))
-                    if not all(np.array_equal(flip, f) for f in flips[1:]):
-                        for run, f in zip(group, flips):  # the runs part: each goes on alone
-                            pending.append(([run], _sorted_unique(keys.compress(f)), superstep))
-                        break
-                frontier = _sorted_unique(keys.compress(flip))
     return step
 
 

@@ -115,11 +115,12 @@ def _coupled_steps(net: DirectedNetwork, pair: np.ndarray) -> np.ndarray:
     ``pair`` whose half 0 holds margin rows: half 1 is overwritten with
     their :func:`coupled_rows` mapping. Returns the step matrices of
     :func:`balance_rows` on the margin and of :func:`threshold_rows` on the
-    mapping, stacked, each equal to its own call's; the two runs share each
-    superstep's edge expansion while they flip the same keys."""
+    mapping, stacked, each equal to its own call's: the runs add the loans
+    and the loan weights, and share each superstep's edge expansion while
+    their flips agree."""
     np.copyto(pair[1], pair[0])
     coupled_rows(net, pair[1])
-    return _batch_propagate(net, pair, np.stack((net.in_loan, net.in_edge_weights)))
+    return _batch_propagate(net, pair, (net.in_loan, net.in_edge_weights))
 
 
 def thresholds_from_shocks(

@@ -544,6 +544,23 @@ def test_two_runs_give_the_steps_of_two_one_run_calls(monkeypatch, rows):
     assert parted["round 0"] == 1  # the subnormal corner
     assert parted["later"] > 10  # tie-dense trials: the comparison is not vacuous
 
+    # three runs, any sequence of amounts: the coupled pair shares round 0
+    # and parts later, and a third run parts at round 0 in every other trial
+    net, margin = _tie_dense_margins(4.0, 12, seed=4)
+    third, even = margin.copy(), np.arange(0, 12, 2)
+    third[even, (margin[even] >= 0).argmax(axis=1)] = -1.0  # a surviving bank fails
+    stack = np.stack((margin, coupled_rows(net, margin.copy()), third))
+    amounts = (net.in_loan, net.in_edge_weights, net.in_loan)
+    monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS", (rows or len(margin)) * net.n_nodes)
+    want = [balance_cascade._batch_propagate(net, t, a) for t, a in zip(stack, amounts)]
+    got = balance_cascade._batch_propagate(net, stack, amounts)
+    assert got.shape == stack.shape
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    at_zero = ((want[0] == 0) != (want[2] == 0)).any(axis=1)
+    assert at_zero.tolist() == [True, False] * 6
+    assert ((want[0] != want[1]).any(axis=1) & ~at_zero).sum() > 3
+
 
 def test_the_two_run_corners_keep_each_runs_own_steps():
     (*_, (corner, corner_pair), (chain, chain_pair)) = _coupled_run_pairs()
@@ -596,6 +613,19 @@ def test_kernel_memory_is_flat_in_the_trial_count():
         tracemalloc.stop()
     assert (step.max(axis=1) > 10).mean() > 0.9
     assert peak - step.nbytes <= 16 * 2**20
+
+    # the coupled pair of runs holds two of each per-run array: twice the bound
+    pair = np.stack((thresholds, coupled_rows(net, thresholds.copy())))
+    del thresholds
+    amounts = (net.in_loan, net.in_edge_weights)
+    tracemalloc.start()
+    try:
+        steps = balance_cascade._batch_propagate(net, pair, amounts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(steps[0], step)
+    assert peak - steps.nbytes <= 2 * 16 * 2**20
 
 
 # -- sweep rows on small nets against references that share no code ----------
