@@ -105,28 +105,28 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 
 def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
-                     edge_amount: np.ndarray) -> np.ndarray:
+                     edge_amounts) -> np.ndarray:
     """The one cascade kernel, and the only place a flip is decided: propagate
-    many trials of one network together, superstep by superstep, to their
-    synchronous fixed points.
+    runs of many trials on one network together, superstep by superstep, to
+    their synchronous fixed points.
 
-    ``thresholds`` is (trials, banks) and is not modified. A bank flips once
-    its exposure strictly exceeds its threshold. Exposure starts at 0, so
-    superstep 0 (round 0) flips exactly the negative thresholds. In each
-    later superstep, ``edge_amount`` of each edge into a newly flipped
-    borrower is added to the lender's exposure in that trial. Only lenders
-    receive exposure, so a non-lender's entry is read only by its sign, at
-    round 0: -inf, NaN and +inf are all valid there. Batching only removes
-    per-round Python overhead; the per-trial engines run a batch of one.
+    ``thresholds`` is a (runs, trials, banks) stack and is not modified;
+    ``edge_amounts`` is a sequence of per-edge amount arrays, one per run. A
+    bank flips once its exposure strictly exceeds its threshold. Exposure
+    starts at 0, so superstep 0 (round 0) flips exactly the negative
+    thresholds. In each later superstep, a run's amount of each edge into a
+    newly flipped borrower is added to the lender's exposure in that trial.
+    Only lenders receive exposure, so a non-lender's entry is read only by
+    its sign, at round 0: -inf, NaN and +inf are all valid there. Batching
+    only removes per-round Python overhead; the per-trial engines run one
+    run of one trial.
 
-    A leading run axis propagates several runs on one network in one call:
-    (runs, trials, banks) thresholds with a sequence of edge-amount arrays,
-    one per run. A block's runs go on together while all their flips agree,
-    round 0 included: they share each superstep's edge expansion, sort and
-    dedup, while each run adds its own amounts in the same order and makes
-    its own comparison. From the first superstep where any flips differ,
-    each run goes on alone. So every run's steps are, bit for bit, those
-    of a one-run call. The coupled sweep pairs its two engines this way.
+    A block's runs go on together while all their flips agree, round 0
+    included: they share each superstep's edge expansion, sort and dedup,
+    while each run adds its own amounts in the same order and makes its own
+    comparison. From the first superstep where any flips differ, each run
+    goes on alone. So every run's steps are, bit for bit, those of a one-run
+    call. The sweep runs each of a chunk's engines as one run of one call.
 
     - Round 0 is exact. A rounded sum or difference keeps the sign of the
       exact one and is 0 only when it is, so fl(w + r) < 0 (net worth w,
@@ -136,7 +136,7 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
     - Trials never interact, so they run in blocks of about ``_BLOCK_KEYS``
       (trial, bank) keys, with one exposure per run and block. Each run's
       float arrays stay cache-sized, and the kernel's memory beyond its step
-      matrix does not grow with the trial count.
+      matrices does not grow with the trial count.
     - A block retires each flipped key by setting its exposure to ``-inf``:
       the round-0 flips first, then each new frontier. Adding a finite loss
       leaves ``-inf`` in place and ``-inf > threshold`` never holds, so a
@@ -145,17 +145,12 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
       in ascending borrower order: the frontier stays sorted by (trial, bank)
       and ``np.add.at`` applies additions in input order.
 
-    Returns the step matrix (a stack of them, one per run, given a run
-    axis): the superstep in which each bank flipped (0 for round 0), or -1
-    if it never did, in the smallest signed dtype that holds -N (int16 at
-    N = 1000).
+    Returns a stack of step matrices, one per run: the superstep in which
+    each bank flipped (0 for round 0), or -1 if it never did, in the
+    smallest signed dtype that holds -N (int16 at N = 1000).
     """
-    n_trials, n = thresholds.shape[-2:]
+    n_trials, n = thresholds.shape[1:]
     step = np.full(thresholds.shape, -1, dtype=np.min_scalar_type(-n))
-    if thresholds.ndim == 2:
-        runs = [(thresholds, edge_amount, step)]
-    else:
-        runs = list(zip(thresholds, edge_amount, step))
     in_degree, edge_end, hop = net.in_degree, net.in_indptr[1:], net.in_hop
     rows = max(1, _BLOCK_KEYS // n)
     for first_row in range(0, n_trials, rows):
@@ -163,7 +158,7 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
         # per run: its thresholds (only read), its exposure and its steps, as
         # flat (trial, bank) keys; whole rows of a C-ordered array are a view
         group = [(t[block].ravel(), np.zeros(t[block].size), amount, s[block].ravel())
-                 for t, amount, s in runs]
+                 for t, amount, s in zip(thresholds, edge_amounts, step)]
         # (runs that go on together, keys, each run's flips of those keys,
         # superstep); round 0 reads every key (None), with exposure 0
         pending = [(group, None, [thr < 0 for thr, _, _, _ in group], 0)]
@@ -209,9 +204,9 @@ def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
     round 0 iff its return alone wipes out its net worth (a negative
     margin), and in a later synchronous round iff its accumulated
     write-offs strictly exceed its margin; ties survive. ``margin`` is not
-    modified. Returns the kernel's step matrix.
+    modified. Returns the kernel's step matrix, as a one-run call.
     """
-    return _batch_propagate(net, margin, net.in_loan)
+    return _batch_propagate(net, margin[None], [net.in_loan])[0]
 
 
 def run_balance_cascade(

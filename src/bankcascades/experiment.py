@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets, ThetaDistribution, build_sheets
-from .balance_cascade import CascadeResult, balance_rows, shock_returns
+from .balance_cascade import CascadeResult, _batch_propagate, shock_returns
 from .network import DirectedNetwork, LoanSizeDistribution, generate_er
 from .rng import (
     STREAM_NETWORK,
@@ -28,7 +28,7 @@ from .rng import (
     stream_rngs,
     stream_seed,
 )
-from .threshold_cascade import _coupled_steps, threshold_rows, thresholds_from_normals
+from .threshold_cascade import coupled_rows, thresholds_from_normals
 
 __all__ = [
     "CASES",
@@ -46,9 +46,9 @@ MODELS = ("bs", "threshold", "both-independent", "both-coupled")
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 # (trial, bank) keys per sweep chunk: a 4 MiB float64 buffer, reused for
-# every chunk of a network. A coupled chunk fills both halves of it, margins
-# and their mapped thresholds, so it holds half as many trials. Half and
-# double this size measured many more page faults per sweep (ROADMAP item 5).
+# every chunk of a network. A chunk gives each engine run its own share of
+# it, so a two-engine chunk holds half as many trials. Half and double this
+# size measured many more page faults per sweep (ROADMAP item 5).
 _CHUNK_KEYS = 1 << 19
 
 
@@ -180,38 +180,36 @@ def _batch_outcomes(
     trials: range,
     buffer: np.ndarray | None = None,
 ) -> dict:
-    """The given trials of one network cell, propagated in one batch.
+    """The given trials of one network cell, propagated in one kernel call.
 
-    One float array of (trials, banks) rows carries every stage in place:
-    the draw (:func:`draw_rows`), the returns (:func:`shock_returns`), the
-    margin worth + return that :func:`balance_rows` reads, then thresholds
-    drawn anew (:func:`thresholds_from_normals`). A coupled batch needs the
-    margin and its mapped thresholds at once: it draws into half 0 of a
-    (2, trials, banks) buffer, and :func:`_coupled_steps` maps half 1 and
-    runs both engines in one kernel call. ``buffer`` has that shape (or
-    (trials, banks) for other models) with at least ``len(trials)`` rows;
-    without it, a fresh array is made. Returns the kernel's step matrix per
-    engine run ('bs', 'threshold').
+    ``buffer`` is a (runs, trials, banks) float array, one run per engine
+    run of :func:`_models_run`, with at least ``len(trials)`` rows; without
+    it, a fresh array is made. Each engine's rows carry its stages in place.
+    Run 0 takes the margin 'bs' reads: the draw (:func:`draw_rows`), scaled
+    to returns (:func:`shock_returns`), plus each bank's net worth. The last
+    run takes the thresholds 'threshold' reads: the margin's
+    :func:`coupled_rows` mapping when coupled, else thresholds drawn anew
+    (:func:`thresholds_from_normals`). Returns the kernel's step matrix per
+    engine run.
     """
+    models = _models_run(cfg.model)
     n_rows, n = len(trials), cfg.n_banks
-    coupled = cfg.model == "both-coupled"
     if buffer is None:
-        buffer = np.empty((2, n_rows, n) if coupled else (n_rows, n))
-    rows = buffer[..., :n_rows, :]  # whole rows of each half: contiguous
-    out: dict = {}
+        buffer = np.empty((len(models), n_rows, n))
+    rows = buffer[:, :n_rows]  # whole rows of each run: contiguous
     if cfg.model != "threshold":
         rngs = stream_rngs(cfg.master_seed, STREAM_SHOCKS, z_index, net_index, trials=trials)
-        margin = draw_rows(rngs, n_rows, n, out=rows[0] if coupled else rows)
+        margin = draw_rows(rngs, n_rows, n, out=rows[0])
         np.add(sheets.net_worth, shock_returns(margin, sheets), out=margin)
-        if coupled:
-            out["bs"], out["threshold"] = _coupled_steps(net, rows)
-            return out
-        out["bs"] = balance_rows(net, margin)
-    if cfg.model != "bs":
+    if cfg.model == "both-coupled":
+        np.copyto(rows[1], margin)
+        coupled_rows(net, rows[1])
+    elif cfg.model != "bs":
         rngs = stream_rngs(cfg.master_seed, STREAM_THRESHOLDS, z_index, net_index, trials=trials)
-        normals = draw_rows(rngs, n_rows, n, params.default_prob, ~net.is_lender, out=rows)
-        out["threshold"] = threshold_rows(net, thresholds_from_normals(normals, net, params, thetas))
-    return out
+        normals = draw_rows(rngs, n_rows, n, params.default_prob, ~net.is_lender, out=rows[-1])
+        thresholds_from_normals(normals, net, params, thetas)
+    amounts = [net.in_loan if m == "bs" else net.in_edge_weights for m in models]
+    return dict(zip(models, _batch_propagate(net, rows, amounts)))
 
 
 def _network_task(args) -> tuple[tuple[int, int], dict]:
@@ -220,21 +218,18 @@ def _network_task(args) -> tuple[tuple[int, int], dict]:
     level so process pools can pickle it.
 
     The trials run in chunks of about ``_CHUNK_KEYS`` (trial, bank) keys,
-    each drawn into the same buffer, so memory does not grow with the trial
-    count. A coupled chunk takes both halves of the buffer (see
-    :func:`_batch_outcomes`), so it holds half as many trials. Each trial
-    has its own streams and chunks are tallied in trial order, so every
-    float sum, and so every output byte, is the one a single batch of all
-    trials would give.
+    each drawn into the same (runs, chunk, banks) buffer (see
+    :func:`_batch_outcomes`), so memory does not grow with the trial count.
+    Each trial has its own streams and chunks are tallied in trial order, so
+    every float sum, and so every output byte, is the one a single batch of
+    all trials would give.
     """
     cfg, z_index, net_index = args
     net, params, thetas, sheets = _network_inputs(cfg, z_index, net_index)
     n, n_trials = cfg.n_banks, cfg.trials_per_network
-    coupled = cfg.model == "both-coupled"
-    chunk = min(n_trials, max(1, _CHUNK_KEYS // ((1 + coupled) * n)))
-    buffer = np.empty((2, chunk, n) if coupled else (chunk, n))
-
     tallies = {m: [0, 0.0, 0.0] for m in _models_run(cfg.model)}
+    chunk = min(n_trials, max(1, _CHUNK_KEYS // (len(tallies) * n)))
+    buffer = np.empty((len(tallies), chunk, n))
     mismatches = 0
     for first in range(0, n_trials, chunk):
         outcomes = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,
@@ -246,7 +241,7 @@ def _network_task(args) -> tuple[tuple[int, int], dict]:
             for f in frac[crisis]:  # sequential sums keep output worker- and chunk-invariant
                 tally[1] += float(f)
                 tally[2] += float(f) * float(f)
-        if coupled:  # trials whose step rows differ anywhere
+        if cfg.model == "both-coupled":  # trials whose step rows differ anywhere
             mismatches += int(np.count_nonzero(
                 (outcomes["bs"] != outcomes["threshold"]).any(axis=1)))
     return (z_index, net_index), {"tallies": tallies, "mismatches": mismatches}
@@ -341,7 +336,7 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1, progress=None) -> list
                     mean_crisis_size_se=size_se,
                     n_runs=runs,
                     n_crises=crises,
-                    mismatches=mismatches if cfg.model == "both-coupled" else 0,
+                    mismatches=mismatches,
                 )
             )
     return rows

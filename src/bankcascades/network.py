@@ -113,10 +113,7 @@ class DirectedNetwork:
     @cached_property
     def out_indptr(self) -> np.ndarray:
         """Offsets into the canonical edge arrays, grouped by lender."""
-        counts = np.bincount(self.lender, minlength=self.n_nodes)
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr
+        return np.concatenate(([0], self.out_degree.cumsum()))
 
     @cached_property
     def _in_order(self) -> np.ndarray:
@@ -126,10 +123,7 @@ class DirectedNetwork:
 
     @cached_property
     def in_indptr(self) -> np.ndarray:
-        counts = np.bincount(self.borrower, minlength=self.n_nodes)
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr
+        return np.concatenate(([0], self.in_degree.cumsum()))
 
     @cached_property
     def in_lender(self) -> np.ndarray:

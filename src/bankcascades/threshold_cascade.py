@@ -105,22 +105,9 @@ def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray) -> np.ndarray:
     borrowers strictly exceed its threshold, at round 0 when the threshold
     is negative. A non-lender flips at round 0 where its entry is negative,
     and never after. ``thresholds`` is not modified. Returns the kernel's
-    step matrix.
+    step matrix, as a one-run call.
     """
-    return _batch_propagate(net, thresholds, net.in_edge_weights)
-
-
-def _coupled_steps(net: DirectedNetwork, pair: np.ndarray) -> np.ndarray:
-    """Both coupled engines in one kernel call, on a (2, trials, banks)
-    ``pair`` whose half 0 holds margin rows: half 1 is overwritten with
-    their :func:`coupled_rows` mapping. Returns the step matrices of
-    :func:`balance_rows` on the margin and of :func:`threshold_rows` on the
-    mapping, stacked, each equal to its own call's: the runs add the loans
-    and the loan weights, and share each superstep's edge expansion while
-    their flips agree."""
-    np.copyto(pair[1], pair[0])
-    coupled_rows(net, pair[1])
-    return _batch_propagate(net, pair, (net.in_loan, net.in_edge_weights))
+    return _batch_propagate(net, thresholds[None], [net.in_edge_weights])[0]
 
 
 def thresholds_from_shocks(

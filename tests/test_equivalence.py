@@ -7,6 +7,7 @@ each bank's default round (-1 for never), and the tests compare whole rows.
 """
 import tracemalloc
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -515,6 +516,29 @@ def _coupled_run_pairs():
     return [(net, np.stack((m, coupled_rows(net, m.copy())))) for net, m in margins]
 
 
+def _one_run_calls(net, stack, amounts):
+    """The kernel's one-run call on each run of ``stack`` alone."""
+    return [balance_cascade._batch_propagate(net, t[None], [a])[0] for t, a in zip(stack, amounts)]
+
+
+def _coupled_sweep_chunk(monkeypatch, net, margin):
+    """(steps, buffer): the sweep's coupled chunk (:func:`_batch_outcomes`)
+    on given margin rows, its draw replaced by them and net worth 0, in a
+    buffer whose run 1 starts as pi."""
+    cfg = ExperimentConfig(
+        n_banks=net.n_nodes, capital_ratio=0.1, default_prob=0.01, case="A",
+        model="both-coupled", degree_grid=(0.0,), networks_per_degree=1,
+        trials_per_network=len(margin), crisis_cutoff=0.05, master_seed=0,
+    )
+    monkeypatch.setattr(experiment, "draw_rows",
+                        lambda rngs, n_rows, n, out: np.copyto(out, margin) or out)
+    monkeypatch.setattr(experiment, "shock_returns", lambda z, sheets: z)
+    buffer = np.full((2, *margin.shape), np.pi)
+    steps = _batch_outcomes(cfg, net, None, None, SimpleNamespace(net_worth=0.0), 0, 0,
+                            range(len(margin)), buffer)
+    return steps, buffer
+
+
 # rows per kernel block: one, four, all
 @pytest.mark.parametrize("rows", [1, 4, None])
 def test_two_runs_give_the_steps_of_two_one_run_calls(monkeypatch, rows):
@@ -523,7 +547,7 @@ def test_two_runs_give_the_steps_of_two_one_run_calls(monkeypatch, rows):
         monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS",
                             (pair.shape[1] if rows is None else rows) * net.n_nodes)
         amounts = np.stack((net.in_loan, net.in_edge_weights))
-        want = [balance_cascade._batch_propagate(net, t, a) for t, a in zip(pair, amounts)]
+        want = _one_run_calls(net, pair, amounts)
         pair_before, amounts_before = pair.copy(), amounts.copy()
         got = balance_cascade._batch_propagate(net, pair, amounts)
         assert np.array_equal(pair, pair_before, equal_nan=True)
@@ -531,10 +555,9 @@ def test_two_runs_give_the_steps_of_two_one_run_calls(monkeypatch, rows):
         assert got.shape == pair.shape and got.dtype == want[0].dtype
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        # the sweep's call, which maps half 1 itself
-        buffer = np.full_like(pair, np.pi)
-        buffer[0] = pair[0]
-        for g, w in zip(threshold_cascade._coupled_steps(net, buffer), want):
+        # the sweep's call, which maps run 1 itself
+        steps, buffer = _coupled_sweep_chunk(monkeypatch, net, pair[0])
+        for g, w in zip((steps["bs"], steps["threshold"]), want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert np.array_equal(buffer, pair, equal_nan=True)
         differ = (want[0] != want[1]).any(axis=1)
@@ -552,7 +575,7 @@ def test_two_runs_give_the_steps_of_two_one_run_calls(monkeypatch, rows):
     stack = np.stack((margin, coupled_rows(net, margin.copy()), third))
     amounts = (net.in_loan, net.in_edge_weights, net.in_loan)
     monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS", (rows or len(margin)) * net.n_nodes)
-    want = [balance_cascade._batch_propagate(net, t, a) for t, a in zip(stack, amounts)]
+    want = _one_run_calls(net, stack, amounts)
     got = balance_cascade._batch_propagate(net, stack, amounts)
     assert got.shape == stack.shape
     for g, w in zip(got, want):
@@ -586,8 +609,8 @@ def test_a_non_lenders_round_zero_is_the_sign_of_its_entry_alone():
         rows[:, inactive] = specials[pick[:, inactive]]
         signs = np.where(inactive & (rows < 0), -1.0, np.where(inactive, 1.0, rows))
         for edge_amount in (net.in_loan, net.in_edge_weights):
-            step = balance_cascade._batch_propagate(net, rows, edge_amount)
-            assert np.array_equal(step, balance_cascade._batch_propagate(net, signs, edge_amount))
+            step, by_sign = _one_run_calls(net, (rows, signs), (edge_amount, edge_amount))
+            assert np.array_equal(step, by_sign)
             assert np.array_equal(step[:, inactive] == 0, rows[:, inactive] < 0)
             spread += (step.max(axis=1) > 0).sum()
     assert spread  # non-lender flips spread defaults: the comparison is not vacuous
@@ -607,7 +630,7 @@ def test_kernel_memory_is_flat_in_the_trial_count():
     net.in_degree, net.in_indptr, net.in_lender, net.in_loan  # build the cached indexes untraced
     tracemalloc.start()
     try:
-        step = balance_cascade._batch_propagate(net, thresholds, net.in_loan)
+        step = balance_cascade._batch_propagate(net, thresholds[None], [net.in_loan])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -212,10 +212,10 @@ def test_pooling_matches_per_network_aggregates():
 @pytest.mark.parametrize("model", experiment.MODELS)
 def test_outputs_do_not_depend_on_the_chunk_size(case, model, monkeypatch):
     # 7 trials: 3-row chunks split them 3 + 3 + 1, and the default chunk
-    # holds them all. A coupled chunk's rows fill both halves of the buffer,
-    # so it takes twice the keys per row.
+    # holds them all. A chunk's row takes one row of the buffer per engine
+    # run, so a two-engine chunk takes twice the keys per row.
     cfg = _small_cfg(case=case, model=model, degree_grid=(1.0, 3.0), trials_per_network=7)
-    row_keys = (2 if model == "both-coupled" else 1) * cfg.n_banks
+    row_keys = len(experiment._models_run(model)) * cfg.n_banks
     batch_outcomes = experiment._batch_outcomes
     csvs, steps = [], []
     for rows in (1, 3, None):
@@ -245,6 +245,49 @@ def test_outputs_do_not_depend_on_the_chunk_size(case, model, monkeypatch):
             got = run_trial(cfg, zi, ni, ti)[m].step
             assert got.tolist() == step[ti].tolist(), (zi, ni, m, ti)
     assert any(step.max() > 0 for step in steps[2].values())  # some trial spreads defaults
+
+
+@pytest.mark.parametrize("model", experiment.MODELS)
+def test_each_sweep_chunks_steps_are_one_run_calls_on_its_rows(model, monkeypatch):
+    # 600 trials at N = 1000: two-engine chunks of 262 + 262 + 76 rows,
+    # one-engine chunks of 524 + 76; the last chunk fills the front of the
+    # reused buffer. Case C's loans are not unit, so the two engines' edge
+    # amounts differ in every addition
+    cfg = ExperimentConfig(
+        n_banks=1000, capital_ratio=0.1, default_prob=0.01, case="C", model=model,
+        degree_grid=(3.0,), networks_per_degree=1, trials_per_network=600,
+        crisis_cutoff=0.05, master_seed=8,
+    )
+    batch_outcomes, batch_propagate = experiment._batch_outcomes, experiment._batch_propagate
+    calls = []
+
+    def recording_kernel(net, rows, amounts):
+        calls.append([net, rows.copy()])
+        return batch_propagate(net, rows, amounts)
+
+    def recording_outcomes(*args):
+        out = batch_outcomes(*args)
+        calls[-1].append(out)
+        return out
+
+    monkeypatch.setattr(experiment, "_batch_propagate", recording_kernel)
+    monkeypatch.setattr(experiment, "_batch_outcomes", recording_outcomes)
+    _network_task((cfg, 0, 0))
+    models = experiment._models_run(model)
+    chunk = experiment._CHUNK_KEYS // (len(models) * cfg.n_banks)
+    assert [len(rows[0]) for _, rows, _ in calls] == [chunk] * (600 // chunk) + [600 % chunk]
+    rules = {"bs": balance_rows, "threshold": threshold_rows}
+    spread = parted = 0
+    for net, rows, out in calls:
+        assert len(rows) == len(models) and list(out) == list(models)
+        for m, run in zip(models, rows):
+            want = rules[m](net, run)
+            assert out[m].dtype == want.dtype and np.array_equal(out[m], want), m
+            spread += int((want.max(axis=1) > 0).sum())
+        if len(models) == 2:
+            parted += int((out["bs"] != out["threshold"]).any(axis=1).sum())
+    assert spread > 100  # many trials spread defaults: the comparison is not vacuous
+    assert (parted > 100) == (model == "both-independent")  # its runs part at round 0
 
 
 def test_sweep_memory_is_flat_in_the_trial_count():
@@ -308,7 +351,7 @@ def test_coupled_sweep_counts_every_mismatch(monkeypatch):
         degree_grid=(2.0,), networks_per_degree=1, trials_per_network=300,
         crisis_cutoff=0.05, master_seed=2,
     )
-    shock_returns, coupled_steps = experiment.shock_returns, experiment._coupled_steps
+    shock_returns, batch_propagate = experiment.shock_returns, experiment._batch_propagate
     chunks = []
 
     def tie_dense(z, sheets):
@@ -316,14 +359,14 @@ def test_coupled_sweep_counts_every_mismatch(monkeypatch):
         margin = np.rint(sheets.net_worth + 3.0 * returns)
         return np.subtract(margin, sheets.net_worth, out=returns)
 
-    def recording(net, pair):
-        chunks.append((net, pair[0].copy()))
-        return coupled_steps(net, pair)
+    def recording(net, rows, amounts):
+        chunks.append((net, rows[0].copy()))
+        return batch_propagate(net, rows, amounts)
 
     monkeypatch.setattr(experiment, "shock_returns", tie_dense)
-    monkeypatch.setattr(experiment, "_coupled_steps", recording)
+    monkeypatch.setattr(experiment, "_batch_propagate", recording)
     _, result = _network_task((cfg, 0, 0))
-    assert [len(margin) for _, margin in chunks] == [262, 38]  # 2**19 keys over two halves
+    assert [len(margin) for _, margin in chunks] == [262, 38]  # 2**19 keys over two runs
     mismatches = 0
     for net, margin in chunks:
         bs = balance_rows(net, margin)
