@@ -4,9 +4,10 @@ propagation kernel that both engines share.
 One trial draws a return on every bank's external assets, then propagates
 defaults with zero recovery: a lender writes off the full face value of every
 loan to a defaulted borrower, and a bank fails as soon as its write-offs
-minus its own asset return exceed its net worth. Every outcome is a step
-matrix, one row per trial: the round in which each bank defaulted (0 for its
-own loss, -1 for never).
+exceed its margin m = fl(w + r), net worth plus asset return. The kernel
+decides this exactly, in integer units of the network's loans. Every outcome
+is a step matrix, one row per trial: the round in which each bank defaulted
+(0 for its own loss, -1 for never).
 """
 from __future__ import annotations
 
@@ -20,8 +21,9 @@ from .rng import as_generator, draw_rows, normal_from_standard
 
 __all__ = ["CascadeResult", "draw_shocks", "run_balance_cascade"]
 
-# (trial, bank) keys per kernel block: 1 MiB per float64 array, so one run's
-# exposure and the thresholds it reads together fit a 2 MiB L2 cache
+# (trial, bank) keys per kernel block: 1 MiB per int64 array (128 KiB in
+# int8), so a run's room and step rows fit a 2 MiB L2 cache. Half, double and
+# four times this size read 2-9% slower on window-shaped int8 chunks
 _BLOCK_KEYS = 1 << 17
 
 
@@ -104,46 +106,33 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys.compress(first)
 
 
-def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
-                     edge_amounts) -> np.ndarray:
+def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray) -> np.ndarray:
     """The one cascade kernel, and the only place a flip is decided: propagate
     runs of many trials on one network together, superstep by superstep, to
     their synchronous fixed points.
 
-    ``thresholds`` is a (runs, trials, banks) stack and is not modified;
-    ``edge_amounts`` is a sequence of per-edge amount arrays, one per run. A
-    bank flips once its exposure strictly exceeds its threshold. Exposure
-    starts at 0, so superstep 0 (round 0) flips exactly the negative
-    thresholds. In each later superstep, a run's amount of each edge into a
-    newly flipped borrower is added to the lender's exposure in that trial.
-    Only lenders receive exposure, so a non-lender's entry is read only by
-    its sign, at round 0: -inf, NaN and +inf are all valid there. Batching
-    only removes per-round Python overhead; the per-trial engines run one
-    run of one trial.
+    ``thresholds`` is a (runs, trials, banks) stack of floats x in the loans'
+    own scale (not NaN), and is not modified. A bank flips once its loans to
+    flipped borrowers sum to more than its x, decided exactly on integers:
 
-    A block's runs go on together while all their flips agree, round 0
-    included: they share each superstep's edge expansion, sort and dedup,
-    while each run adds its own amounts in the same order and makes its own
-    comparison. From the first superstep where any flips differ, each run
-    goes on alone. So every run's steps are, bit for bit, those of a one-run
-    call. The sweep runs each of a chunk's engines as one run of one call.
-
-    - Round 0 is exact. A rounded sum or difference keeps the sign of the
-      exact one and is 0 only when it is, so fl(w + r) < 0 (net worth w,
-      asset return r) exactly when r < -w, and the standalone draw's
-      fl(u - p) < 0 exactly when u < p. Only the exposure sums of later
-      supersteps round.
+    - Loans are exact integers of 2**-s units (``in_loan_units``; s is the
+      network's ``loan_unit_exponent``), so their sums are exact in any
+      order. Each x becomes K = clip(floor(x * 2**s), -1, top), top >= U,
+      the largest lender's total; a sum of units exceeds x iff it exceeds K.
+      Units and K share the units' dtype, the smallest that holds -(U + 1):
+      int8 for unit loans at N = 1000, int64 for case C.
+    - Each (trial, bank) key's room starts at its K, so superstep 0 (round
+      0) flips exactly the negative x; a non-lender loses nothing, so only
+      its sign is read. Each later superstep takes each loan to a newly
+      flipped borrower off its lender's room in that trial, and a key flips
+      once its room is negative. A flipped key is retired by setting its
+      room to the dtype's maximum: at most U more can leave it, so it stays
+      at least 0 and never flips again; an unflipped room stays >= -1 - U.
     - Trials never interact, so they run in blocks of about ``_BLOCK_KEYS``
-      (trial, bank) keys, with one exposure per run and block. Each run's
-      float arrays stay cache-sized, and the kernel's memory beyond its step
-      matrices does not grow with the trial count.
-    - A block retires each flipped key by setting its exposure to ``-inf``:
-      the round-0 flips first, then each new frontier. Adding a finite loss
-      leaves ``-inf`` in place and ``-inf > threshold`` never holds, so a
-      flipped key never flips again and needs no mask.
-    - Within a superstep, each (trial, lender) exposure receives its additions
-      in ascending borrower order: the frontier stays sorted by (trial, bank)
-      and ``np.add.at`` applies additions in input order.
+      (trial, bank) keys, and memory beyond the step matrices does not grow
+      with the trial count.
+    - Runs whose K blocks are equal propagate once and share their steps
+      (the sweep's coupled pair); every other run propagates alone.
 
     Returns a stack of step matrices, one per run: the superstep in which
     each bank flipped (0 for round 0), or -1 if it never did, in the
@@ -151,31 +140,30 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
     """
     n_trials, n = thresholds.shape[1:]
     step = np.full(thresholds.shape, -1, dtype=np.min_scalar_type(-n))
+    units, s = net.in_loan_units, net.loan_unit_exponent
+    limits = np.iinfo(units.dtype)
+    # K's bounds, -1 and top >= U, scaled down by 2**s: exactly, as s <= 1074
+    low, high = -(2.0**-s), min(limits.max, 2**62) * 2.0**-s
     in_degree, edge_end, hop = net.in_degree, net.in_indptr[1:], net.in_hop
     rows = max(1, _BLOCK_KEYS // n)
     for first_row in range(0, n_trials, rows):
         block = slice(first_row, first_row + rows)
-        # per run: its thresholds (only read), its exposure and its steps, as
-        # flat (trial, bank) keys; whole rows of a C-ordered array are a view
-        group = [(t[block].ravel(), np.zeros(t[block].size), amount, s[block].ravel())
-                 for t, amount, s in zip(thresholds, edge_amounts, step)]
-        # (runs that go on together, keys, each run's flips of those keys,
-        # superstep); round 0 reads every key (None), with exposure 0
-        pending = [(group, None, [thr < 0 for thr, _, _, _ in group], 0)]
-        while pending:
-            group, keys, flips, superstep = pending.pop()
-            while True:
-                if len(flips) > 1 and any(not np.array_equal(flips[0], f) for f in flips[1:]):
-                    # the runs part: each goes on alone with its own flips
-                    pending += [([run], keys, [f], superstep) for run, f in zip(group, flips)]
-                    break
-                frontier = (np.flatnonzero(flips[0]) if keys is None
-                            else _sorted_unique(keys.compress(flips[0])))
-                if not frontier.size:
-                    break
-                for _, exposure, _, step_flat in group:
-                    step_flat[frontier] = superstep
-                    exposure[frontier] = -np.inf
+        groups = []  # (K, the step rows of every run with that K), as flat keys
+        for x, run_step in zip(thresholds, step):
+            k = np.maximum(x[block], low).ravel()
+            np.minimum(k, high, out=k)
+            k = np.floor(np.ldexp(k, s, out=k), out=k).astype(units.dtype)
+            same = next((g for g in groups if np.array_equal(g[0], k)), None)
+            if same:
+                same[1].append(run_step[block])
+            else:
+                groups.append((k, [run_step[block]]))
+        for room, (first, *others) in groups:
+            step_flat = first.ravel()  # whole rows of a C-ordered array: a view
+            frontier, superstep = np.flatnonzero(room < 0), 0
+            while frontier.size:
+                step_flat[frontier] = superstep
+                room[frontier] = limits.max
                 jj = frontier % n
                 # one entry per edge into the frontier: its frontier position,
                 # then its index into the borrower-grouped edge arrays
@@ -188,12 +176,11 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray,
                 keys = frontier.take(pos)
                 del pos  # one edge-sized array less at the superstep's peak
                 keys += hop.take(idx)
-                # each run adds, then compares, while its block's arrays are cached
-                flips = []
-                for thr, exposure, amount, _ in group:
-                    np.add.at(exposure, keys, amount.take(idx))
-                    flips.append(exposure.take(keys) > thr.take(keys))
+                np.subtract.at(room, keys, units.take(idx))
+                frontier = _sorted_unique(keys.compress(room.take(keys) < 0))
                 superstep += 1
+            for other in others:
+                np.copyto(other, first)
     return step
 
 
@@ -206,14 +193,11 @@ def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
     write-offs strictly exceed its margin; ties survive. ``margin`` is not
     modified. Returns the kernel's step matrix, as a one-run call.
     """
-    return _batch_propagate(net, margin[None], [net.in_loan])[0]
+    return _batch_propagate(net, margin[None])[0]
 
 
-def run_balance_cascade(
-    net: DirectedNetwork,
-    sheets: BalanceSheets,
-    returns: np.ndarray,
-) -> CascadeResult:
+def run_balance_cascade(net: DirectedNetwork, sheets: BalanceSheets,
+                        returns: np.ndarray) -> CascadeResult:
     """Run one trial to its fixed point: :func:`balance_rows` on one row of
     asset returns, which it does not modify and which must be finite."""
     returns = _trial_returns(net, sheets, returns)

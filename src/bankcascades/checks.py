@@ -1,25 +1,29 @@
 """Built-in verification suites behind the ``check`` CLI command.
 
-Three independent lines of evidence that the two cascade engines implement
-the same model: exact trial-for-trial agreement when coupled through one
-shock draw (the same bank defaults in the same round), agreement of the fast
+Independent lines of evidence that the two cascade engines implement the
+same model: exact trial-for-trial agreement when coupled through one shock
+draw (the same bank defaults in the same round), on random draws and on a
+tie-dense family through the sweep's coupled path, agreement of the fast
 engine with a naive fixed-point oracle on desk-scale networks, round by
 round, and distributional calibration of the sweep's own draws (those of
 ``rng.draw_rows``). The validation-only oracles, a brute-force fixed point
 and a random asynchronous schedule, live here too, apart from the product
-modules: they share no propagation code with the engines they check.
+modules: they decide in exact rationals and share no propagation code,
+predicate or summation order with the engines they check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets, ThetaDistribution, build_sheets
 from .balance_cascade import (CascadeResult, _trial_returns, draw_shocks, run_balance_cascade,
                               shock_returns)
-from .experiment import CASES, case_presets
+from .experiment import CASES, ExperimentConfig, _batch_outcomes, case_presets
 from .network import DirectedNetwork, from_edges, generate_er
 from .rng import as_generator, draw_rows, stream_rng, stream_rngs, stream_seed
 from .threshold_cascade import (run_threshold_cascade, thresholds_from_normals,
@@ -30,6 +34,7 @@ __all__ = [
     "equivalence_suite",
     "oracle_suite",
     "distribution_suite",
+    "tie_suite",
     "brute_force_fixed_point",
     "run_balance_cascade_async",
 ]
@@ -40,6 +45,7 @@ _CHK_THETA = 902
 _CHK_SHOCK = 903
 _CHK_ORACLE = 904
 _CHK_DIST = 905
+_CHK_TIES = 906
 
 # The capital ratio and fundamental default probability every suite checks.
 _GAMMA, _DELTA = 0.1, 0.01
@@ -61,8 +67,7 @@ def _boundary_probe() -> tuple[DirectedNetwork, BalanceSheets, np.ndarray]:
     have net worth 1, and banks 1 and 2 fail outright. Bank 0's return of -2
     maps it to a threshold of exactly (4 - 2) / 4 = 0.5, which its
     flipped-weight fraction 2/4 meets exactly, so under the strict rule both
-    engines agree it survives. Random draws never produce exact ties, so
-    this probe is what lets the suite detect a >= mutation of the flip rule.
+    engines agree it survives: the probe that catches a >= mutation.
     """
     net = from_edges(5, [(0, j, 1.0) for j in (1, 2, 3, 4)])
     params = BalanceParams(0.25, _DELTA, ThetaDistribution.constant(0.25))
@@ -91,12 +96,8 @@ def _compare_coupled(net, sheets, returns, *, inject_fault: bool) -> tuple[bool,
                    "threshold_step": int(res_thr.step[bank])}
 
 
-def equivalence_suite(
-    *,
-    instances: int = 100,
-    seed: int = 0,
-    inject_fault: bool = False,
-) -> CheckReport:
+def equivalence_suite(*, instances: int = 100, seed: int = 0,
+                      inject_fault: bool = False) -> CheckReport:
     """Coupled trial-for-trial agreement of the two engines on ``instances``
     networks per case A/B/C (1000 banks, z cycling over 1, 3, 5, 8) and the
     exact boundary probe; zero mismatches required. ``inject_fault`` swaps in
@@ -125,13 +126,9 @@ def equivalence_suite(
             returns = draw_shocks(sheets, stream_rng(seed, _CHK_SHOCK, ci, k))
             ok, info = _compare_coupled(net, sheets, returns, inject_fault=inject_fault)
             if not ok:
-                info.update({"case": case, "instance": k, "z": z, "seed": seed,
-                             "network": net})
-                return CheckReport(
-                    name, False,
-                    f"engines disagree on case {case} instance {k} (z={z}, seed={seed})",
-                    info,
-                )
+                info.update({"case": case, "instance": k, "z": z, "seed": seed, "network": net})
+                return CheckReport(name, False, f"engines disagree on case {case} instance {k} "
+                                                f"(z={z}, seed={seed})", info)
     return CheckReport(name, True, f"{len(CASES) * instances} coupled instances + boundary "
                                    "probe, 0 mismatches")
 
@@ -162,11 +159,8 @@ def oracle_suite(*, instances: int = 200, seed: int = 0) -> CheckReport:
         for schedule in range(3):
             async_defaulted = run_balance_cascade_async(net, sheets, returns, rng)
             if not np.array_equal(async_defaulted, engine.defaulted):
-                return CheckReport(
-                    name, False,
-                    f"asynchronous schedule {schedule} differs on instance {k}",
-                    {"instance": k, "seed": seed, "network": net},
-                )
+                return CheckReport(name, False, f"asynchronous schedule {schedule} differs on "
+                                   f"instance {k}", {"instance": k, "seed": seed, "network": net})
     return CheckReport(name, True, f"{instances} instances match oracle and async schedules")
 
 
@@ -228,72 +222,110 @@ def distribution_suite(*, seed: int = 0) -> CheckReport:
     )
 
 
+def _coupled_chunk(net: DirectedNetwork, margin: np.ndarray, seed: int) -> dict:
+    """The sweep's coupled chunk (:func:`_batch_outcomes`) on given margin
+    rows: they stand in as net worth beside a volatility of 0, which turns
+    the chunk's own draw into returns of 0."""
+    cfg = ExperimentConfig(
+        n_banks=net.n_nodes, capital_ratio=_GAMMA, default_prob=_DELTA, case="A",
+        model="both-coupled", degree_grid=(0.0,), networks_per_degree=1,
+        trials_per_network=len(margin), crisis_cutoff=0.05, master_seed=seed,
+    )
+    sheets = SimpleNamespace(net_worth=margin, return_std=0.0)
+    return _batch_outcomes(cfg, net, None, None, sheets, 0, 0, range(len(margin)))
+
+
+def tie_suite(*, seed: int = 0) -> CheckReport:
+    """Coupled agreement where float sums tie, on the sweep's coupled path:
+    integer margins rint(w + 3r) on 1000-bank case-A networks (z = 2, 4, 6,
+    200 trials each), where summed loan weights fl(1/k) parted the engines
+    on most trials, and the relabelled pair: bank 0 lends 0.1, 0.2 and 0.3
+    to three failed banks against a margin of 0.6, in both label orders.
+    Zero coupled mismatches required, and the exact oracle's steps on the
+    pair."""
+    theta_dist, loan_dist = case_presets("A")
+    params, trials, mismatches = BalanceParams(_GAMMA, _DELTA, theta_dist), range(200), 0
+    for k, z in enumerate((2.0, 4.0, 6.0)):
+        net = generate_er(1000, z, loan_dist, stream_seed(seed, _CHK_TIES, k, 0))
+        sheets = build_sheets(net, params, thetas=theta_dist.sample(
+            1000, stream_rng(seed, _CHK_TIES, k, 1)))
+        normals = draw_rows(stream_rngs(seed, _CHK_TIES, k, 2, trials=trials), len(trials), 1000)
+        margin = np.rint(sheets.net_worth + 3.0 * shock_returns(normals, sheets))
+        steps = _coupled_chunk(net, margin, seed)
+        mismatches += int(np.count_nonzero((steps["bs"] != steps["threshold"]).any(axis=1)))
+    pair = []
+    for loans in ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)):
+        net = from_edges(4, [(0, j, a) for j, a in enumerate(loans, 1)])
+        sheets = replace(build_sheets(net, params, thetas=np.full(4, 0.3)),
+                         net_worth=np.array([0.6, 1.0, 1.0, 1.0]))
+        returns = np.array([0.0, -2.0, -2.0, -2.0])
+        steps = _coupled_chunk(net, (sheets.net_worth + returns)[None], seed)
+        pair.append([steps["bs"][0].tolist(), steps["threshold"][0].tolist(),
+                     brute_force_fixed_point(net, sheets, returns).tolist()])
+    return CheckReport("tie-dense coupled", not mismatches and all(a == b == c for a, b, c in pair),
+                       f"{3 * len(trials)} trials, coupled mismatches: {mismatches}; relabelled "
+                       f"pair: bank 0 steps {[p[0][0] for p in pair]}, exact oracle's "
+                       f"{[p[2][0] for p in pair]}")
+
+
 # -- validation-only oracles -----------------------------------------------
 
 
-def brute_force_fixed_point(
-    net: DirectedNetwork,
-    sheets: BalanceSheets,
-    returns: np.ndarray,
-) -> np.ndarray:
+def _margins(net: DirectedNetwork, sheets: BalanceSheets, returns: np.ndarray) -> list:
+    """Each bank's margin m = fl(w + r), the engines' input, as a Fraction."""
+    return [Fraction(m) for m in sheets.net_worth + _trial_returns(net, sheets, returns)]
+
+
+def _exact_loss(net: DirectedNetwork, node: int, defaulted) -> Fraction:
+    """The exact sum of ``node``'s loans to defaulted borrowers."""
+    nbrs, loans = net.borrowers_of(node)
+    return sum((Fraction(a) for j, a in zip(nbrs, loans) if defaulted[j]), Fraction(0))
+
+
+def brute_force_fixed_point(net: DirectedNetwork, sheets: BalanceSheets,
+                            returns: np.ndarray) -> np.ndarray:
     """Desk-scale oracle: least fixed point by exhaustive re-evaluation.
 
     Every pass re-derives every bank's full default condition from the
-    current default set, with none of the engine's incremental bookkeeping.
-    Returns each bank's default round: 0 for a default on its own loss, k
-    for one added by the k-th pass, -1 for a survivor. Quadratic and
-    deliberately naive; refuses networks above 20 nodes.
+    current default set, with none of the engine's incremental bookkeeping,
+    in exact rational arithmetic: a bank defaults once its loans to
+    defaulted borrowers exceed its margin fl(w + r). Returns each bank's
+    default round: 0 for a default on its own loss, k for one added by the
+    k-th pass, -1 for a survivor. Quadratic and deliberately naive; refuses
+    networks above 20 nodes.
     """
     n = net.n_nodes
     if n > 20:
         raise ValueError("brute-force oracle is limited to networks of <= 20 nodes")
-    returns = _trial_returns(net, sheets, returns)
-    worth = sheets.net_worth
-    step = [0 if returns[i] < -worth[i] else -1 for i in range(n)]
+    margin = _margins(net, sheets, returns)
+    step = [0 if m < 0 else -1 for m in margin]
     rounds = 0
     while True:
-        new = list(step)
-        for i in range(n):
-            if step[i] >= 0:
-                continue
-            loss = 0.0
-            nbrs, loans = net.borrowers_of(i)
-            for j, amount in zip(nbrs, loans):
-                if step[j] >= 0:
-                    loss += amount
-            if loss - returns[i] > worth[i]:
-                new[i] = rounds + 1
+        defaulted = [s >= 0 for s in step]
+        new = [rounds + 1 if s < 0 and _exact_loss(net, i, defaulted) > margin[i] else s
+               for i, s in enumerate(step)]
         if new == step:
             return np.array(step)
         rounds += 1
         step = new
 
 
-def run_balance_cascade_async(
-    net: DirectedNetwork,
-    sheets: BalanceSheets,
-    returns: np.ndarray,
-    rng_seed,
-) -> np.ndarray:
-    """Random-order, one-bank-at-a-time schedule. Validation harness only:
-    the default condition is monotone, so this must reach the same fixed
-    point as the synchronous engine. It has no rounds, so it returns only
-    who defaulted, as a bool vector."""
+def run_balance_cascade_async(net: DirectedNetwork, sheets: BalanceSheets,
+                              returns: np.ndarray, rng_seed) -> np.ndarray:
+    """Random-order, one-bank-at-a-time schedule, in exact rational
+    arithmetic. Validation harness only: the default condition is monotone,
+    so this must reach the same fixed point as the synchronous engine. It
+    has no rounds, so it returns only who defaulted, as a bool vector."""
     n = net.n_nodes
-    returns = _trial_returns(net, sheets, returns)
-    worth = sheets.net_worth
+    margin = _margins(net, sheets, returns)
     rng = as_generator(rng_seed)
 
-    defaulted = returns < -worth
+    defaulted = np.array([m < 0 for m in margin], dtype=bool)
     changed = True
     while changed:
         changed = False
         for i in rng.permutation(n):
-            if defaulted[i]:
-                continue
-            nbrs, loans = net.borrowers_of(i)
-            loss = float(loans[defaulted[nbrs]].sum()) if len(nbrs) else 0.0
-            if loss - returns[i] > worth[i]:
+            if not defaulted[i] and _exact_loss(net, i, defaulted) > margin[i]:
                 defaulted[i] = True
                 changed = True
     return defaulted

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .balance import ThetaDistribution
-from .checks import distribution_suite, equivalence_suite, oracle_suite
+from .checks import distribution_suite, equivalence_suite, oracle_suite, tie_suite
 from .experiment import CASES, MODELS, ExperimentConfig, run_sweep
 from .network import LoanSizeDistribution, save_edge_list
 from .results_io import load_manifest, write_manifest, write_rows_csv
@@ -120,18 +120,10 @@ def _config_from_args(args) -> ExperimentConfig:
     elif args.loan_size is not None:
         loan = LoanSizeDistribution.constant(args.loan_size)
     return ExperimentConfig(
-        n_banks=args.n,
-        capital_ratio=args.gamma,
-        default_prob=args.delta,
-        case=args.case,
-        model=args.model,
-        degree_grid=args.z,
-        networks_per_degree=args.networks,
-        trials_per_network=args.trials,
-        crisis_cutoff=args.crisis_cutoff,
-        master_seed=args.seed,
-        theta_dist=theta,
-        loan_dist=loan,
+        n_banks=args.n, capital_ratio=args.gamma, default_prob=args.delta, case=args.case,
+        model=args.model, degree_grid=args.z, networks_per_degree=args.networks,
+        trials_per_network=args.trials, crisis_cutoff=args.crisis_cutoff,
+        master_seed=args.seed, theta_dist=theta, loan_dist=loan,
     )
 
 
@@ -182,6 +174,7 @@ def cmd_check(args) -> int:
                           inject_fault=args.inject_fault),
         oracle_suite(instances=args.oracle_instances, seed=args.seed),
         distribution_suite(seed=args.seed),
+        tie_suite(seed=args.seed),
     ]
     all_passed = True
     for report in reports:

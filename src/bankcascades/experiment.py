@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .rng import (
     stream_rngs,
     stream_seed,
 )
-from .threshold_cascade import coupled_rows, thresholds_from_normals
+from .threshold_cascade import _in_loans, thresholds_from_normals
 
 __all__ = [
     "CASES",
@@ -169,28 +168,22 @@ def _network_inputs(cfg: ExperimentConfig, z_index: int, net_index: int):
     return net, params, thetas, sheets
 
 
-def _batch_outcomes(
-    cfg: ExperimentConfig,
-    net: DirectedNetwork,
-    params: BalanceParams,
-    thetas: np.ndarray,
-    sheets: BalanceSheets | None,
-    z_index: int,
-    net_index: int,
-    trials: range,
-    buffer: np.ndarray | None = None,
-) -> dict:
+def _batch_outcomes(cfg: ExperimentConfig, net: DirectedNetwork, params: BalanceParams,
+                    thetas: np.ndarray, sheets: BalanceSheets | None, z_index: int,
+                    net_index: int, trials: range, buffer: np.ndarray | None = None) -> dict:
     """The given trials of one network cell, propagated in one kernel call.
 
     ``buffer`` is a (runs, trials, banks) float array, one run per engine
-    run of :func:`_models_run`, with at least ``len(trials)`` rows; without
-    it, a fresh array is made. Each engine's rows carry its stages in place.
-    Run 0 takes the margin 'bs' reads: the draw (:func:`draw_rows`), scaled
-    to returns (:func:`shock_returns`), plus each bank's net worth. The last
-    run takes the thresholds 'threshold' reads: the margin's
-    :func:`coupled_rows` mapping when coupled, else thresholds drawn anew
-    (:func:`thresholds_from_normals`). Returns the kernel's step matrix per
-    engine run.
+    run of :func:`_models_run`, with at least ``len(trials)`` rows (a fresh
+    one without it). Each run's rows carry its stages in place, ending in
+    the loans' scale the kernel compares with. Run 0 takes the margin 'bs'
+    reads: the draw (:func:`draw_rows`), scaled to returns
+    (:func:`shock_returns`), plus each bank's net worth. The last run takes
+    the thresholds 'threshold' reads. Coupled, a lender's threshold m / L in
+    the loans' scale is its margin m itself, so the run copies the margin
+    and the kernel propagates the two runs once. Otherwise thresholds t are
+    drawn (:func:`thresholds_from_normals`) and scaled to fl(t * L).
+    Returns the kernel's step matrix per engine run.
     """
     models = _models_run(cfg.model)
     n_rows, n = len(trials), cfg.n_banks
@@ -203,13 +196,11 @@ def _batch_outcomes(
         np.add(sheets.net_worth, shock_returns(margin, sheets), out=margin)
     if cfg.model == "both-coupled":
         np.copyto(rows[1], margin)
-        coupled_rows(net, rows[1])
     elif cfg.model != "bs":
         rngs = stream_rngs(cfg.master_seed, STREAM_THRESHOLDS, z_index, net_index, trials=trials)
         normals = draw_rows(rngs, n_rows, n, params.default_prob, ~net.is_lender, out=rows[-1])
-        thresholds_from_normals(normals, net, params, thetas)
-    amounts = [net.in_loan if m == "bs" else net.in_edge_weights for m in models]
-    return dict(zip(models, _batch_propagate(net, rows, amounts)))
+        _in_loans(net, thresholds_from_normals(normals, net, params, thetas), out=normals)
+    return dict(zip(models, _batch_propagate(net, rows)))
 
 
 def _network_task(args) -> tuple[tuple[int, int], dict]:
@@ -279,6 +270,8 @@ def _task_results(tasks: list, workers: int):
     if workers <= 1:
         yield from map(_network_task, tasks)
         return
+    # imported here: the pool's modules take memory that one-process sweeps never use
+    from concurrent.futures import ProcessPoolExecutor, as_completed
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for fut in as_completed([pool.submit(_network_task, t) for t in tasks]):
             yield fut.result()
@@ -291,11 +284,8 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1, progress=None) -> list
     order, so the output is byte-identical for any ``workers`` value. The
     optional ``progress`` callback receives (trials_done, trials_total).
     """
-    tasks = [
-        (cfg, zi, ni)
-        for zi in range(len(cfg.degree_grid))
-        for ni in range(cfg.networks_per_degree)
-    ]
+    tasks = [(cfg, zi, ni) for zi in range(len(cfg.degree_grid))
+             for ni in range(cfg.networks_per_degree)]
     total_trials = len(tasks) * cfg.trials_per_network
 
     cell_results: dict[tuple[int, int], dict] = {}
@@ -325,18 +315,9 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1, progress=None) -> list
             if crises > 1:
                 var = max(sq_sum - crises * mean_size * mean_size, 0.0) / (crises - 1)
                 size_se = math.sqrt(var / crises)
-            rows.append(
-                CrisisStats(
-                    degree=degree,
-                    model=m,
-                    case=cfg.case,
-                    crisis_frequency=freq,
-                    frequency_ci_halfwidth=ci,
-                    mean_crisis_size=mean_size,
-                    mean_crisis_size_se=size_se,
-                    n_runs=runs,
-                    n_crises=crises,
-                    mismatches=mismatches,
-                )
-            )
+            rows.append(CrisisStats(
+                degree=degree, model=m, case=cfg.case, crisis_frequency=freq,
+                frequency_ci_halfwidth=ci, mean_crisis_size=mean_size,
+                mean_crisis_size_se=size_se, n_runs=runs, n_crises=crises,
+                mismatches=mismatches))
     return rows

@@ -168,11 +168,32 @@ class DirectedNetwork:
         return np.bincount(self.borrower, minlength=self.n_nodes).astype(np.int64)
 
     @cached_property
-    def in_edge_weights(self) -> np.ndarray:
-        """Per edge (borrower-grouped): loan size over the lender's total lending."""
-        w = self.in_loan / self.interbank_assets[self.in_lender]
-        w.setflags(write=False)
-        return w
+    def loan_unit_exponent(self) -> int:
+        """The least s >= 0 for which every loan * 2**s is an integer: 0 for
+        unit loans, about 55 for loans drawn from [0.2, 1.8]."""
+        mantissa, exponent = np.frexp(self.loan_size)
+        bits = np.ldexp(mantissa, 53).astype(np.int64)  # loan = bits * 2**(exponent - 53)
+        exponent += np.frexp(bits & -bits)[1]  # plus 1 + the lowest set bit's position
+        return 54 - int(exponent.min(initial=54))
+
+    @cached_property
+    def in_loan_units(self) -> np.ndarray:
+        """Per edge (borrower-grouped): the loan in exact integer units of
+        2**-loan_unit_exponent, in the smallest signed dtype that holds
+        -(U + 1), U being the largest lender's total units. Raises ValueError
+        when U may reach 2**62 (by a float bound within 2**-20 of it), so that
+        no sum of units can round."""
+        s = self.loan_unit_exponent
+        # the float total is exact below 2**53 units, where each partial sum is
+        # a whole number of units, and within 2**-20 of exact above it
+        most = self.interbank_assets.max(initial=0)
+        if not most < math.ldexp(1 - 2.0**-20, 62 - s):
+            raise ValueError("a lender's total lending spans 2**62 or more units of its "
+                             "network's smallest loan bit; exact flips need less")
+        units = np.ldexp(self.in_loan, s)  # exact: no loan exceeds its lender's total
+        units = units.astype(np.min_scalar_type(-int(math.ldexp(most, s)) - 1))
+        units.setflags(write=False)
+        return units
 
     def borrowers_of(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """(borrower ids, loan sizes) for one lender."""

@@ -5,7 +5,8 @@ fraction of its defaulted borrowers strictly exceeds that threshold, so a
 negative threshold fails at the outset. Thresholds are either sampled from
 the normal law that the sheet parameters imply (:func:`draw_thresholds`) or
 mapped from asset returns (:func:`thresholds_from_shocks`); in the mapped
-form this engine reproduces the balance-sheet engine trial for trial.
+form this engine reproduces the balance-sheet engine trial for trial, exactly
+where the mapped threshold times L gives back the margin.
 """
 from __future__ import annotations
 
@@ -24,12 +25,8 @@ __all__ = [
 ]
 
 
-def thresholds_from_normals(
-    z: np.ndarray,
-    net: DirectedNetwork,
-    params: BalanceParams,
-    theta_draws: np.ndarray,
-) -> np.ndarray:
+def thresholds_from_normals(z: np.ndarray, net: DirectedNetwork, params: BalanceParams,
+                            theta_draws: np.ndarray) -> np.ndarray:
     """Map standard normal draws ``z`` (one row per trial) onto each lending
     bank's threshold law, in place; a non-lender's entry keeps its value.
 
@@ -50,12 +47,8 @@ def _split(net: DirectedNetwork, row: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.where(inactive, np.nan, row), (row < 0) & inactive
 
 
-def draw_thresholds(
-    net: DirectedNetwork,
-    params: BalanceParams,
-    theta_draws: np.ndarray,
-    rng_seed,
-) -> tuple[np.ndarray, np.ndarray]:
+def draw_thresholds(net: DirectedNetwork, params: BalanceParams, theta_draws: np.ndarray,
+                    rng_seed) -> tuple[np.ndarray, np.ndarray]:
     """One trial of the standalone threshold model, as (thresholds,
     inactive_flips): row 0 of :func:`draw_rows`. Lenders' thresholds follow
     their implied law (see :func:`thresholds_from_normals`); each non-lender
@@ -85,48 +78,40 @@ def shadow_threshold_pdf(x, interbank_assets: float, capital_ratio: float,
     return L * return_pdf(x * L - capital_ratio * L / theta)
 
 
-def coupled_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
-    """The coupled mapping onto the threshold model: ``margin``, (trials,
-    banks) rows of net worth plus asset return, which ``balance_rows`` reads
-    as thresholds, divided in place by each bank's interbank assets L.
-
-    A lender gets the threshold margin / L. A non-lender (L = 0) gets -inf,
-    NaN or +inf as its margin is negative, zero or positive, so it flips at
-    round 0 exactly when its return alone wipes out its net worth.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(margin, net.interbank_assets, out=margin)
+def _in_loans(net: DirectedNetwork, thresholds: np.ndarray, out=None) -> np.ndarray:
+    """Fraction thresholds t, (trials, banks) rows, in the loans' own scale,
+    which the kernel compares with: fl(t * L) for a lender with interbank
+    assets L. A non-lender's entry, read only by its sign, is kept."""
+    return np.multiply(thresholds, np.where(net.is_lender, net.interbank_assets, 1.0), out=out)
 
 
 def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray) -> np.ndarray:
-    """The threshold rule over (trials, banks) rows: the kernel with the
-    loan weights as exposure (a weight is the loan over the lender's total
-    lending), so a lender flips once the summed weights of its flipped
-    borrowers strictly exceed its threshold, at round 0 when the threshold
-    is negative. A non-lender flips at round 0 where its entry is negative,
-    and never after. ``thresholds`` is not modified. Returns the kernel's
-    step matrix, as a one-run call.
+    """The threshold rule over (trials, banks) rows: a lender flips once the
+    loan-weighted share of its flipped borrowers strictly exceeds its
+    threshold t, at round 0 when t is negative. The kernel decides this as
+    its loans to flipped borrowers exceeding fl(t * L) (:func:`_in_loans`),
+    so no weight loan / L is ever rounded. A non-lender flips at round 0
+    where its entry is negative, and never after. ``thresholds`` is not
+    modified. Returns the kernel's step matrix, as a one-run call.
     """
-    return _batch_propagate(net, thresholds[None], [net.in_edge_weights])[0]
+    return _batch_propagate(net, _in_loans(net, thresholds)[None])[0]
 
 
-def thresholds_from_shocks(
-    net: DirectedNetwork,
-    sheets: BalanceSheets,
-    returns: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map one trial's asset returns onto the threshold model by
-    :func:`coupled_rows`. Feeding the result to :func:`run_threshold_cascade`
-    reproduces the balance-sheet engine's outcome on the same draw. The
+def thresholds_from_shocks(net: DirectedNetwork, sheets: BalanceSheets,
+                           returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map one trial's asset returns onto the threshold model: each lender's
+    threshold is fl(m / L), its margin m (net worth plus return) over its
+    interbank assets L, and each non-lender flips at round 0 where m < 0.
+    Feeding the result to :func:`run_threshold_cascade` reproduces the
+    balance-sheet engine's outcome on the same draw wherever
+    fl(fl(m / L) * L) = m; the sweep's coupled model maps m exactly. The
     returns must be finite, and are not modified."""
-    return _split(net, coupled_rows(net, sheets.net_worth + _trial_returns(net, sheets, returns)))
+    margin = sheets.net_worth + _trial_returns(net, sheets, returns)
+    return _split(net, margin / np.where(net.is_lender, net.interbank_assets, 1.0))
 
 
-def run_threshold_cascade(
-    net: DirectedNetwork,
-    thresholds: np.ndarray,
-    inactive_flips: np.ndarray,
-) -> CascadeResult:
+def run_threshold_cascade(net: DirectedNetwork, thresholds: np.ndarray,
+                          inactive_flips: np.ndarray) -> CascadeResult:
     """Run the threshold cascade to its fixed point: :func:`threshold_rows`
     on one row, with ``inactive_flips`` marking the non-lenders that flip
     at round 0. Neither input is modified. A lender's threshold may be
@@ -137,5 +122,5 @@ def run_threshold_cascade(
         raise ValueError("thresholds and flip vector must have one entry per bank")
     if np.isnan(thresholds[net.is_lender]).any():
         raise ValueError("a lender's threshold must not be NaN")
-    row = np.where(net.is_lender, thresholds, np.where(flips, -np.inf, np.nan))
+    row = np.where(net.is_lender, thresholds, np.where(flips, -1.0, 0.0))
     return CascadeResult(threshold_rows(net, row[None])[0])

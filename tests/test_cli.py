@@ -205,7 +205,8 @@ def test_check_passes_on_small_run(capsys):
     code = main(["check", "--instances", "3", "--oracle-instances", "15"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("[PASS]") == 3
+    assert out.count("[PASS]") == 4
+    assert "[PASS] tie-dense coupled: 600 trials, coupled mismatches: 0;" in out
     assert "ALL CHECKS PASSED" in out
 
 

@@ -47,7 +47,7 @@ from bankcascades.experiment import (
     run_trial,
 )
 from bankcascades.rng import STREAM_SHOCKS, STREAM_THRESHOLDS, draw_rows, stream_rng
-from bankcascades.threshold_cascade import coupled_rows, threshold_rows
+from bankcascades.threshold_cascade import threshold_rows
 
 from conftest import sheets_from_worth
 
@@ -158,9 +158,15 @@ def _case_c_rows(n, trials, seed):
     return net, sheets.net_worth, 3.0 * shock_returns(rng.standard_normal((trials, n)), sheets)
 
 
+def _coupled_thresholds(net, margin):
+    """The public coupled map, row by row: fl(m / L) for a lender with
+    interbank assets L; a non-lender keeps its margin, read by its sign."""
+    return margin / np.where(net.is_lender, net.interbank_assets, 1.0)
+
+
 def _both_rules(net, worth, returns):
     bs = balance_rows(net, worth + returns)
-    return bs, threshold_rows(net, coupled_rows(net, worth + returns))
+    return bs, threshold_rows(net, _coupled_thresholds(net, worth + returns))
 
 
 def test_disjoint_union_steps_are_the_components_side_by_side():
@@ -273,7 +279,7 @@ def test_round_zero_ties_are_decided_exactly_by_both_rules():
 def test_row_functions_and_engines_leave_every_argument_unchanged():
     net, worth, returns = _case_c_rows(150, 20, seed=3)
     worth = worth.copy()  # a sheet column, which is frozen
-    thresholds = coupled_rows(net, worth + returns)  # maps a fresh margin in place
+    thresholds = _coupled_thresholds(net, worth + returns)
     flips = thresholds < 0
     flips |= np.random.default_rng(3).random(flips.shape) < 0.1  # lenders' flips are not read
     assert ((thresholds < 0) & net.is_lender).any()  # lenders that fail at round 0
@@ -390,7 +396,7 @@ def _assert_batch_rows_match_oracle(net, worth, returns):
     sheets = sheets_from_worth(worth, net.interbank_assets)
 
     bs = balance_rows(net, worth + returns)
-    thr = threshold_rows(net, coupled_rows(net, worth + returns))
+    thr = threshold_rows(net, _coupled_thresholds(net, worth + returns))
 
     for t, row in enumerate(returns):
         ref = brute_force_fixed_point(net, sheets, row)
@@ -402,16 +408,16 @@ def _kernel_probe_rows():
     """(net, worth, returns): six trials of a 12-bank network, each probing
     one corner of the kernel."""
     # 1 and 2 borrow from 0; the chain 10 -> 9 -> 0 carries a cascade on.
-    # 3 lends 0.1, 0.2, 0.3, 0.4 (exactly 1.0 in all, so its edge weights
-    # equal its loans) to 4..7. 11 is isolated; every non-lender has a NaN
-    # threshold and cannot flip after round 0 in the threshold engine.
+    # 3 lends 0.1, 0.2, 0.3, 0.4 (exactly 1.0 in all, so its thresholds
+    # equal its margins) to 4..7. 11 is isolated; a non-lender's entry is
+    # read only by its sign, so it cannot flip after round 0.
     net = from_edges(12, [(0, 1, 1.0), (0, 2, 1.0), (9, 0, 1.0), (10, 9, 1.0),
                           (3, 4, 0.1), (3, 5, 0.2), (3, 6, 0.3), (3, 7, 0.4)])
     assert net.interbank_assets[3] == 1.0
     worth = np.ones(12)
     worth[0], worth[3], worth[9], worth[10] = 1.5, 0.6, 0.5, 0.5
-    # bank 3's test after 4, 5 and 6 fail together depends on the order
-    # of the three additions
+    # in floats, bank 3's test after 4, 5 and 6 fail together would depend
+    # on the order of the three additions; in loan units it cannot
     assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
 
     returns = np.zeros((6, 12))
@@ -429,7 +435,8 @@ def _borrower_order_rows():
     """(net, worth, returns): the accumulation-order probe of
     :func:`_kernel_probe_rows`, moved off the initial frontier."""
     # 4, 5 and 6 lend to 8 and fail together in superstep 1, so lender 3
-    # takes its 0.1, 0.2 and 0.3 losses in one later superstep
+    # takes its 0.1, 0.2 and 0.3 losses in one later superstep. Their exact
+    # sum exceeds fl(0.6), as one float order says and the other does not
     net = from_edges(9, [(3, 4, 0.1), (3, 5, 0.2), (3, 6, 0.3), (3, 7, 0.4),
                          (4, 8, 1.0), (5, 8, 1.0), (6, 8, 1.0)])
     assert (0.1 + 0.2) + 0.3 > 0.6 >= (0.3 + 0.2) + 0.1
@@ -471,9 +478,9 @@ def test_kernel_blocks_leave_every_step_and_input_unchanged(monkeypatch, rows):
     want = [_both_rules(*case) for case in cases]  # a single block each
     kernel = balance_cascade._batch_propagate
 
-    def kernel_keeping_its_inputs(net, thresholds, edge_amount):
+    def kernel_keeping_its_inputs(net, thresholds):
         thresholds_before = thresholds.copy()
-        step = kernel(net, thresholds, edge_amount)
+        step = kernel(net, thresholds)
         assert np.array_equal(thresholds, thresholds_before, equal_nan=True)
         return step
 
@@ -490,9 +497,8 @@ def test_kernel_blocks_leave_every_step_and_input_unchanged(monkeypatch, rows):
 
 def _tie_dense_margins(z, trials, seed):
     """(net, margin): case-A margins rounded to integers, rint(w + 3r)
-    (ROADMAP item 11). Unit-loan sums and integer margins are exact, while
-    the threshold rule compares sums of fl(1/k) with fl(m/k), so the coupled
-    engines agree at round 0 and part mid-cascade on many trials."""
+    (ROADMAP item 11). Float loan weights fl(1/k) summed against fl(m/k)
+    parted the coupled engines mid-cascade on most of these trials."""
     theta_dist, loan_dist = case_presets("A")
     rng = np.random.default_rng(seed)
     net = generate_er(1000, z, loan_dist, rng)
@@ -501,24 +507,34 @@ def _tie_dense_margins(z, trials, seed):
     return net, np.rint(sheets.net_worth + 3.0 * returns)
 
 
-def _coupled_run_pairs():
-    """(net, pair) inputs for a two-run kernel call: margin rows in half 0
-    and their coupled mapping in half 1."""
+def _lowered(net, margin):
+    """The mutant coupled map: ``margin`` with the K of the bank that lends
+    most often lowered to the next K below (K - 1 under unit loans)."""
+    s, bank = net.loan_unit_exponent, int(np.argmax(net.out_degree))
+    out = margin.copy()
+    k = np.ldexp(np.floor(np.ldexp(margin[:, bank], s)), -s)
+    out[:, bank] = np.nextafter(k, -np.inf)
+    return out
+
+
+def _margin_rows():
+    """(net, margin) inputs for kernel calls: the probe rows, case-C rows,
+    tie-dense rows, the subnormal corner and a 128-bank lending chain."""
     margins = [(net, worth + returns) for net, worth, returns in
                (_kernel_probe_rows(), _borrower_order_rows(), _case_c_rows(150, 200, seed=11))]
     margins += [_tie_dense_margins(z, 60, seed=int(z)) for z in (2.0, 4.0)]
-    # a negative subnormal margin maps to -0.0: the runs part at round 0
+    # a negative subnormal margin: fl(m / L) is -0.0, but K is -1
     margins.append((from_edges(2, [(0, 1, 3.0)]), np.array([[-5e-324, 1.0]])))
     # a 128-bank lending chain: round 127 is the last an int8 step holds
     chain = np.full((1, 128), 0.5)
     chain[0, -1] = -0.5
     margins.append((from_edges(128, [(i, i + 1, 1.0) for i in range(127)]), chain))
-    return [(net, np.stack((m, coupled_rows(net, m.copy())))) for net, m in margins]
+    return margins
 
 
-def _one_run_calls(net, stack, amounts):
+def _one_run_calls(net, stack):
     """The kernel's one-run call on each run of ``stack`` alone."""
-    return [balance_cascade._batch_propagate(net, t[None], [a])[0] for t, a in zip(stack, amounts)]
+    return [balance_cascade._batch_propagate(net, t[None])[0] for t in stack]
 
 
 def _coupled_sweep_chunk(monkeypatch, net, margin):
@@ -542,56 +558,52 @@ def _coupled_sweep_chunk(monkeypatch, net, margin):
 # rows per kernel block: one, four, all
 @pytest.mark.parametrize("rows", [1, 4, None])
 def test_two_runs_give_the_steps_of_two_one_run_calls(monkeypatch, rows):
-    parted = {"round 0": 0, "later": 0}
-    for net, pair in _coupled_run_pairs():
+    parted = 0
+    for net, margin in _margin_rows():
         monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS",
-                            (pair.shape[1] if rows is None else rows) * net.n_nodes)
-        amounts = np.stack((net.in_loan, net.in_edge_weights))
-        want = _one_run_calls(net, pair, amounts)
-        pair_before, amounts_before = pair.copy(), amounts.copy()
-        got = balance_cascade._batch_propagate(net, pair, amounts)
-        assert np.array_equal(pair, pair_before, equal_nan=True)
-        assert np.array_equal(amounts, amounts_before)
+                            (len(margin) if rows is None else rows) * net.n_nodes)
+        pair = np.stack((margin, _lowered(net, margin)))
+        want = _one_run_calls(net, pair)
+        pair_before = pair.copy()
+        got = balance_cascade._batch_propagate(net, pair)
+        assert np.array_equal(pair, pair_before)
         assert got.shape == pair.shape and got.dtype == want[0].dtype
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        # the sweep's call, which maps run 1 itself
-        steps, buffer = _coupled_sweep_chunk(monkeypatch, net, pair[0])
-        for g, w in zip((steps["bs"], steps["threshold"]), want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert np.array_equal(buffer, pair, equal_nan=True)
-        differ = (want[0] != want[1]).any(axis=1)
-        at_zero = ((want[0] == 0) != (want[1] == 0)).any(axis=1)
-        parted["round 0"] += int(at_zero.sum())
-        parted["later"] += int((differ & ~at_zero).sum())
-    assert parted["round 0"] == 1  # the subnormal corner
-    assert parted["later"] > 10  # tie-dense trials: the comparison is not vacuous
+        # equal runs propagate once and share their steps
+        for g in balance_cascade._batch_propagate(net, np.stack((margin, margin))):
+            assert np.array_equal(g, want[0])
+        # the sweep's call, whose coupled map copies the margin into run 1
+        steps, buffer = _coupled_sweep_chunk(monkeypatch, net, margin)
+        for g in (steps["bs"], steps["threshold"]):
+            assert g.dtype == want[0].dtype and np.array_equal(g, want[0])
+        assert np.array_equal(buffer, np.stack((margin, margin)))
+        parted += int((want[0] != want[1]).any(axis=1).sum())
+    assert parted > 10  # the mutant's runs part: the comparison is not vacuous
 
-    # three runs, any sequence of amounts: the coupled pair shares round 0
-    # and parts later, and a third run parts at round 0 in every other trial
+    # three runs: the mutant parts from the margin, and a third run with the
+    # margin's K shares its steps
     net, margin = _tie_dense_margins(4.0, 12, seed=4)
-    third, even = margin.copy(), np.arange(0, 12, 2)
-    third[even, (margin[even] >= 0).argmax(axis=1)] = -1.0  # a surviving bank fails
-    stack = np.stack((margin, coupled_rows(net, margin.copy()), third))
-    amounts = (net.in_loan, net.in_edge_weights, net.in_loan)
+    stack = np.stack((margin, _lowered(net, margin), margin + 0.5))  # the same floor
     monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS", (rows or len(margin)) * net.n_nodes)
-    want = _one_run_calls(net, stack, amounts)
-    got = balance_cascade._batch_propagate(net, stack, amounts)
+    want = _one_run_calls(net, stack)
+    got = balance_cascade._batch_propagate(net, stack)
     assert got.shape == stack.shape
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
-    at_zero = ((want[0] == 0) != (want[2] == 0)).any(axis=1)
-    assert at_zero.tolist() == [True, False] * 6
-    assert ((want[0] != want[1]).any(axis=1) & ~at_zero).sum() > 3
+    assert np.array_equal(want[0], want[2]) and (want[0] != want[1]).any(axis=1).sum() > 3
 
 
-def test_the_two_run_corners_keep_each_runs_own_steps():
-    (*_, (corner, corner_pair), (chain, chain_pair)) = _coupled_run_pairs()
-    amounts = np.stack((corner.in_loan, corner.in_edge_weights))
-    assert balance_cascade._batch_propagate(corner, corner_pair, amounts).tolist() == [
-        [[0, -1]], [[-1, -1]]]
-    amounts = np.stack((chain.in_loan, chain.in_edge_weights))
-    step = balance_cascade._batch_propagate(chain, chain_pair, amounts)
+def test_the_two_run_corners_keep_each_runs_own_steps(monkeypatch):
+    (*_, (corner, corner_margin), (chain, chain_margin)) = _margin_rows()
+    # the subnormal corner: fl(m / L) underflows to -0.0, yet both sweep runs
+    # default at round 0, as the balance rule and the exact oracle say
+    steps, _ = _coupled_sweep_chunk(monkeypatch, corner, corner_margin)
+    assert [steps[m].tolist() for m in ("bs", "threshold")] == [[[0, -1]]] * 2
+    sheets = sheets_from_worth(corner_margin[0], corner.interbank_assets)
+    assert brute_force_fixed_point(corner, sheets, np.zeros(2)).tolist() == [0, -1]
+    assert balance_rows(corner, corner_margin).tolist() == [[0, -1]]
+    step = balance_cascade._batch_propagate(chain, np.stack((chain_margin, chain_margin)))
     assert step.dtype == np.int8
     assert step[:, 0].tolist() == [list(range(127, -1, -1))] * 2
 
@@ -599,20 +611,19 @@ def test_the_two_run_corners_keep_each_runs_own_steps():
 def test_a_non_lenders_round_zero_is_the_sign_of_its_entry_alone():
     # a non-lender receives no exposure, so the kernel reads its entry only by
     # sign, at round 0: each special value acts as -1.0 if negative, else as
-    # +1.0 (-0.0 and NaN are not negative)
-    specials = np.array([-np.inf, -1e300, -5e-324, -0.0, 0.0, 5e-324, np.inf, np.nan])
+    # +1.0 (-0.0 is not negative)
+    specials = np.array([-np.inf, -1e300, -5e-324, -0.0, 0.0, 5e-324, 1e300, np.inf])
     spread = 0
     for net, worth, returns in (_kernel_probe_rows(), _case_c_rows(150, 200, seed=11)):
         inactive = ~net.is_lender
-        rows = coupled_rows(net, worth + returns)
+        rows = worth + returns
         pick = np.random.default_rng(7).integers(0, specials.size, size=rows.shape)
         rows[:, inactive] = specials[pick[:, inactive]]
         signs = np.where(inactive & (rows < 0), -1.0, np.where(inactive, 1.0, rows))
-        for edge_amount in (net.in_loan, net.in_edge_weights):
-            step, by_sign = _one_run_calls(net, (rows, signs), (edge_amount, edge_amount))
-            assert np.array_equal(step, by_sign)
-            assert np.array_equal(step[:, inactive] == 0, rows[:, inactive] < 0)
-            spread += (step.max(axis=1) > 0).sum()
+        step, by_sign = _one_run_calls(net, (rows, signs))
+        assert np.array_equal(step, by_sign)
+        assert np.array_equal(step[:, inactive] == 0, rows[:, inactive] < 0)
+        spread += (step.max(axis=1) > 0).sum()
     assert spread  # non-lender flips spread defaults: the comparison is not vacuous
 
 
@@ -627,27 +638,27 @@ def test_kernel_memory_is_flat_in_the_trial_count():
     returns = shock_returns(rng.standard_normal((3000, 1000)), sheets)
     thresholds = sheets.net_worth + returns
     del returns
-    net.in_degree, net.in_indptr, net.in_lender, net.in_loan  # build the cached indexes untraced
+    # build the cached indexes untraced
+    net.in_degree, net.in_indptr, net.in_lender, net.in_loan, net.in_loan_units
     tracemalloc.start()
     try:
-        step = balance_cascade._batch_propagate(net, thresholds[None], [net.in_loan])[0]
+        step = balance_cascade._batch_propagate(net, thresholds[None])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (step.max(axis=1) > 10).mean() > 0.9
     assert peak - step.nbytes <= 16 * 2**20
 
-    # the coupled pair of runs holds two of each per-run array: twice the bound
-    pair = np.stack((thresholds, coupled_rows(net, thresholds.copy())))
+    # the coupled pair of runs holds two K blocks per block, one of them its room
+    pair = np.stack((thresholds, thresholds))
     del thresholds
-    amounts = (net.in_loan, net.in_edge_weights)
     tracemalloc.start()
     try:
-        steps = balance_cascade._batch_propagate(net, pair, amounts)
+        steps = balance_cascade._batch_propagate(net, pair)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(steps[0], step)
+    assert np.array_equal(steps[0], step) and np.array_equal(steps[1], step)
     assert peak - steps.nbytes <= 2 * 16 * 2**20
 
 
@@ -716,3 +727,82 @@ def test_batched_rows_match_naive_references_on_small_nets(model):
                     assert out[m][ti].tolist() == step, (m, zi, ni, ti)
                     contagious += max(step) > 0
     assert contagious >= 10  # the comparison is not vacuous
+
+
+# -- exact flips at float ties (ROADMAP items 2 and 8) ------------------------
+
+def _near_tie_margins(total, ulps=4):
+    """The 2 * ulps + 1 floats from ``ulps`` below ``total`` to ``ulps`` above."""
+    below, above = [total], [total]
+    for _ in range(ulps):
+        below.insert(0, np.nextafter(below[0], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[:-1] + above)
+
+
+def test_equal_loans_against_near_tie_margins_match_the_exact_oracle(monkeypatch):
+    # bank 0 lends k equal loans of a to banks 1..k, which all fail at round
+    # 0; its margin sits within 4 ulps of fl(k * a). 540 probes: the float
+    # kernel got 43 of them wrong in the balance engine alone
+    probes = agree = defaulted = 0
+    for k in range(2, 12):
+        for a in (0.1, 0.2, 0.3, 0.37, 0.7, 1.1):
+            net = from_edges(k + 1, [(0, j, a) for j in range(1, k + 1)])
+            margin = np.full((9, k + 1), -1.0)
+            margin[:, 0] = _near_tie_margins(k * a)
+            steps, _ = _coupled_sweep_chunk(monkeypatch, net, margin)
+            bs = balance_rows(net, margin)
+            for t, row in enumerate(margin):
+                sheets = sheets_from_worth(row, net.interbank_assets)
+                want = brute_force_fixed_point(net, sheets, np.zeros(k + 1)).tolist()
+                got = [bs[t].tolist(), steps["bs"][t].tolist(), steps["threshold"][t].tolist()]
+                agree += got == [want] * 3
+                defaulted += want[0] == 1
+                probes += 1
+    assert agree == probes == 540
+    assert 0 < defaulted < probes  # the margins straddle the exact sums
+
+
+def _relabelled(net, perm):
+    """``net`` with bank i renamed perm[i]."""
+    return from_edges(net.n_nodes, zip(perm[net.lender], perm[net.borrower], net.loan_size))
+
+
+def test_relabelling_the_banks_relabels_every_step(monkeypatch):
+    # renaming banks changes the order of every sum but no exact one, so
+    # each bank keeps its step under its new name, near ties included
+    pair = from_edges(4, [(0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.3)])
+    pair_margin = np.array([[0.6, -1.0, -1.0, -1.0]])
+    cases = [(pair, pair_margin, np.array([0, 3, 2, 1]))]  # the loans' order reversed
+    probe_net, probe_worth, probe_returns = _kernel_probe_rows()
+    case_c_net, case_c_worth, case_c_returns = _case_c_rows(150, 40, seed=5)
+    for net, margin in (_tie_dense_margins(4.0, 30, seed=9),
+                        (probe_net, probe_worth + probe_returns),
+                        (case_c_net, case_c_worth + case_c_returns)):
+        cases.append((net, margin, np.random.default_rng(5).permutation(net.n_nodes)))
+    contagious = 0
+    for net, margin, perm in cases:
+        renamed, renamed_margin = _relabelled(net, perm), np.empty_like(margin)
+        renamed_margin[:, perm] = margin
+        want = balance_rows(net, margin)
+        for got in (balance_rows(renamed, renamed_margin),
+                    *_coupled_sweep_chunk(monkeypatch, renamed, renamed_margin)[0].values()):
+            assert np.array_equal(got[:, perm], want)
+        contagious += int((want.max(axis=1) > 0).sum())
+    assert balance_rows(pair, pair_margin).tolist() == [[1, 0, 0, 0]]  # 0.1 + 0.2 + 0.3 > 0.6
+    assert contagious > 20
+
+
+def test_a_lenders_total_of_2_to_the_62_loan_units_raises():
+    # loans of 2 and 2**-61: units of 2**-61, and a total of 2**62 + 1 units
+    net = from_edges(3, [(0, 1, 2.0), (0, 2, 2.0**-61)])
+    sheets = sheets_from_worth(np.ones(3), net.interbank_assets)
+    with pytest.raises(ValueError, match=r"2\*\*62"):
+        run_balance_cascade(net, sheets, np.zeros(3))
+    with pytest.raises(ValueError, match=r"2\*\*62"):
+        run_threshold_cascade(net, np.array([0.5, 0.0, 0.0]), np.zeros(3, dtype=bool))
+    # half the big loan is in the domain, and its sum is exact: 1 + 2**-61
+    # exceeds a margin of 1.0, which fl(1 + 2**-61) = 1.0 would not
+    net = from_edges(3, [(0, 1, 1.0), (0, 2, 2.0**-61)])
+    assert (net.loan_unit_exponent, net.in_loan_units.dtype) == (61, np.int64)
+    assert balance_rows(net, np.array([[1.0, -1.0, -1.0]])).tolist() == [[1, 0, 0]]

@@ -22,7 +22,6 @@ from bankcascades.balance_cascade import balance_rows
 from bankcascades.checks import brute_force_fixed_point, run_balance_cascade_async
 from bankcascades.experiment import ExperimentConfig, _network_task, case_presets
 from bankcascades.results_io import rows_to_csv
-from bankcascades.threshold_cascade import coupled_rows, threshold_rows
 
 from conftest import sheets_from_worth
 
@@ -184,7 +183,7 @@ class _InlinePool:
 ])
 def test_sweep_pool_is_capped_at_one_process_per_network(workers, networks, pool_size,
                                                            monkeypatch):
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     cfg = _small_cfg(degree_grid=(2.0,), networks_per_degree=networks, trials_per_network=10)
     seen = []
@@ -261,9 +260,9 @@ def test_each_sweep_chunks_steps_are_one_run_calls_on_its_rows(model, monkeypatc
     batch_outcomes, batch_propagate = experiment._batch_outcomes, experiment._batch_propagate
     calls = []
 
-    def recording_kernel(net, rows, amounts):
+    def recording_kernel(net, rows):
         calls.append([net, rows.copy()])
-        return batch_propagate(net, rows, amounts)
+        return batch_propagate(net, rows)
 
     def recording_outcomes(*args):
         out = batch_outcomes(*args)
@@ -276,12 +275,11 @@ def test_each_sweep_chunks_steps_are_one_run_calls_on_its_rows(model, monkeypatc
     models = experiment._models_run(model)
     chunk = experiment._CHUNK_KEYS // (len(models) * cfg.n_banks)
     assert [len(rows[0]) for _, rows, _ in calls] == [chunk] * (600 // chunk) + [600 % chunk]
-    rules = {"bs": balance_rows, "threshold": threshold_rows}
     spread = parted = 0
     for net, rows, out in calls:
         assert len(rows) == len(models) and list(out) == list(models)
         for m, run in zip(models, rows):
-            want = rules[m](net, run)
+            want = batch_propagate(net, run[None])[0]
             assert out[m].dtype == want.dtype and np.array_equal(out[m], want), m
             spread += int((want.max(axis=1) > 0).sum())
         if len(models) == 2:
@@ -343,35 +341,30 @@ def test_coupled_sweep_reports_zero_mismatches():
 
 
 def test_coupled_sweep_counts_every_mismatch(monkeypatch):
-    # margins rounded to integers, rint(w + 3r), make the coupled engines part
-    # mid-cascade on many trials (ROADMAP item 11); the sweep's count must be
-    # the one that two separate one-run kernel calls give on the same margins
+    # the sweep's coupled map copies the margin, so its runs never part. A
+    # mutant map that lowers one bank's K by one (x - 1 under unit loans)
+    # parts them, and the sweep's count must be the one that two separate
+    # one-run kernel calls give on the same rows
     cfg = ExperimentConfig(
         n_banks=1000, capital_ratio=0.1, default_prob=0.01, case="A", model="both-coupled",
-        degree_grid=(2.0,), networks_per_degree=1, trials_per_network=300,
+        degree_grid=(4.0,), networks_per_degree=1, trials_per_network=300,
         crisis_cutoff=0.05, master_seed=2,
     )
-    shock_returns, batch_propagate = experiment.shock_returns, experiment._batch_propagate
+    assert _network_task((cfg, 0, 0))[1]["mismatches"] == 0
+    batch_propagate = experiment._batch_propagate
     chunks = []
 
-    def tie_dense(z, sheets):
-        returns = shock_returns(z, sheets)
-        margin = np.rint(sheets.net_worth + 3.0 * returns)
-        return np.subtract(margin, sheets.net_worth, out=returns)
+    def mutant(net, rows):
+        rows[1, :, np.argmax(net.out_degree)] -= 1.0
+        chunks.append((net, rows.copy()))
+        return batch_propagate(net, rows)
 
-    def recording(net, rows, amounts):
-        chunks.append((net, rows[0].copy()))
-        return batch_propagate(net, rows, amounts)
-
-    monkeypatch.setattr(experiment, "shock_returns", tie_dense)
-    monkeypatch.setattr(experiment, "_batch_propagate", recording)
+    monkeypatch.setattr(experiment, "_batch_propagate", mutant)
     _, result = _network_task((cfg, 0, 0))
-    assert [len(margin) for _, margin in chunks] == [262, 38]  # 2**19 keys over two runs
+    assert [len(rows[0]) for _, rows in chunks] == [262, 38]  # 2**19 keys over two runs
     mismatches = 0
-    for net, margin in chunks:
-        bs = balance_rows(net, margin)
-        thr = threshold_rows(net, coupled_rows(net, margin.copy()))
-        mismatches += int((bs != thr).any(axis=1).sum())
+    for net, (margin, lowered) in chunks:
+        mismatches += int((balance_rows(net, margin) != balance_rows(net, lowered)).any(axis=1).sum())
     assert result["mismatches"] == mismatches > 0
 
 
