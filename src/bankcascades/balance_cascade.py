@@ -11,12 +11,13 @@ is a step matrix, one row per trial: the round in which each bank defaulted
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .balance import BalanceSheets
-from .network import DirectedNetwork
+from .network import DirectedNetwork, _as_units
 from .rng import as_generator, draw_rows, normal_from_standard
 
 __all__ = ["CascadeResult", "draw_shocks", "run_balance_cascade"]
@@ -117,53 +118,49 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray) -> np.ndarray
 
     - Loans are exact integers of 2**-s units (``in_loan_units``; s is the
       network's ``loan_unit_exponent``), so their sums are exact in any
-      order. Each x becomes K = clip(floor(x * 2**s), -1, top), top >= U,
-      the largest lender's total; a sum of units exceeds x iff it exceeds K.
-      Units and K share the units' dtype, the smallest that holds -(U + 1):
-      int8 for unit loans at N = 1000, int64 for case C.
+      order. Each x becomes K = clip(floor(x * 2**s), -1, top), top >= U
+      being the network's ``loan_unit_top`` and U the largest lender's
+      total; a sum of units exceeds x iff it exceeds K. Units and K share
+      the units' dtype, the smallest that holds -(U + 1): int8 for unit
+      loans at N = 1000, int64 for case C, Python ints beyond int64.
     - Each (trial, bank) key's room starts at its K, so superstep 0 (round
       0) flips exactly the negative x; a non-lender loses nothing, so only
       its sign is read. Each later superstep takes each loan to a newly
       flipped borrower off its lender's room in that trial, and a key flips
       once its room is negative. A flipped key is retired by setting its
-      room to the dtype's maximum: at most U more can leave it, so it stays
-      at least 0 and never flips again; an unflipped room stays >= -1 - U.
+      room to top: at most U more can leave it, so it stays at least 0 and
+      never flips again; an unflipped room stays >= -1 - U.
     - Trials never interact, so they run in blocks of about ``_BLOCK_KEYS``
       (trial, bank) keys, and memory beyond the step matrices does not grow
       with the trial count.
-    - Runs whose K blocks are equal propagate once and share their steps
-      (the sweep's coupled pair); every other run propagates alone.
+    - Each run propagates alone, except that a stack repeating one run
+      (stride 0 over runs, as ``np.broadcast_to`` makes) propagates it once
+      and repeats its steps: the sweep's coupled pair.
 
     Returns a stack of step matrices, one per run: the superstep in which
     each bank flipped (0 for round 0), or -1 if it never did, in the
     smallest signed dtype that holds -N (int16 at N = 1000).
     """
+    if len(thresholds) > 1 and thresholds.strides[0] == 0:
+        return np.broadcast_to(_batch_propagate(net, thresholds[:1]), thresholds.shape)
     n_trials, n = thresholds.shape[1:]
     step = np.full(thresholds.shape, -1, dtype=np.min_scalar_type(-n))
-    units, s = net.in_loan_units, net.loan_unit_exponent
-    limits = np.iinfo(units.dtype)
-    # K's bounds, -1 and top >= U, scaled down by 2**s: exactly, as s <= 1074
-    low, high = -(2.0**-s), min(limits.max, 2**62) * 2.0**-s
+    units, s, top = net.in_loan_units, net.loan_unit_exponent, net.loan_unit_top
+    # K's bounds, -1 and top, scaled down by 2**s: exactly, as s <= 1074
+    low, high = -(2.0**-s), math.ldexp(top, -s)
     in_degree, edge_end, hop = net.in_degree, net.in_indptr[1:], net.in_hop
     rows = max(1, _BLOCK_KEYS // n)
     for first_row in range(0, n_trials, rows):
         block = slice(first_row, first_row + rows)
-        groups = []  # (K, the step rows of every run with that K), as flat keys
         for x, run_step in zip(thresholds, step):
-            k = np.maximum(x[block], low).ravel()
-            np.minimum(k, high, out=k)
-            k = np.floor(np.ldexp(k, s, out=k), out=k).astype(units.dtype)
-            same = next((g for g in groups if np.array_equal(g[0], k)), None)
-            if same:
-                same[1].append(run_step[block])
-            else:
-                groups.append((k, [run_step[block]]))
-        for room, (first, *others) in groups:
-            step_flat = first.ravel()  # whole rows of a C-ordered array: a view
+            room = np.maximum(x[block], low).ravel()
+            np.minimum(room, high, out=room)
+            room = _as_units(np.floor(np.ldexp(room, s, out=room), out=room), units.dtype)
+            step_flat = run_step[block].ravel()  # whole rows of a C-ordered array: a view
             frontier, superstep = np.flatnonzero(room < 0), 0
             while frontier.size:
                 step_flat[frontier] = superstep
-                room[frontier] = limits.max
+                room[frontier] = top
                 jj = frontier % n
                 # one entry per edge into the frontier: its frontier position,
                 # then its index into the borrower-grouped edge arrays
@@ -179,8 +176,6 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray) -> np.ndarray
                 np.subtract.at(room, keys, units.take(idx))
                 frontier = _sorted_unique(keys.compress(room.take(keys) < 0))
                 superstep += 1
-            for other in others:
-                np.copyto(other, first)
     return step
 
 
@@ -196,8 +191,11 @@ def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
     return _batch_propagate(net, margin[None])[0]
 
 
-def run_balance_cascade(net: DirectedNetwork, sheets: BalanceSheets,
-                        returns: np.ndarray) -> CascadeResult:
+def run_balance_cascade(
+    net: DirectedNetwork,
+    sheets: BalanceSheets,
+    returns: np.ndarray,
+) -> CascadeResult:
     """Run one trial to its fixed point: :func:`balance_rows` on one row of
     asset returns, which it does not modify and which must be finite."""
     returns = _trial_returns(net, sheets, returns)

@@ -3,7 +3,7 @@
 Independent lines of evidence that the two cascade engines implement the
 same model: exact trial-for-trial agreement when coupled through one shock
 draw (the same bank defaults in the same round), on random draws and on a
-tie-dense family through the sweep's coupled path, agreement of the fast
+tie-dense family, agreement of the fast
 engine with a naive fixed-point oracle on desk-scale networks, round by
 round, and distributional calibration of the sweep's own draws (those of
 ``rng.draw_rows``). The validation-only oracles, a brute-force fixed point
@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets, ThetaDistribution, build_sheets
 from .balance_cascade import (CascadeResult, _trial_returns, draw_shocks, run_balance_cascade,
                               shock_returns)
-from .experiment import CASES, ExperimentConfig, _batch_outcomes, case_presets
+from .experiment import CASES, case_presets
 from .network import DirectedNetwork, from_edges, generate_er
 from .rng import as_generator, draw_rows, stream_rng, stream_rngs, stream_seed
 from .threshold_cascade import (run_threshold_cascade, thresholds_from_normals,
@@ -67,7 +66,8 @@ def _boundary_probe() -> tuple[DirectedNetwork, BalanceSheets, np.ndarray]:
     have net worth 1, and banks 1 and 2 fail outright. Bank 0's return of -2
     maps it to a threshold of exactly (4 - 2) / 4 = 0.5, which its
     flipped-weight fraction 2/4 meets exactly, so under the strict rule both
-    engines agree it survives: the probe that catches a >= mutation.
+    engines agree it survives. Random draws never produce exact ties, so
+    this probe is what lets the suite detect a >= mutation of the flip rule.
     """
     net = from_edges(5, [(0, j, 1.0) for j in (1, 2, 3, 4)])
     params = BalanceParams(0.25, _DELTA, ThetaDistribution.constant(0.25))
@@ -96,8 +96,12 @@ def _compare_coupled(net, sheets, returns, *, inject_fault: bool) -> tuple[bool,
                    "threshold_step": int(res_thr.step[bank])}
 
 
-def equivalence_suite(*, instances: int = 100, seed: int = 0,
-                      inject_fault: bool = False) -> CheckReport:
+def equivalence_suite(
+    *,
+    instances: int = 100,
+    seed: int = 0,
+    inject_fault: bool = False,
+) -> CheckReport:
     """Coupled trial-for-trial agreement of the two engines on ``instances``
     networks per case A/B/C (1000 banks, z cycling over 1, 3, 5, 8) and the
     exact boundary probe; zero mismatches required. ``inject_fault`` swaps in
@@ -126,9 +130,13 @@ def equivalence_suite(*, instances: int = 100, seed: int = 0,
             returns = draw_shocks(sheets, stream_rng(seed, _CHK_SHOCK, ci, k))
             ok, info = _compare_coupled(net, sheets, returns, inject_fault=inject_fault)
             if not ok:
-                info.update({"case": case, "instance": k, "z": z, "seed": seed, "network": net})
-                return CheckReport(name, False, f"engines disagree on case {case} instance {k} "
-                                                f"(z={z}, seed={seed})", info)
+                info.update({"case": case, "instance": k, "z": z, "seed": seed,
+                             "network": net})
+                return CheckReport(
+                    name, False,
+                    f"engines disagree on case {case} instance {k} (z={z}, seed={seed})",
+                    info,
+                )
     return CheckReport(name, True, f"{len(CASES) * instances} coupled instances + boundary "
                                    "probe, 0 mismatches")
 
@@ -159,8 +167,11 @@ def oracle_suite(*, instances: int = 200, seed: int = 0) -> CheckReport:
         for schedule in range(3):
             async_defaulted = run_balance_cascade_async(net, sheets, returns, rng)
             if not np.array_equal(async_defaulted, engine.defaulted):
-                return CheckReport(name, False, f"asynchronous schedule {schedule} differs on "
-                                   f"instance {k}", {"instance": k, "seed": seed, "network": net})
+                return CheckReport(
+                    name, False,
+                    f"asynchronous schedule {schedule} differs on instance {k}",
+                    {"instance": k, "seed": seed, "network": net},
+                )
     return CheckReport(name, True, f"{instances} instances match oracle and async schedules")
 
 
@@ -222,50 +233,48 @@ def distribution_suite(*, seed: int = 0) -> CheckReport:
     )
 
 
-def _coupled_chunk(net: DirectedNetwork, margin: np.ndarray, seed: int) -> dict:
-    """The sweep's coupled chunk (:func:`_batch_outcomes`) on given margin
-    rows: they stand in as net worth beside a volatility of 0, which turns
-    the chunk's own draw into returns of 0."""
-    cfg = ExperimentConfig(
-        n_banks=net.n_nodes, capital_ratio=_GAMMA, default_prob=_DELTA, case="A",
-        model="both-coupled", degree_grid=(0.0,), networks_per_degree=1,
-        trials_per_network=len(margin), crisis_cutoff=0.05, master_seed=seed,
-    )
-    sheets = SimpleNamespace(net_worth=margin, return_std=0.0)
-    return _batch_outcomes(cfg, net, None, None, sheets, 0, 0, range(len(margin)))
-
-
 def tie_suite(*, seed: int = 0) -> CheckReport:
-    """Coupled agreement where float sums tie, on the sweep's coupled path:
-    integer margins rint(w + 3r) on 1000-bank case-A networks (z = 2, 4, 6,
-    200 trials each), where summed loan weights fl(1/k) parted the engines
-    on most trials, and the relabelled pair: bank 0 lends 0.1, 0.2 and 0.3
-    to three failed banks against a margin of 0.6, in both label orders.
-    Zero coupled mismatches required, and the exact oracle's steps on the
-    pair."""
+    """Coupled agreement where loss sums tie margins exactly, checked
+    against paths the sweep's coupled model does not take (it reads one
+    margin in both engines, so agrees by construction). Integer margins
+    rint(w + 3r) on 1000-bank case-A networks (z = 2, 4, 6; 100 trials
+    each) run through the per-trial engines, where float loan weights fl(1/k)
+    summed against fl(m/k) once parted them on most trials; each network's
+    first trial also runs through the exact asynchronous oracle. These
+    out-degrees stay below 22, where fl(fl(m / L) * L) = m for every tie
+    0 <= m <= L, so the engines' mapped thresholds are exact. Then the
+    relabelled pair: bank 0 lends 0.1, 0.2 and 0.3 to three failed banks
+    against a margin of 0.6, in both label orders, against the exact
+    brute-force oracle. Zero mismatches required."""
     theta_dist, loan_dist = case_presets("A")
-    params, trials, mismatches = BalanceParams(_GAMMA, _DELTA, theta_dist), range(200), 0
+    params, zero, mismatches = BalanceParams(_GAMMA, _DELTA, theta_dist), np.zeros(1000), 0
+    trials = range(100)
     for k, z in enumerate((2.0, 4.0, 6.0)):
         net = generate_er(1000, z, loan_dist, stream_seed(seed, _CHK_TIES, k, 0))
         sheets = build_sheets(net, params, thetas=theta_dist.sample(
             1000, stream_rng(seed, _CHK_TIES, k, 1)))
         normals = draw_rows(stream_rngs(seed, _CHK_TIES, k, 2, trials=trials), len(trials), 1000)
-        margin = np.rint(sheets.net_worth + 3.0 * shock_returns(normals, sheets))
-        steps = _coupled_chunk(net, margin, seed)
-        mismatches += int(np.count_nonzero((steps["bs"] != steps["threshold"]).any(axis=1)))
-    pair = []
+        margins = np.rint(sheets.net_worth + 3.0 * shock_returns(normals, sheets))
+        for t, margin in enumerate(margins):
+            tied = replace(sheets, net_worth=margin)
+            ok, _ = _compare_coupled(net, tied, zero, inject_fault=False)
+            if ok and t == 0:
+                ok = np.array_equal(run_balance_cascade(net, tied, zero).defaulted,
+                                    run_balance_cascade_async(net, tied, zero,
+                                                              stream_rng(seed, _CHK_TIES, k, 3)))
+            mismatches += not ok
+    steps = []
     for loans in ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)):
         net = from_edges(4, [(0, j, a) for j, a in enumerate(loans, 1)])
         sheets = replace(build_sheets(net, params, thetas=np.full(4, 0.3)),
                          net_worth=np.array([0.6, 1.0, 1.0, 1.0]))
         returns = np.array([0.0, -2.0, -2.0, -2.0])
-        steps = _coupled_chunk(net, (sheets.net_worth + returns)[None], seed)
-        pair.append([steps["bs"][0].tolist(), steps["threshold"][0].tolist(),
-                     brute_force_fixed_point(net, sheets, returns).tolist()])
-    return CheckReport("tie-dense coupled", not mismatches and all(a == b == c for a, b, c in pair),
-                       f"{3 * len(trials)} trials, coupled mismatches: {mismatches}; relabelled "
-                       f"pair: bank 0 steps {[p[0][0] for p in pair]}, exact oracle's "
-                       f"{[p[2][0] for p in pair]}")
+        got = run_balance_cascade(net, sheets, returns).step
+        mismatches += not np.array_equal(got, brute_force_fixed_point(net, sheets, returns))
+        steps.append(int(got[0]))
+    return CheckReport("tie-dense coupled", not mismatches,
+                       f"{3 * len(trials)} trials and the relabelled pair (bank 0 steps "
+                       f"{steps}), coupled mismatches: {mismatches}")
 
 
 # -- validation-only oracles -----------------------------------------------
@@ -282,8 +291,11 @@ def _exact_loss(net: DirectedNetwork, node: int, defaulted) -> Fraction:
     return sum((Fraction(a) for j, a in zip(nbrs, loans) if defaulted[j]), Fraction(0))
 
 
-def brute_force_fixed_point(net: DirectedNetwork, sheets: BalanceSheets,
-                            returns: np.ndarray) -> np.ndarray:
+def brute_force_fixed_point(
+    net: DirectedNetwork,
+    sheets: BalanceSheets,
+    returns: np.ndarray,
+) -> np.ndarray:
     """Desk-scale oracle: least fixed point by exhaustive re-evaluation.
 
     Every pass re-derives every bank's full default condition from the
@@ -310,8 +322,12 @@ def brute_force_fixed_point(net: DirectedNetwork, sheets: BalanceSheets,
         step = new
 
 
-def run_balance_cascade_async(net: DirectedNetwork, sheets: BalanceSheets,
-                              returns: np.ndarray, rng_seed) -> np.ndarray:
+def run_balance_cascade_async(
+    net: DirectedNetwork,
+    sheets: BalanceSheets,
+    returns: np.ndarray,
+    rng_seed,
+) -> np.ndarray:
     """Random-order, one-bank-at-a-time schedule, in exact rational
     arithmetic. Validation harness only: the default condition is monotone,
     so this must reach the same fixed point as the synchronous engine. It

@@ -120,10 +120,18 @@ def _config_from_args(args) -> ExperimentConfig:
     elif args.loan_size is not None:
         loan = LoanSizeDistribution.constant(args.loan_size)
     return ExperimentConfig(
-        n_banks=args.n, capital_ratio=args.gamma, default_prob=args.delta, case=args.case,
-        model=args.model, degree_grid=args.z, networks_per_degree=args.networks,
-        trials_per_network=args.trials, crisis_cutoff=args.crisis_cutoff,
-        master_seed=args.seed, theta_dist=theta, loan_dist=loan,
+        n_banks=args.n,
+        capital_ratio=args.gamma,
+        default_prob=args.delta,
+        case=args.case,
+        model=args.model,
+        degree_grid=args.z,
+        networks_per_degree=args.networks,
+        trials_per_network=args.trials,
+        crisis_cutoff=args.crisis_cutoff,
+        master_seed=args.seed,
+        theta_dist=theta,
+        loan_dist=loan,
     )
 
 

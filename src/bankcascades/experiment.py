@@ -168,22 +168,31 @@ def _network_inputs(cfg: ExperimentConfig, z_index: int, net_index: int):
     return net, params, thetas, sheets
 
 
-def _batch_outcomes(cfg: ExperimentConfig, net: DirectedNetwork, params: BalanceParams,
-                    thetas: np.ndarray, sheets: BalanceSheets | None, z_index: int,
-                    net_index: int, trials: range, buffer: np.ndarray | None = None) -> dict:
+def _batch_outcomes(
+    cfg: ExperimentConfig,
+    net: DirectedNetwork,
+    params: BalanceParams,
+    thetas: np.ndarray,
+    sheets: BalanceSheets | None,
+    z_index: int,
+    net_index: int,
+    trials: range,
+    buffer: np.ndarray | None = None,
+) -> dict:
     """The given trials of one network cell, propagated in one kernel call.
 
     ``buffer`` is a (runs, trials, banks) float array, one run per engine
-    run of :func:`_models_run`, with at least ``len(trials)`` rows (a fresh
-    one without it). Each run's rows carry its stages in place, ending in
-    the loans' scale the kernel compares with. Run 0 takes the margin 'bs'
-    reads: the draw (:func:`draw_rows`), scaled to returns
-    (:func:`shock_returns`), plus each bank's net worth. The last run takes
-    the thresholds 'threshold' reads. Coupled, a lender's threshold m / L in
-    the loans' scale is its margin m itself, so the run copies the margin
-    and the kernel propagates the two runs once. Otherwise thresholds t are
-    drawn (:func:`thresholds_from_normals`) and scaled to fl(t * L).
-    Returns the kernel's step matrix per engine run.
+    run of :func:`_models_run` (one in all for the coupled model), with at
+    least ``len(trials)`` rows (a fresh one without it). Each run's rows
+    carry its stages in place, ending in the loans' scale the kernel
+    compares with. Run 0 takes the margin 'bs' reads: the draw
+    (:func:`draw_rows`), scaled to returns (:func:`shock_returns`), plus
+    each bank's net worth. Coupled, a lender's threshold m / L in the loans'
+    scale is its margin m itself, so 'threshold' reads the margin too: the
+    kernel gets it as one run repeated, propagates it once, and the two
+    engines agree by construction. Otherwise the last run takes the
+    thresholds t 'threshold' reads, drawn (:func:`thresholds_from_normals`)
+    and scaled to fl(t * L). Returns the kernel's step matrix per engine run.
     """
     models = _models_run(cfg.model)
     n_rows, n = len(trials), cfg.n_banks
@@ -195,7 +204,7 @@ def _batch_outcomes(cfg: ExperimentConfig, net: DirectedNetwork, params: Balance
         margin = draw_rows(rngs, n_rows, n, out=rows[0])
         np.add(sheets.net_worth, shock_returns(margin, sheets), out=margin)
     if cfg.model == "both-coupled":
-        np.copyto(rows[1], margin)
+        rows = np.broadcast_to(margin, (2, n_rows, n))
     elif cfg.model != "bs":
         rngs = stream_rngs(cfg.master_seed, STREAM_THRESHOLDS, z_index, net_index, trials=trials)
         normals = draw_rows(rngs, n_rows, n, params.default_prob, ~net.is_lender, out=rows[-1])
@@ -220,7 +229,8 @@ def _network_task(args) -> tuple[tuple[int, int], dict]:
     n, n_trials = cfg.n_banks, cfg.trials_per_network
     tallies = {m: [0, 0.0, 0.0] for m in _models_run(cfg.model)}
     chunk = min(n_trials, max(1, _CHUNK_KEYS // (len(tallies) * n)))
-    buffer = np.empty((len(tallies), chunk, n))
+    # the coupled model draws one run: its two engines read the same margin
+    buffer = np.empty((1 if cfg.model == "both-coupled" else len(tallies), chunk, n))
     mismatches = 0
     for first in range(0, n_trials, chunk):
         outcomes = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,
@@ -284,8 +294,11 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1, progress=None) -> list
     order, so the output is byte-identical for any ``workers`` value. The
     optional ``progress`` callback receives (trials_done, trials_total).
     """
-    tasks = [(cfg, zi, ni) for zi in range(len(cfg.degree_grid))
-             for ni in range(cfg.networks_per_degree)]
+    tasks = [
+        (cfg, zi, ni)
+        for zi in range(len(cfg.degree_grid))
+        for ni in range(cfg.networks_per_degree)
+    ]
     total_trials = len(tasks) * cfg.trials_per_network
 
     cell_results: dict[tuple[int, int], dict] = {}
@@ -315,9 +328,18 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1, progress=None) -> list
             if crises > 1:
                 var = max(sq_sum - crises * mean_size * mean_size, 0.0) / (crises - 1)
                 size_se = math.sqrt(var / crises)
-            rows.append(CrisisStats(
-                degree=degree, model=m, case=cfg.case, crisis_frequency=freq,
-                frequency_ci_halfwidth=ci, mean_crisis_size=mean_size,
-                mean_crisis_size_se=size_se, n_runs=runs, n_crises=crises,
-                mismatches=mismatches))
+            rows.append(
+                CrisisStats(
+                    degree=degree,
+                    model=m,
+                    case=cfg.case,
+                    crisis_frequency=freq,
+                    frequency_ci_halfwidth=ci,
+                    mean_crisis_size=mean_size,
+                    mean_crisis_size_se=size_se,
+                    n_runs=runs,
+                    n_crises=crises,
+                    mismatches=mismatches,
+                )
+            )
     return rows

@@ -69,6 +69,12 @@ class LoanSizeDistribution:
         return 0.5 * (self.lo + self.hi)
 
 
+def _as_units(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Whole-number floats ``x`` as ``dtype``; for the object dtype, as Python
+    ints, which a cast would leave floats."""
+    return np.frompyfunc(int, 1, 1)(x) if dtype == object else x.astype(dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class DirectedNetwork:
     """Weighted directed network, edges in canonical (lender, borrower) order.
@@ -180,20 +186,28 @@ class DirectedNetwork:
     def in_loan_units(self) -> np.ndarray:
         """Per edge (borrower-grouped): the loan in exact integer units of
         2**-loan_unit_exponent, in the smallest signed dtype that holds
-        -(U + 1), U being the largest lender's total units. Raises ValueError
-        when U may reach 2**62 (by a float bound within 2**-20 of it), so that
-        no sum of units can round."""
+        -(U + 1), U being the largest lender's total units: int8 for unit
+        loans at N = 1000, int64 for case C up to z of about 190. Where U may
+        pass 2**63 - 1024 (by a float bound within 2**-20 of exact), the units
+        are Python ints (object dtype): slower, and as exact. A total beyond
+        float range (loans some 2**970 apart in size) raises OverflowError."""
         s = self.loan_unit_exponent
         # the float total is exact below 2**53 units, where each partial sum is
         # a whole number of units, and within 2**-20 of exact above it
-        most = self.interbank_assets.max(initial=0)
-        if not most < math.ldexp(1 - 2.0**-20, 62 - s):
-            raise ValueError("a lender's total lending spans 2**62 or more units of its "
-                             "network's smallest loan bit; exact flips need less")
-        units = np.ldexp(self.in_loan, s)  # exact: no loan exceeds its lender's total
-        units = units.astype(np.min_scalar_type(-int(math.ldexp(most, s)) - 1))
+        most = math.ldexp(self.interbank_assets.max(initial=0), s)
+        dtype = (np.min_scalar_type(-int(most) - 1) if most < math.ldexp(1 - 2.0**-20, 63)
+                 else np.dtype(object))
+        units = _as_units(np.ldexp(self.in_loan, s), dtype)  # exact: whole numbers of units
         units.setflags(write=False)
         return units
+
+    @cached_property
+    def loan_unit_top(self) -> int:
+        """A whole number of loan units, at least U, that ``in_loan_units``'
+        dtype holds and a float represents exactly."""
+        if self.in_loan_units.dtype == object:
+            return int(math.ldexp(self.interbank_assets.max(), self.loan_unit_exponent + 1))
+        return min(int(np.iinfo(self.in_loan_units.dtype).max), 2**63 - 1024)
 
     def borrowers_of(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """(borrower ids, loan sizes) for one lender."""

@@ -25,8 +25,12 @@ __all__ = [
 ]
 
 
-def thresholds_from_normals(z: np.ndarray, net: DirectedNetwork, params: BalanceParams,
-                            theta_draws: np.ndarray) -> np.ndarray:
+def thresholds_from_normals(
+    z: np.ndarray,
+    net: DirectedNetwork,
+    params: BalanceParams,
+    theta_draws: np.ndarray,
+) -> np.ndarray:
     """Map standard normal draws ``z`` (one row per trial) onto each lending
     bank's threshold law, in place; a non-lender's entry keeps its value.
 
@@ -47,8 +51,12 @@ def _split(net: DirectedNetwork, row: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.where(inactive, np.nan, row), (row < 0) & inactive
 
 
-def draw_thresholds(net: DirectedNetwork, params: BalanceParams, theta_draws: np.ndarray,
-                    rng_seed) -> tuple[np.ndarray, np.ndarray]:
+def draw_thresholds(
+    net: DirectedNetwork,
+    params: BalanceParams,
+    theta_draws: np.ndarray,
+    rng_seed,
+) -> tuple[np.ndarray, np.ndarray]:
     """One trial of the standalone threshold model, as (thresholds,
     inactive_flips): row 0 of :func:`draw_rows`. Lenders' thresholds follow
     their implied law (see :func:`thresholds_from_normals`); each non-lender
@@ -81,8 +89,11 @@ def shadow_threshold_pdf(x, interbank_assets: float, capital_ratio: float,
 def _in_loans(net: DirectedNetwork, thresholds: np.ndarray, out=None) -> np.ndarray:
     """Fraction thresholds t, (trials, banks) rows, in the loans' own scale,
     which the kernel compares with: fl(t * L) for a lender with interbank
-    assets L. A non-lender's entry, read only by its sign, is kept."""
-    return np.multiply(thresholds, np.where(net.is_lender, net.interbank_assets, 1.0), out=out)
+    assets L, kept negative where t is (fl(t * L) may underflow to -0.0). A
+    non-lender's entry, read only by its sign, is kept."""
+    negative = thresholds < 0
+    x = np.multiply(thresholds, np.where(net.is_lender, net.interbank_assets, 1.0), out=out)
+    return np.minimum(x, -5e-324, out=x, where=negative)
 
 
 def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray) -> np.ndarray:
@@ -97,8 +108,11 @@ def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray) -> np.ndarray:
     return _batch_propagate(net, _in_loans(net, thresholds)[None])[0]
 
 
-def thresholds_from_shocks(net: DirectedNetwork, sheets: BalanceSheets,
-                           returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def thresholds_from_shocks(
+    net: DirectedNetwork,
+    sheets: BalanceSheets,
+    returns: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Map one trial's asset returns onto the threshold model: each lender's
     threshold is fl(m / L), its margin m (net worth plus return) over its
     interbank assets L, and each non-lender flips at round 0 where m < 0.
@@ -110,8 +124,11 @@ def thresholds_from_shocks(net: DirectedNetwork, sheets: BalanceSheets,
     return _split(net, margin / np.where(net.is_lender, net.interbank_assets, 1.0))
 
 
-def run_threshold_cascade(net: DirectedNetwork, thresholds: np.ndarray,
-                          inactive_flips: np.ndarray) -> CascadeResult:
+def run_threshold_cascade(
+    net: DirectedNetwork,
+    thresholds: np.ndarray,
+    inactive_flips: np.ndarray,
+) -> CascadeResult:
     """Run the threshold cascade to its fixed point: :func:`threshold_rows`
     on one row, with ``inactive_flips`` marking the non-lenders that flip
     at round 0. Neither input is modified. A lender's threshold may be

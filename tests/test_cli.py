@@ -201,12 +201,26 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "results.csv").exists()
 
 
+def test_case_c_sweeps_run_past_int64_loan_units(tmp_path, capsys):
+    # case C's loans come in units of 2**-55, so at N = 1000 a lender's total
+    # passes int64 near z = 200; the kernel then goes on in Python ints
+    code = main(["sweep", "--case", "C", "--model", "both-coupled", "--n", "1000",
+                 "--z", "120,300", "--networks", "1", "--trials", "20", "--seed", "3",
+                 "--quiet", "--out", str(tmp_path)])
+    assert code == 0
+    assert "coupled mismatches: 0" in capsys.readouterr().out
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["120.0", "bs"], ["120.0", "threshold"], ["300.0", "bs"], ["300.0", "threshold"]]
+
+
 def test_check_passes_on_small_run(capsys):
     code = main(["check", "--instances", "3", "--oracle-instances", "15"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 4
-    assert "[PASS] tie-dense coupled: 600 trials, coupled mismatches: 0;" in out
+    assert ("[PASS] tie-dense coupled: 300 trials and the relabelled pair (bank 0 steps "
+            "[1, 1]), coupled mismatches: 0") in out
     assert "ALL CHECKS PASSED" in out
 
 

@@ -36,6 +36,7 @@ from bankcascades.checks import (
     _run_ge_mutant,
     brute_force_fixed_point,
     distribution_suite,
+    run_balance_cascade_async,
 )
 from bankcascades.experiment import (
     MODELS,
@@ -540,7 +541,7 @@ def _one_run_calls(net, stack):
 def _coupled_sweep_chunk(monkeypatch, net, margin):
     """(steps, buffer): the sweep's coupled chunk (:func:`_batch_outcomes`)
     on given margin rows, its draw replaced by them and net worth 0, in a
-    buffer whose run 1 starts as pi."""
+    one-run buffer, as the sweep gives it, that starts as pi."""
     cfg = ExperimentConfig(
         n_banks=net.n_nodes, capital_ratio=0.1, default_prob=0.01, case="A",
         model="both-coupled", degree_grid=(0.0,), networks_per_degree=1,
@@ -549,7 +550,7 @@ def _coupled_sweep_chunk(monkeypatch, net, margin):
     monkeypatch.setattr(experiment, "draw_rows",
                         lambda rngs, n_rows, n, out: np.copyto(out, margin) or out)
     monkeypatch.setattr(experiment, "shock_returns", lambda z, sheets: z)
-    buffer = np.full((2, *margin.shape), np.pi)
+    buffer = np.full((1, *margin.shape), np.pi)
     steps = _batch_outcomes(cfg, net, None, None, SimpleNamespace(net_worth=0.0), 0, 0,
                             range(len(margin)), buffer)
     return steps, buffer
@@ -570,19 +571,19 @@ def test_two_runs_give_the_steps_of_two_one_run_calls(monkeypatch, rows):
         assert got.shape == pair.shape and got.dtype == want[0].dtype
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        # equal runs propagate once and share their steps
-        for g in balance_cascade._batch_propagate(net, np.stack((margin, margin))):
-            assert np.array_equal(g, want[0])
-        # the sweep's call, whose coupled map copies the margin into run 1
+        # a stack repeating one run propagates it once and repeats its steps
+        shared = balance_cascade._batch_propagate(net, np.broadcast_to(margin, pair.shape))
+        assert shared.strides[0] == 0 and np.array_equal(shared[1], want[0])
+        # the sweep's coupled call, which hands the kernel its margin repeated
         steps, buffer = _coupled_sweep_chunk(monkeypatch, net, margin)
         for g in (steps["bs"], steps["threshold"]):
             assert g.dtype == want[0].dtype and np.array_equal(g, want[0])
-        assert np.array_equal(buffer, np.stack((margin, margin)))
+        assert np.array_equal(buffer[0], margin)
         parted += int((want[0] != want[1]).any(axis=1).sum())
     assert parted > 10  # the mutant's runs part: the comparison is not vacuous
 
     # three runs: the mutant parts from the margin, and a third run with the
-    # margin's K shares its steps
+    # margin's K gets its steps
     net, margin = _tie_dense_margins(4.0, 12, seed=4)
     stack = np.stack((margin, _lowered(net, margin), margin + 0.5))  # the same floor
     monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS", (rows or len(margin)) * net.n_nodes)
@@ -603,6 +604,14 @@ def test_the_two_run_corners_keep_each_runs_own_steps(monkeypatch):
     sheets = sheets_from_worth(corner_margin[0], corner.interbank_assets)
     assert brute_force_fixed_point(corner, sheets, np.zeros(2)).tolist() == [0, -1]
     assert balance_rows(corner, corner_margin).tolist() == [[0, -1]]
+    # fraction thresholds: a negative subnormal t flips at round 0 even where
+    # fl(t * L) underflows to -0.0 (L = 0.5); -0.0 itself is not negative, and
+    # a positive subnormal t flips on any loss
+    half = from_edges(2, [(0, 1, 0.5)])
+    rows = np.array([[-5e-324, 1.0], [-0.0, 1.0], [5e-324, -1.0]])
+    assert threshold_rows(half, rows).tolist() == [[0, -1], [-1, -1], [1, 0]]
+    flips = np.zeros(2, dtype=bool)
+    assert run_threshold_cascade(half, np.array([-5e-324, np.nan]), flips).step.tolist() == [0, -1]
     step = balance_cascade._batch_propagate(chain, np.stack((chain_margin, chain_margin)))
     assert step.dtype == np.int8
     assert step[:, 0].tolist() == [list(range(127, -1, -1))] * 2
@@ -649,7 +658,7 @@ def test_kernel_memory_is_flat_in_the_trial_count():
     assert (step.max(axis=1) > 10).mean() > 0.9
     assert peak - step.nbytes <= 16 * 2**20
 
-    # the coupled pair of runs holds two K blocks per block, one of them its room
+    # two equal runs, each propagated alone: within twice the one-run bound
     pair = np.stack((thresholds, thresholds))
     del thresholds
     tracemalloc.start()
@@ -793,16 +802,35 @@ def test_relabelling_the_banks_relabels_every_step(monkeypatch):
     assert contagious > 20
 
 
-def test_a_lenders_total_of_2_to_the_62_loan_units_raises():
-    # loans of 2 and 2**-61: units of 2**-61, and a total of 2**62 + 1 units
+def test_loan_unit_totals_beyond_int64_stay_exact():
+    # loans of 4 and 2**-61: units of 2**-61, and a lender's total of
+    # 2**63 + 1 units, which Python ints hold. The small loan decides the
+    # ties that fl(4 + 2**-61) = 4.0 would hide
+    net = from_edges(3, [(0, 1, 4.0), (0, 2, 2.0**-61)])
+    assert (net.loan_unit_exponent, net.in_loan_units.dtype) == (61, object)
+    margin = np.array([[4.0, -1.0, -1.0], [4.0, -1.0, 1.0], [2.0**-62, 1.0, -1.0],
+                       [2.0**-61, 1.0, -1.0], [-2.0**-70, 1.0, 1.0], [5.0, -1.0, -1.0]])
+    want = [[1, 0, 0], [-1, 0, -1], [1, -1, 0], [-1, -1, 0], [0, -1, -1], [-1, 0, 0]]
+    for row, steps in zip(margin, want):
+        sheets = sheets_from_worth(row, net.interbank_assets)
+        assert brute_force_fixed_point(net, sheets, np.zeros(3)).tolist() == steps
+    assert balance_rows(net, margin).tolist() == want
+    assert threshold_rows(net, margin / np.where(net.is_lender, 4.0, 1.0)).tolist() == want
+    # an 80-bank network of 800 loans from [0.001, 1.8]: the smallest is
+    # some 2**11 times below the largest total, so U passes 2**63
+    loans = LoanSizeDistribution.uniform(0.001, 1.8)
+    net = generate_er(80, 10.0, loans, np.random.default_rng(4))
+    assert net.in_loan_units.dtype == object
+    margin = np.random.default_rng(5).uniform(-0.5, 3.0, size=(20, 80))
+    steps = balance_rows(net, margin)
+    for t, row in enumerate(margin):
+        sheets = sheets_from_worth(row, net.interbank_assets)
+        assert np.array_equal(steps[t] >= 0, run_balance_cascade_async(net, sheets, np.zeros(80), t))
+    assert (steps.max(axis=1) > 0).sum() > 5  # cascades: the comparison is not vacuous
+    # loans of 2 and 2**-61 total 2**62 + 1 units: still int64
     net = from_edges(3, [(0, 1, 2.0), (0, 2, 2.0**-61)])
-    sheets = sheets_from_worth(np.ones(3), net.interbank_assets)
-    with pytest.raises(ValueError, match=r"2\*\*62"):
-        run_balance_cascade(net, sheets, np.zeros(3))
-    with pytest.raises(ValueError, match=r"2\*\*62"):
-        run_threshold_cascade(net, np.array([0.5, 0.0, 0.0]), np.zeros(3, dtype=bool))
-    # half the big loan is in the domain, and its sum is exact: 1 + 2**-61
-    # exceeds a margin of 1.0, which fl(1 + 2**-61) = 1.0 would not
-    net = from_edges(3, [(0, 1, 1.0), (0, 2, 2.0**-61)])
-    assert (net.loan_unit_exponent, net.in_loan_units.dtype) == (61, np.int64)
-    assert balance_rows(net, np.array([[1.0, -1.0, -1.0]])).tolist() == [[1, 0, 0]]
+    assert net.in_loan_units.dtype == np.int64
+    assert balance_rows(net, np.array([[2.0, -1.0, -1.0]])).tolist() == [[1, 0, 0]]
+    # a total beyond float range, in units of 2**-1074, raises
+    with pytest.raises(OverflowError):
+        balance_rows(from_edges(3, [(0, 1, 1.0), (0, 2, 5e-324)]), np.zeros((1, 3)))

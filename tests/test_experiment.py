@@ -250,8 +250,8 @@ def test_outputs_do_not_depend_on_the_chunk_size(case, model, monkeypatch):
 def test_each_sweep_chunks_steps_are_one_run_calls_on_its_rows(model, monkeypatch):
     # 600 trials at N = 1000: two-engine chunks of 262 + 262 + 76 rows,
     # one-engine chunks of 524 + 76; the last chunk fills the front of the
-    # reused buffer. Case C's loans are not unit, so the two engines' edge
-    # amounts differ in every addition
+    # reused buffer. Case C's loans are not unit: the kernel adds int64 loan
+    # units
     cfg = ExperimentConfig(
         n_banks=1000, capital_ratio=0.1, default_prob=0.01, case="C", model=model,
         degree_grid=(3.0,), networks_per_degree=1, trials_per_network=600,
@@ -341,10 +341,11 @@ def test_coupled_sweep_reports_zero_mismatches():
 
 
 def test_coupled_sweep_counts_every_mismatch(monkeypatch):
-    # the sweep's coupled map copies the margin, so its runs never part. A
-    # mutant map that lowers one bank's K by one (x - 1 under unit loans)
-    # parts them, and the sweep's count must be the one that two separate
-    # one-run kernel calls give on the same rows
+    # the sweep hands the kernel its margin as one run repeated, so its
+    # engines agree by construction. A mutant map that lowers one bank's K by
+    # one in the threshold run (x - 1 under unit loans) parts them, and the
+    # sweep's count must be the one that two separate one-run kernel calls
+    # give on the same rows
     cfg = ExperimentConfig(
         n_banks=1000, capital_ratio=0.1, default_prob=0.01, case="A", model="both-coupled",
         degree_grid=(4.0,), networks_per_degree=1, trials_per_network=300,
@@ -355,8 +356,10 @@ def test_coupled_sweep_counts_every_mismatch(monkeypatch):
     chunks = []
 
     def mutant(net, rows):
+        assert rows.strides[0] == 0  # one run, repeated
+        rows = rows.copy()
         rows[1, :, np.argmax(net.out_degree)] -= 1.0
-        chunks.append((net, rows.copy()))
+        chunks.append((net, rows))
         return batch_propagate(net, rows)
 
     monkeypatch.setattr(experiment, "_batch_propagate", mutant)
@@ -364,7 +367,8 @@ def test_coupled_sweep_counts_every_mismatch(monkeypatch):
     assert [len(rows[0]) for _, rows in chunks] == [262, 38]  # 2**19 keys over two runs
     mismatches = 0
     for net, (margin, lowered) in chunks:
-        mismatches += int((balance_rows(net, margin) != balance_rows(net, lowered)).any(axis=1).sum())
+        parted = balance_rows(net, margin) != balance_rows(net, lowered)
+        mismatches += int(parted.any(axis=1).sum())
     assert result["mismatches"] == mismatches > 0
 
 
