@@ -107,14 +107,18 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys.compress(first)
 
 
-def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray) -> np.ndarray:
+def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
     """The one cascade kernel, and the only place a flip is decided: propagate
-    runs of many trials on one network together, superstep by superstep, to
-    their synchronous fixed points.
+    (trials, banks) rows of ``margin`` on one network, superstep by
+    superstep, to their synchronous fixed points.
 
-    ``thresholds`` is a (runs, trials, banks) stack of floats x in the loans'
-    own scale (not NaN), and is not modified. A bank flips once its loans to
-    flipped borrowers sum to more than its x, decided exactly on integers:
+    Each entry x of ``margin`` is a float in the loans' own scale (not NaN),
+    and ``margin`` is not modified. A bank flips once its loans to flipped
+    borrowers sum to more than its x: at round 0 iff x is negative, and
+    ties survive. For the balance-sheet rule x is the margin, net worth plus
+    asset return; for a fraction threshold t it is fl(t * L), L the lender's
+    interbank assets (``threshold_cascade.threshold_rows``). The kernel
+    decides this exactly, on integers:
 
     - Loans are exact integers of 2**-s units (``in_loan_units``; s is the
       network's ``loan_unit_exponent``), so their sums are exact in any
@@ -131,20 +135,15 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray) -> np.ndarray
       room to top: at most U more can leave it, so it stays at least 0 and
       never flips again; an unflipped room stays >= -1 - U.
     - Trials never interact, so they run in blocks of about ``_BLOCK_KEYS``
-      (trial, bank) keys, and memory beyond the step matrices does not grow
+      (trial, bank) keys, and memory beyond the step matrix does not grow
       with the trial count.
-    - Each run propagates alone, except that a stack repeating one run
-      (stride 0 over runs, as ``np.broadcast_to`` makes) propagates it once
-      and repeats its steps: the sweep's coupled pair.
 
-    Returns a stack of step matrices, one per run: the superstep in which
-    each bank flipped (0 for round 0), or -1 if it never did, in the
-    smallest signed dtype that holds -N (int16 at N = 1000).
+    Returns the step matrix: the superstep in which each bank flipped (0 for
+    round 0), or -1 if it never did, in the smallest signed dtype that holds
+    -N (int16 at N = 1000).
     """
-    if len(thresholds) > 1 and thresholds.strides[0] == 0:
-        return np.broadcast_to(_batch_propagate(net, thresholds[:1]), thresholds.shape)
-    n_trials, n = thresholds.shape[1:]
-    step = np.full(thresholds.shape, -1, dtype=np.min_scalar_type(-n))
+    n_trials, n = margin.shape
+    step = np.full(margin.shape, -1, dtype=np.min_scalar_type(-n))
     units, s, top = net.in_loan_units, net.loan_unit_exponent, net.loan_unit_top
     # K's bounds, -1 and top, scaled down by 2**s: exactly, as s <= 1074
     low, high = -(2.0**-s), math.ldexp(top, -s)
@@ -152,43 +151,30 @@ def _batch_propagate(net: DirectedNetwork, thresholds: np.ndarray) -> np.ndarray
     rows = max(1, _BLOCK_KEYS // n)
     for first_row in range(0, n_trials, rows):
         block = slice(first_row, first_row + rows)
-        for x, run_step in zip(thresholds, step):
-            room = np.maximum(x[block], low).ravel()
-            np.minimum(room, high, out=room)
-            room = _as_units(np.floor(np.ldexp(room, s, out=room), out=room), units.dtype)
-            step_flat = run_step[block].ravel()  # whole rows of a C-ordered array: a view
-            frontier, superstep = np.flatnonzero(room < 0), 0
-            while frontier.size:
-                step_flat[frontier] = superstep
-                room[frontier] = top
-                jj = frontier % n
-                # one entry per edge into the frontier: its frontier position,
-                # then its index into the borrower-grouped edge arrays
-                counts = in_degree.take(jj)
-                pos = np.arange(jj.size).repeat(counts)
-                shift = edge_end.take(jj)
-                shift -= counts.cumsum()
-                idx = shift.take(pos)
-                idx += np.arange(idx.size)
-                keys = frontier.take(pos)
-                del pos  # one edge-sized array less at the superstep's peak
-                keys += hop.take(idx)
-                np.subtract.at(room, keys, units.take(idx))
-                frontier = _sorted_unique(keys.compress(room.take(keys) < 0))
-                superstep += 1
+        room = np.maximum(margin[block], low).ravel()
+        np.minimum(room, high, out=room)
+        room = _as_units(np.floor(np.ldexp(room, s, out=room), out=room), units.dtype)
+        step_flat = step[block].ravel()  # whole rows of a C-ordered array: a view
+        frontier, superstep = np.flatnonzero(room < 0), 0
+        while frontier.size:
+            step_flat[frontier] = superstep
+            room[frontier] = top
+            jj = frontier % n
+            # one entry per edge into the frontier: its frontier position,
+            # then its index into the borrower-grouped edge arrays
+            counts = in_degree.take(jj)
+            pos = np.arange(jj.size).repeat(counts)
+            shift = edge_end.take(jj)
+            shift -= counts.cumsum()
+            idx = shift.take(pos)
+            idx += np.arange(idx.size)
+            keys = frontier.take(pos)
+            del pos  # one edge-sized array less at the superstep's peak
+            keys += hop.take(idx)
+            np.subtract.at(room, keys, units.take(idx))
+            frontier = _sorted_unique(keys.compress(room.take(keys) < 0))
+            superstep += 1
     return step
-
-
-def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
-    """The balance-sheet rule over (trials, banks) rows of ``margin``, each
-    bank's net worth plus its asset return: the kernel with the margin as
-    threshold and each loan's face value as exposure. A bank defaults at
-    round 0 iff its return alone wipes out its net worth (a negative
-    margin), and in a later synchronous round iff its accumulated
-    write-offs strictly exceed its margin; ties survive. ``margin`` is not
-    modified. Returns the kernel's step matrix, as a one-run call.
-    """
-    return _batch_propagate(net, margin[None])[0]
 
 
 def run_balance_cascade(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets, ThetaDistribution, build_sheets
-from .balance_cascade import CascadeResult, _batch_propagate, shock_returns
+from .balance_cascade import CascadeResult, balance_rows, shock_returns
 from .network import DirectedNetwork, LoanSizeDistribution, generate_er
 from .rng import (
     STREAM_NETWORK,
@@ -179,7 +179,8 @@ def _batch_outcomes(
     trials: range,
     buffer: np.ndarray | None = None,
 ) -> dict:
-    """The given trials of one network cell, propagated in one kernel call.
+    """The given trials of one network cell, each engine run propagated in
+    one kernel call (:func:`balance_rows`).
 
     ``buffer`` is a (runs, trials, banks) float array, one run per engine
     run of :func:`_models_run` (one in all for the coupled model), with at
@@ -188,28 +189,30 @@ def _batch_outcomes(
     compares with. Run 0 takes the margin 'bs' reads: the draw
     (:func:`draw_rows`), scaled to returns (:func:`shock_returns`), plus
     each bank's net worth. Coupled, a lender's threshold m / L in the loans'
-    scale is its margin m itself, so 'threshold' reads the margin too: the
-    kernel gets it as one run repeated, propagates it once, and the two
-    engines agree by construction. Otherwise the last run takes the
-    thresholds t 'threshold' reads, drawn (:func:`thresholds_from_normals`)
-    and scaled to fl(t * L). Returns the kernel's step matrix per engine run.
+    scale is its margin m itself, so 'threshold' reads the margin's steps:
+    the margin is propagated once, and the two engines agree by
+    construction. Otherwise the last run takes the thresholds t 'threshold'
+    reads, drawn (:func:`thresholds_from_normals`) and scaled to
+    fl(t * L). Returns the kernel's step matrix per engine run.
     """
-    models = _models_run(cfg.model)
     n_rows, n = len(trials), cfg.n_banks
     if buffer is None:
-        buffer = np.empty((len(models), n_rows, n))
-    rows = buffer[:, :n_rows]  # whole rows of each run: contiguous
+        buffer = np.empty((len(_models_run(cfg.model)), n_rows, n))
+    steps = {}
     if cfg.model != "threshold":
         rngs = stream_rngs(cfg.master_seed, STREAM_SHOCKS, z_index, net_index, trials=trials)
-        margin = draw_rows(rngs, n_rows, n, out=rows[0])
+        margin = draw_rows(rngs, n_rows, n, out=buffer[0, :n_rows])
         np.add(sheets.net_worth, shock_returns(margin, sheets), out=margin)
+        steps["bs"] = balance_rows(net, margin)
     if cfg.model == "both-coupled":
-        rows = np.broadcast_to(margin, (2, n_rows, n))
+        steps["threshold"] = steps["bs"]
     elif cfg.model != "bs":
         rngs = stream_rngs(cfg.master_seed, STREAM_THRESHOLDS, z_index, net_index, trials=trials)
-        normals = draw_rows(rngs, n_rows, n, params.default_prob, ~net.is_lender, out=rows[-1])
+        normals = draw_rows(rngs, n_rows, n, params.default_prob, ~net.is_lender,
+                            out=buffer[-1, :n_rows])
         _in_loans(net, thresholds_from_normals(normals, net, params, thetas), out=normals)
-    return dict(zip(models, _batch_propagate(net, rows)))
+        steps["threshold"] = balance_rows(net, normals)
+    return steps
 
 
 def _network_task(args) -> tuple[tuple[int, int], dict]:

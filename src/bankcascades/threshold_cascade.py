@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .balance import BalanceParams, BalanceSheets, _require_shares
-from .balance_cascade import CascadeResult, _batch_propagate, _trial_returns
+from .balance_cascade import CascadeResult, _trial_returns, balance_rows
 from .network import DirectedNetwork
 from .rng import as_generator, draw_rows, normal_from_standard
 
@@ -99,13 +99,13 @@ def _in_loans(net: DirectedNetwork, thresholds: np.ndarray, out=None) -> np.ndar
 def threshold_rows(net: DirectedNetwork, thresholds: np.ndarray) -> np.ndarray:
     """The threshold rule over (trials, banks) rows: a lender flips once the
     loan-weighted share of its flipped borrowers strictly exceeds its
-    threshold t, at round 0 when t is negative. The kernel decides this as
-    its loans to flipped borrowers exceeding fl(t * L) (:func:`_in_loans`),
-    so no weight loan / L is ever rounded. A non-lender flips at round 0
-    where its entry is negative, and never after. ``thresholds`` is not
-    modified. Returns the kernel's step matrix, as a one-run call.
+    threshold t, at round 0 when t is negative: the kernel
+    (:func:`balance_rows`) on fl(t * L) (:func:`_in_loans`), so no weight
+    loan / L is ever rounded. A non-lender flips at round 0 where its entry
+    is negative, and never after. ``thresholds`` is not modified. Returns
+    the kernel's step matrix.
     """
-    return _batch_propagate(net, _in_loans(net, thresholds)[None])[0]
+    return balance_rows(net, _in_loans(net, thresholds))
 
 
 def thresholds_from_shocks(
@@ -115,13 +115,15 @@ def thresholds_from_shocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map one trial's asset returns onto the threshold model: each lender's
     threshold is fl(m / L), its margin m (net worth plus return) over its
-    interbank assets L, and each non-lender flips at round 0 where m < 0.
-    Feeding the result to :func:`run_threshold_cascade` reproduces the
-    balance-sheet engine's outcome on the same draw wherever
-    fl(fl(m / L) * L) = m; the sweep's coupled model maps m exactly. The
-    returns must be finite, and are not modified."""
+    interbank assets L, kept negative where m is (fl(m / L) may underflow to
+    -0.0), and each non-lender flips at round 0 where m < 0. Feeding the
+    result to :func:`run_threshold_cascade` reproduces the balance-sheet
+    engine's outcome on the same draw wherever fl(fl(m / L) * L) = m or
+    m < 0; the sweep's coupled model maps m exactly. The returns must be
+    finite, and are not modified."""
     margin = sheets.net_worth + _trial_returns(net, sheets, returns)
-    return _split(net, margin / np.where(net.is_lender, net.interbank_assets, 1.0))
+    t = margin / np.where(net.is_lender, net.interbank_assets, 1.0)
+    return _split(net, np.minimum(t, -5e-324, out=t, where=margin < 0))
 
 
 def run_threshold_cascade(

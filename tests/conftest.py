@@ -42,6 +42,16 @@ def sheets_from_worth(worth, lent, *, sigma=None, theta=0.3) -> BalanceSheets:
     )
 
 
+def lowered_margin(net, margin):
+    """The mutant coupled map: ``margin`` with the K of the bank that lends
+    most often lowered to the next K below (K - 1 under unit loans)."""
+    s, bank = net.loan_unit_exponent, int(np.argmax(net.out_degree))
+    out = margin.copy()
+    k = np.ldexp(np.floor(np.ldexp(margin[:, bank], s)), -s)
+    out[:, bank] = np.nextafter(k, -np.inf)
+    return out
+
+
 @pytest.fixture
 def case_a_params() -> BalanceParams:
     return BalanceParams(0.1, 0.01, ThetaDistribution.constant(0.3))

@@ -50,7 +50,7 @@ from bankcascades.experiment import (
 from bankcascades.rng import STREAM_SHOCKS, STREAM_THRESHOLDS, draw_rows, stream_rng
 from bankcascades.threshold_cascade import threshold_rows
 
-from conftest import sheets_from_worth
+from conftest import lowered_margin, sheets_from_worth
 
 
 def _coupled_pair(net, sheets, shocks):
@@ -166,7 +166,7 @@ def _coupled_thresholds(net, margin):
 
 
 def _both_rules(net, worth, returns):
-    bs = balance_rows(net, worth + returns)
+    bs = balance_cascade.balance_rows(net, worth + returns)  # as a test may wrap it
     return bs, threshold_rows(net, _coupled_thresholds(net, worth + returns))
 
 
@@ -477,16 +477,16 @@ def test_batch_kernel_edge_cases_equal_per_trial_engines(scenario):
 def test_kernel_blocks_leave_every_step_and_input_unchanged(monkeypatch, rows):
     cases = [_kernel_probe_rows(), _borrower_order_rows(), _case_c_rows(150, 200, seed=11)]
     want = [_both_rules(*case) for case in cases]  # a single block each
-    kernel = balance_cascade._batch_propagate
+    kernel = balance_cascade.balance_rows
 
-    def kernel_keeping_its_inputs(net, thresholds):
-        thresholds_before = thresholds.copy()
-        step = kernel(net, thresholds)
-        assert np.array_equal(thresholds, thresholds_before, equal_nan=True)
+    def kernel_keeping_its_inputs(net, margin):
+        margin_before = margin.copy()
+        step = kernel(net, margin)
+        assert np.array_equal(margin, margin_before, equal_nan=True)
         return step
 
-    monkeypatch.setattr(balance_cascade, "_batch_propagate", kernel_keeping_its_inputs)
-    monkeypatch.setattr(threshold_cascade, "_batch_propagate", kernel_keeping_its_inputs)
+    monkeypatch.setattr(balance_cascade, "balance_rows", kernel_keeping_its_inputs)
+    monkeypatch.setattr(threshold_cascade, "balance_rows", kernel_keeping_its_inputs)
     for (net, worth, returns), steps in zip(cases, want):
         block_rows = len(returns) if rows is None else rows
         monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS", block_rows * net.n_nodes)
@@ -508,16 +508,6 @@ def _tie_dense_margins(z, trials, seed):
     return net, np.rint(sheets.net_worth + 3.0 * returns)
 
 
-def _lowered(net, margin):
-    """The mutant coupled map: ``margin`` with the K of the bank that lends
-    most often lowered to the next K below (K - 1 under unit loans)."""
-    s, bank = net.loan_unit_exponent, int(np.argmax(net.out_degree))
-    out = margin.copy()
-    k = np.ldexp(np.floor(np.ldexp(margin[:, bank], s)), -s)
-    out[:, bank] = np.nextafter(k, -np.inf)
-    return out
-
-
 def _margin_rows():
     """(net, margin) inputs for kernel calls: the probe rows, case-C rows,
     tie-dense rows, the subnormal corner and a 128-bank lending chain."""
@@ -531,11 +521,6 @@ def _margin_rows():
     chain[0, -1] = -0.5
     margins.append((from_edges(128, [(i, i + 1, 1.0) for i in range(127)]), chain))
     return margins
-
-
-def _one_run_calls(net, stack):
-    """The kernel's one-run call on each run of ``stack`` alone."""
-    return [balance_cascade._batch_propagate(net, t[None])[0] for t in stack]
 
 
 def _coupled_sweep_chunk(monkeypatch, net, margin):
@@ -558,52 +543,43 @@ def _coupled_sweep_chunk(monkeypatch, net, margin):
 
 # rows per kernel block: one, four, all
 @pytest.mark.parametrize("rows", [1, 4, None])
-def test_two_runs_give_the_steps_of_two_one_run_calls(monkeypatch, rows):
+def test_kernel_blocks_part_the_mutant_and_give_the_coupled_chunk_its_steps(monkeypatch, rows):
+    margins = _margin_rows()
+    # a single block each: the margin's steps, and the mutant coupled map's
+    want = [[balance_rows(net, m) for m in (margin, lowered_margin(net, margin))]
+            for net, margin in margins]
     parted = 0
-    for net, margin in _margin_rows():
+    for (net, margin), steps in zip(margins, want):
         monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS",
                             (len(margin) if rows is None else rows) * net.n_nodes)
-        pair = np.stack((margin, _lowered(net, margin)))
-        want = _one_run_calls(net, pair)
-        pair_before = pair.copy()
-        got = balance_cascade._batch_propagate(net, pair)
-        assert np.array_equal(pair, pair_before)
-        assert got.shape == pair.shape and got.dtype == want[0].dtype
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-        # a stack repeating one run propagates it once and repeats its steps
-        shared = balance_cascade._batch_propagate(net, np.broadcast_to(margin, pair.shape))
-        assert shared.strides[0] == 0 and np.array_equal(shared[1], want[0])
-        # the sweep's coupled call, which hands the kernel its margin repeated
-        steps, buffer = _coupled_sweep_chunk(monkeypatch, net, margin)
-        for g in (steps["bs"], steps["threshold"]):
-            assert g.dtype == want[0].dtype and np.array_equal(g, want[0])
+        for rows_in, w in zip((margin, lowered_margin(net, margin)), steps):
+            rows_before = rows_in.copy()
+            got = balance_rows(net, rows_in)
+            assert np.array_equal(rows_in, rows_before)
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+        # the sweep's coupled chunk propagates its margin once, for both engines
+        coupled, buffer = _coupled_sweep_chunk(monkeypatch, net, margin)
+        assert coupled["threshold"] is coupled["bs"]
+        assert coupled["bs"].dtype == steps[0].dtype and np.array_equal(coupled["bs"], steps[0])
         assert np.array_equal(buffer[0], margin)
-        parted += int((want[0] != want[1]).any(axis=1).sum())
-    assert parted > 10  # the mutant's runs part: the comparison is not vacuous
-
-    # three runs: the mutant parts from the margin, and a third run with the
-    # margin's K gets its steps
-    net, margin = _tie_dense_margins(4.0, 12, seed=4)
-    stack = np.stack((margin, _lowered(net, margin), margin + 0.5))  # the same floor
-    monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS", (rows or len(margin)) * net.n_nodes)
-    want = _one_run_calls(net, stack)
-    got = balance_cascade._batch_propagate(net, stack)
-    assert got.shape == stack.shape
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-    assert np.array_equal(want[0], want[2]) and (want[0] != want[1]).any(axis=1).sum() > 3
+        parted += int((steps[0] != steps[1]).any(axis=1).sum())
+    assert parted > 10  # the mutant parts from the margin: the comparison is not vacuous
 
 
-def test_the_two_run_corners_keep_each_runs_own_steps(monkeypatch):
+def test_sign_corners_keep_each_engines_own_steps(monkeypatch):
     (*_, (corner, corner_margin), (chain, chain_margin)) = _margin_rows()
-    # the subnormal corner: fl(m / L) underflows to -0.0, yet both sweep runs
-    # default at round 0, as the balance rule and the exact oracle say
+    # the subnormal corner: fl(m / L) underflows to -0.0, yet both sweep
+    # engines default at round 0, as the balance rule and the exact oracle say
     steps, _ = _coupled_sweep_chunk(monkeypatch, corner, corner_margin)
     assert [steps[m].tolist() for m in ("bs", "threshold")] == [[[0, -1]]] * 2
     sheets = sheets_from_worth(corner_margin[0], corner.interbank_assets)
     assert brute_force_fixed_point(corner, sheets, np.zeros(2)).tolist() == [0, -1]
     assert balance_rows(corner, corner_margin).tolist() == [[0, -1]]
+    # so does the public coupled pair: its threshold stays negative
+    assert run_balance_cascade(corner, sheets, np.zeros(2)).step.tolist() == [0, -1]
+    thresholds, flips = thresholds_from_shocks(corner, sheets, np.zeros(2))
+    assert thresholds[0] < 0
+    assert run_threshold_cascade(corner, thresholds, flips).step.tolist() == [0, -1]
     # fraction thresholds: a negative subnormal t flips at round 0 even where
     # fl(t * L) underflows to -0.0 (L = 0.5); -0.0 itself is not negative, and
     # a positive subnormal t flips on any loss
@@ -612,9 +588,9 @@ def test_the_two_run_corners_keep_each_runs_own_steps(monkeypatch):
     assert threshold_rows(half, rows).tolist() == [[0, -1], [-1, -1], [1, 0]]
     flips = np.zeros(2, dtype=bool)
     assert run_threshold_cascade(half, np.array([-5e-324, np.nan]), flips).step.tolist() == [0, -1]
-    step = balance_cascade._batch_propagate(chain, np.stack((chain_margin, chain_margin)))
+    step = balance_rows(chain, chain_margin)
     assert step.dtype == np.int8
-    assert step[:, 0].tolist() == [list(range(127, -1, -1))] * 2
+    assert step.tolist() == [list(range(127, -1, -1))]
 
 
 def test_a_non_lenders_round_zero_is_the_sign_of_its_entry_alone():
@@ -629,7 +605,7 @@ def test_a_non_lenders_round_zero_is_the_sign_of_its_entry_alone():
         pick = np.random.default_rng(7).integers(0, specials.size, size=rows.shape)
         rows[:, inactive] = specials[pick[:, inactive]]
         signs = np.where(inactive & (rows < 0), -1.0, np.where(inactive, 1.0, rows))
-        step, by_sign = _one_run_calls(net, (rows, signs))
+        step, by_sign = balance_rows(net, rows), balance_rows(net, signs)
         assert np.array_equal(step, by_sign)
         assert np.array_equal(step[:, inactive] == 0, rows[:, inactive] < 0)
         spread += (step.max(axis=1) > 0).sum()
@@ -651,24 +627,12 @@ def test_kernel_memory_is_flat_in_the_trial_count():
     net.in_degree, net.in_indptr, net.in_lender, net.in_loan, net.in_loan_units
     tracemalloc.start()
     try:
-        step = balance_cascade._batch_propagate(net, thresholds[None])[0]
+        step = balance_rows(net, thresholds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (step.max(axis=1) > 10).mean() > 0.9
     assert peak - step.nbytes <= 16 * 2**20
-
-    # two equal runs, each propagated alone: within twice the one-run bound
-    pair = np.stack((thresholds, thresholds))
-    del thresholds
-    tracemalloc.start()
-    try:
-        steps = balance_cascade._batch_propagate(net, pair)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(steps[0], step) and np.array_equal(steps[1], step)
-    assert peak - steps.nbytes <= 2 * 16 * 2**20
 
 
 # -- sweep rows on small nets against references that share no code ----------

@@ -23,7 +23,7 @@ from bankcascades.checks import brute_force_fixed_point, run_balance_cascade_asy
 from bankcascades.experiment import ExperimentConfig, _network_task, case_presets
 from bankcascades.results_io import rows_to_csv
 
-from conftest import sheets_from_worth
+from conftest import lowered_margin, sheets_from_worth
 
 
 def _small_cfg(**over):
@@ -257,29 +257,32 @@ def test_each_sweep_chunks_steps_are_one_run_calls_on_its_rows(model, monkeypatc
         degree_grid=(3.0,), networks_per_degree=1, trials_per_network=600,
         crisis_cutoff=0.05, master_seed=8,
     )
-    batch_outcomes, batch_propagate = experiment._batch_outcomes, experiment._batch_propagate
-    calls = []
+    batch_outcomes, kernel = experiment._batch_outcomes, experiment.balance_rows
+    chunks = []  # per chunk: its network, each kernel call's rows, its steps
 
     def recording_kernel(net, rows):
-        calls.append([net, rows.copy()])
-        return batch_propagate(net, rows)
+        chunks[-1][1].append(rows.copy())
+        return kernel(net, rows)
 
     def recording_outcomes(*args):
+        chunks.append([args[1], []])
         out = batch_outcomes(*args)
-        calls[-1].append(out)
+        chunks[-1].append(out)
         return out
 
-    monkeypatch.setattr(experiment, "_batch_propagate", recording_kernel)
+    monkeypatch.setattr(experiment, "balance_rows", recording_kernel)
     monkeypatch.setattr(experiment, "_batch_outcomes", recording_outcomes)
     _network_task((cfg, 0, 0))
     models = experiment._models_run(model)
     chunk = experiment._CHUNK_KEYS // (len(models) * cfg.n_banks)
-    assert [len(rows[0]) for _, rows, _ in calls] == [chunk] * (600 // chunk) + [600 % chunk]
+    assert [len(rows[0]) for _, rows, _ in chunks] == [chunk] * (600 // chunk) + [600 % chunk]
     spread = parted = 0
-    for net, rows, out in calls:
-        assert len(rows) == len(models) and list(out) == list(models)
-        for m, run in zip(models, rows):
-            want = batch_propagate(net, run[None])[0]
+    for net, rows, out in chunks:
+        # one call per engine run; the coupled margin is propagated once
+        assert len(rows) == (1 if model == "both-coupled" else len(models))
+        assert list(out) == list(models)
+        for m, run in zip(models, rows * len(models)):
+            want = kernel(net, run)
             assert out[m].dtype == want.dtype and np.array_equal(out[m], want), m
             spread += int((want.max(axis=1) > 0).sum())
         if len(models) == 2:
@@ -341,34 +344,31 @@ def test_coupled_sweep_reports_zero_mismatches():
 
 
 def test_coupled_sweep_counts_every_mismatch(monkeypatch):
-    # the sweep hands the kernel its margin as one run repeated, so its
-    # engines agree by construction. A mutant map that lowers one bank's K by
-    # one in the threshold run (x - 1 under unit loans) parts them, and the
-    # sweep's count must be the one that two separate one-run kernel calls
-    # give on the same rows
+    # the sweep propagates a coupled chunk's margin once, for both engines,
+    # so they agree by construction. A mutant map that lowers one bank's K by
+    # one for the threshold engine (K - 1 under unit loans) parts them, and
+    # the sweep must count every trial whose two step rows differ
     cfg = ExperimentConfig(
         n_banks=1000, capital_ratio=0.1, default_prob=0.01, case="A", model="both-coupled",
         degree_grid=(4.0,), networks_per_degree=1, trials_per_network=300,
         crisis_cutoff=0.05, master_seed=2,
     )
     assert _network_task((cfg, 0, 0))[1]["mismatches"] == 0
-    batch_propagate = experiment._batch_propagate
+    batch_outcomes = experiment._batch_outcomes
     chunks = []
 
-    def mutant(net, rows):
-        assert rows.strides[0] == 0  # one run, repeated
-        rows = rows.copy()
-        rows[1, :, np.argmax(net.out_degree)] -= 1.0
-        chunks.append((net, rows))
-        return batch_propagate(net, rows)
+    def mutant(cfg, net, params, thetas, sheets, z_index, net_index, trials, buffer):
+        out = batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index, trials, buffer)
+        assert out["threshold"] is out["bs"]  # the margin, propagated once
+        margin = buffer[0, :len(trials)]  # left unmodified by the kernel
+        out["threshold"] = balance_rows(net, lowered_margin(net, margin))
+        chunks.append(out)
+        return out
 
-    monkeypatch.setattr(experiment, "_batch_propagate", mutant)
+    monkeypatch.setattr(experiment, "_batch_outcomes", mutant)
     _, result = _network_task((cfg, 0, 0))
-    assert [len(rows[0]) for _, rows in chunks] == [262, 38]  # 2**19 keys over two runs
-    mismatches = 0
-    for net, (margin, lowered) in chunks:
-        parted = balance_rows(net, margin) != balance_rows(net, lowered)
-        mismatches += int(parted.any(axis=1).sum())
+    assert [len(out["bs"]) for out in chunks] == [262, 38]  # 2**19 keys over two engine runs
+    mismatches = sum(int((out["bs"] != out["threshold"]).any(axis=1).sum()) for out in chunks)
     assert result["mismatches"] == mismatches > 0
 
 
