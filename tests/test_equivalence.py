@@ -544,15 +544,15 @@ def _coupled_sweep_chunk(monkeypatch, net, margin):
 # rows per kernel block: one, four, all
 @pytest.mark.parametrize("rows", [1, 4, None])
 def test_kernel_blocks_part_the_mutant_and_give_the_coupled_chunk_its_steps(monkeypatch, rows):
-    margins = _margin_rows()
-    # a single block each: the margin's steps, and the mutant coupled map's
-    want = [[balance_rows(net, m) for m in (margin, lowered_margin(net, margin))]
-            for net, margin in margins]
+    # each margin and the mutant coupled map's rows, and their steps in a
+    # single block each
+    pairs = [(net, (margin, lowered_margin(net, margin))) for net, margin in _margin_rows()]
+    want = [[balance_rows(net, rows_in) for rows_in in pair] for net, pair in pairs]
     parted = 0
-    for (net, margin), steps in zip(margins, want):
+    for (net, (margin, lowered)), steps in zip(pairs, want):
         monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS",
                             (len(margin) if rows is None else rows) * net.n_nodes)
-        for rows_in, w in zip((margin, lowered_margin(net, margin)), steps):
+        for rows_in, w in zip((margin, lowered), steps):
             rows_before = rows_in.copy()
             got = balance_rows(net, rows_in)
             assert np.array_equal(rows_in, rows_before)
