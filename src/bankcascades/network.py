@@ -123,9 +123,11 @@ class DirectedNetwork:
 
     @cached_property
     def _in_order(self) -> np.ndarray:
-        """Permutation of canonical edges into (borrower, lender) order. The
-        (borrower, lender) keys are unique, so an unstable sort is exact."""
-        return np.argsort(self.borrower.astype(np.int64, copy=False) * self.n_nodes + self.lender)
+        """Permutation of canonical edges into (borrower, lender) order:
+        canonical edges already run in lender order, so a stable sort by
+        borrower alone keeps it (a radix sort up to 65,536 nodes)."""
+        borrower = self.borrower.astype(np.min_scalar_type(self.n_nodes - 1))
+        return np.argsort(borrower, kind="stable")
 
     @cached_property
     def in_indptr(self) -> np.ndarray:

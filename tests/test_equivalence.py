@@ -566,6 +566,29 @@ def test_kernel_blocks_part_the_mutant_and_give_the_coupled_chunk_its_steps(monk
     assert parted > 10  # the mutant parts from the margin: the comparison is not vacuous
 
 
+# rows per kernel block: one, all
+@pytest.mark.parametrize("rows", [1, None])
+def test_scan_and_gather_frontiers_give_one_answer(monkeypatch, rows):
+    inputs = _margin_rows() + [(net, margin) for net, margin, _ in _object_unit_rows()]
+    monkeypatch.setattr(balance_cascade, "_SCAN_PER_EDGE", 0)
+    by_path = []
+    # a floor above every block's size scans at every superstep, then one
+    # below it gathers at every superstep
+    for floor in (1 << 62, -1):
+        monkeypatch.setattr(balance_cascade, "_SCAN_FLOOR", floor)
+        steps = []
+        for net, margin in inputs:
+            monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS",
+                                (len(margin) if rows is None else rows) * net.n_nodes)
+            steps.append(balance_rows(net, margin))
+        by_path.append(steps)
+    for scanned, gathered in zip(*by_path):
+        assert scanned.dtype == gathered.dtype and np.array_equal(scanned, gathered)
+    dtypes = {net.in_loan_units.dtype for net, _ in inputs}
+    assert dtypes == {np.dtype(np.int8), np.dtype(np.int64), np.dtype(object)}
+    assert sum(int((s.max(axis=1) > 1).sum()) for s in by_path[0]) > 100  # cascades
+
+
 def test_sign_corners_keep_each_engines_own_steps(monkeypatch):
     (*_, (corner, corner_margin), (chain, chain_margin)) = _margin_rows()
     # the subnormal corner: fl(m / L) underflows to -0.0, yet both sweep
@@ -766,30 +789,37 @@ def test_relabelling_the_banks_relabels_every_step(monkeypatch):
     assert contagious > 20
 
 
-def test_loan_unit_totals_beyond_int64_stay_exact():
-    # loans of 4 and 2**-61: units of 2**-61, and a lender's total of
-    # 2**63 + 1 units, which Python ints hold. The small loan decides the
-    # ties that fl(4 + 2**-61) = 4.0 would hide
+def _object_unit_rows():
+    """(net, margin, want) for networks whose loan units are Python ints:
+    loans of 4 and 2**-61, a lender's total of 2**63 + 1 units of 2**-61
+    (the small loan decides the ties that fl(4 + 2**-61) = 4.0 would hide),
+    with its exact steps; and an 80-bank network of 800 loans from
+    [0.001, 1.8], whose smallest loan is some 2**11 times below the largest
+    total, so U passes 2**63 (``want`` None)."""
     net = from_edges(3, [(0, 1, 4.0), (0, 2, 2.0**-61)])
-    assert (net.loan_unit_exponent, net.in_loan_units.dtype) == (61, object)
     margin = np.array([[4.0, -1.0, -1.0], [4.0, -1.0, 1.0], [2.0**-62, 1.0, -1.0],
                        [2.0**-61, 1.0, -1.0], [-2.0**-70, 1.0, 1.0], [5.0, -1.0, -1.0]])
     want = [[1, 0, 0], [-1, 0, -1], [1, -1, 0], [-1, -1, 0], [0, -1, -1], [-1, 0, 0]]
+    loans = LoanSizeDistribution.uniform(0.001, 1.8)
+    wide = generate_er(80, 10.0, loans, np.random.default_rng(4))
+    wide_margin = np.random.default_rng(5).uniform(-0.5, 3.0, size=(20, 80))
+    return [(net, margin, want), (wide, wide_margin, None)]
+
+
+def test_loan_unit_totals_beyond_int64_stay_exact():
+    (net, margin, want), (wide, wide_margin, _) = _object_unit_rows()
+    assert (net.loan_unit_exponent, net.in_loan_units.dtype) == (61, object)
     for row, steps in zip(margin, want):
         sheets = sheets_from_worth(row, net.interbank_assets)
         assert brute_force_fixed_point(net, sheets, np.zeros(3)).tolist() == steps
     assert balance_rows(net, margin).tolist() == want
     assert threshold_rows(net, margin / np.where(net.is_lender, 4.0, 1.0)).tolist() == want
-    # an 80-bank network of 800 loans from [0.001, 1.8]: the smallest is
-    # some 2**11 times below the largest total, so U passes 2**63
-    loans = LoanSizeDistribution.uniform(0.001, 1.8)
-    net = generate_er(80, 10.0, loans, np.random.default_rng(4))
-    assert net.in_loan_units.dtype == object
-    margin = np.random.default_rng(5).uniform(-0.5, 3.0, size=(20, 80))
-    steps = balance_rows(net, margin)
-    for t, row in enumerate(margin):
-        sheets = sheets_from_worth(row, net.interbank_assets)
-        assert np.array_equal(steps[t] >= 0, run_balance_cascade_async(net, sheets, np.zeros(80), t))
+    assert wide.in_loan_units.dtype == object
+    steps = balance_rows(wide, wide_margin)
+    for t, row in enumerate(wide_margin):
+        sheets = sheets_from_worth(row, wide.interbank_assets)
+        async_flips = run_balance_cascade_async(wide, sheets, np.zeros(80), t)
+        assert np.array_equal(steps[t] >= 0, async_flips)
     assert (steps.max(axis=1) > 0).sum() > 5  # cascades: the comparison is not vacuous
     # loans of 2 and 2**-61 total 2**62 + 1 units: still int64
     net = from_edges(3, [(0, 1, 2.0), (0, 2, 2.0**-61)])

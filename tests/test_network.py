@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bankcascades import (
@@ -174,8 +174,22 @@ def _edge_sets(draw):
     return n, edges
 
 
+def _crowded_edges(n, n_edges, seed):
+    """(n, edges): random edges, half of whose borrowers crowd into the top
+    40 ids, so that those borrowers take loans from many lenders."""
+    rng = np.random.default_rng(seed)
+    borrowers = rng.integers(0, n, n_edges)
+    borrowers[::2] = rng.integers(n - 40, n, borrowers[::2].size)
+    pairs = zip(rng.integers(0, n, n_edges).tolist(), borrowers.tolist())
+    return n, [(lender, borrower, 1.0) for lender, borrower in set(pairs) if lender != borrower]
+
+
+# the hypothesis cases sort uint8 borrowers; 300 nodes sort uint16 and
+# 70,000 nodes uint32 ones
 @settings(max_examples=60, deadline=None)
 @given(_edge_sets())
+@example(_crowded_edges(300, 3000, seed=1))
+@example(_crowded_edges(70_000, 20_000, seed=2))
 def test_in_edge_order_is_the_borrower_lender_lexsort(case):
     n, edges = case
     net = from_edges(n, edges)
