@@ -26,11 +26,11 @@ __all__ = ["CascadeResult", "draw_shocks", "run_balance_cascade"]
 # int8), so a run's room and step rows fit a 2 MiB L2 cache. Half, double and
 # four times this size read 2-9% slower on window-shaped int8 chunks
 _BLOCK_KEYS = 1 << 17
-# A superstep finds its new frontier by scanning the block's rooms when the
-# block holds at most _SCAN_PER_EDGE keys per edge it expanded, plus
-# _SCAN_FLOOR; otherwise by gathering the expanded edges' lenders. A scan of
-# 1,000 keys costs about as much as a gather of 200 edges
-_SCAN_PER_EDGE, _SCAN_FLOOR = 4, 4096
+# A block of at most _SCAN_KEYS keys (one trial up to N = 4096) finds each
+# superstep's new frontier by scanning its rooms; a larger block gathers the
+# expanded edges' lenders. A scan of 1,000 keys costs about as much as a
+# gather of 200 edges
+_SCAN_KEYS = 4096
 
 
 def _require_finite(returns: np.ndarray) -> None:
@@ -161,6 +161,7 @@ def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
             np.ldexp(room, s, out=room)
         room = _as_units(np.floor(room, out=room), units.dtype)
         step_flat = step[block].ravel()  # whole rows of a C-ordered array: a view
+        scan = room.size <= _SCAN_KEYS
         frontier, superstep = np.flatnonzero(room < 0), 0
         while frontier.size:
             step_flat[frontier] = superstep
@@ -178,7 +179,7 @@ def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
             np.subtract.at(room, keys, units.take(idx))
             # every earlier flip was retired at top, so the negative rooms are
             # exactly this superstep's new flips: a scan and a gather agree
-            if room.size <= _SCAN_PER_EDGE * keys.size + _SCAN_FLOOR:
+            if scan:
                 frontier = np.flatnonzero(room < 0)
             else:
                 frontier = _sorted_unique(keys.compress(room.take(keys) < 0))

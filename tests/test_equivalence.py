@@ -570,12 +570,11 @@ def test_kernel_blocks_part_the_mutant_and_give_the_coupled_chunk_its_steps(monk
 @pytest.mark.parametrize("rows", [1, None])
 def test_scan_and_gather_frontiers_give_one_answer(monkeypatch, rows):
     inputs = _margin_rows() + [(net, margin) for net, margin, _ in _object_unit_rows()]
-    monkeypatch.setattr(balance_cascade, "_SCAN_PER_EDGE", 0)
     by_path = []
-    # a floor above every block's size scans at every superstep, then one
+    # a bound above every block's size scans at every superstep, then one
     # below it gathers at every superstep
-    for floor in (1 << 62, -1):
-        monkeypatch.setattr(balance_cascade, "_SCAN_FLOOR", floor)
+    for scan_keys in (1 << 62, -1):
+        monkeypatch.setattr(balance_cascade, "_SCAN_KEYS", scan_keys)
         steps = []
         for net, margin in inputs:
             monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS",
