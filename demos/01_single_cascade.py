@@ -38,8 +38,7 @@ hit = np.flatnonzero(result.defaulted)
 print(f"defaults per round:                      {np.bincount(result.step[hit]).tolist()}")
 for i in hit[:12]:
     kind = "fundamental" if result.step[i] == 0 else f"round {result.step[i]}"
-    out_deg, in_deg, lent, borrowed = bc.degrees(net, int(i))
-    print(f"  bank {i:3d} [{kind:11s}] lent {lent:4.1f} to {out_deg} banks, "
-          f"borrowed {borrowed:4.1f}")
+    print(f"  bank {i:3d} [{kind:11s}] lent {net.interbank_assets[i]:4.1f} to "
+          f"{net.out_degree[i]} banks, borrowed {net.interbank_liabilities[i]:4.1f}")
 if len(hit) > 12:
     print(f"  ... and {len(hit) - 12} more")

@@ -286,9 +286,10 @@ def _margins(net: DirectedNetwork, sheets: BalanceSheets, returns: np.ndarray) -
 
 
 def _exact_loss(net: DirectedNetwork, node: int, defaulted) -> Fraction:
-    """The exact sum of ``node``'s loans to defaulted borrowers."""
-    nbrs, loans = net.borrowers_of(node)
-    return sum((Fraction(a) for j, a in zip(nbrs, loans) if defaulted[j]), Fraction(0))
+    """The exact sum of ``node``'s loans to defaulted borrowers, read from the
+    raw edge arrays: the oracles share no edge index with the engines."""
+    lost = (net.lender == node) & np.asarray(defaulted)[net.borrower]
+    return sum(map(Fraction, net.loan_size[lost]), Fraction(0))
 
 
 def brute_force_fixed_point(

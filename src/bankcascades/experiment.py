@@ -44,11 +44,11 @@ MODELS = ("bs", "threshold", "both-independent", "both-coupled")
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
-# (trial, bank) keys per sweep chunk: a 4 MiB float64 buffer, reused for
-# every chunk of a network. A chunk gives each engine run its own share of
-# it, so a two-engine chunk holds half as many trials. Half and double this
-# size measured many more page faults per sweep (ROADMAP item 5).
-_CHUNK_KEYS = 1 << 19
+# (trial, bank) keys per sweep chunk: a 2 MiB float64 buffer (262 trials at
+# N = 1000), reused by each engine run of every chunk of a network. 524-trial
+# chunks raised peak RSS by 3 MB, and other sizes measured many more page
+# faults per sweep (ROADMAP item 5).
+_CHUNK_KEYS = 1 << 18
 
 
 def case_presets(case: str) -> tuple[ThetaDistribution, LoanSizeDistribution]:
@@ -182,34 +182,32 @@ def _batch_outcomes(
     """The given trials of one network cell, each engine run propagated in
     one kernel call (:func:`balance_rows`).
 
-    ``buffer`` is a (runs, trials, banks) float array, one run per engine
-    run of :func:`_models_run` (one in all for the coupled model), with at
-    least ``len(trials)`` rows (a fresh one without it). Each run's rows
-    carry its stages in place, ending in the loans' scale the kernel
-    compares with. Run 0 takes the margin 'bs' reads: the draw
-    (:func:`draw_rows`), scaled to returns (:func:`shock_returns`), plus
-    each bank's net worth. Coupled, a lender's threshold m / L in the loans'
-    scale is its margin m itself, so 'threshold' reads the margin's steps:
-    the margin is propagated once, and the two engines agree by
-    construction. Otherwise the last run takes the thresholds t 'threshold'
-    reads, drawn (:func:`thresholds_from_normals`) and scaled to
+    ``buffer`` is a (trials, banks) float array with at least
+    ``len(trials)`` rows (a fresh one without it). Each engine run in turn
+    draws into its rows, carries its stages there in place, ending in the
+    loans' scale the kernel compares with, and propagates them; the kernel
+    keeps no reference to them, so the next run reuses the rows. 'bs' takes
+    the margin: the draw (:func:`draw_rows`), scaled to returns
+    (:func:`shock_returns`), plus each bank's net worth. Coupled, a lender's
+    threshold m / L in the loans' scale is its margin m itself, so
+    'threshold' reads the margin's steps: the margin is propagated once, and
+    the two engines agree by construction. Otherwise 'threshold' takes the
+    thresholds t, drawn (:func:`thresholds_from_normals`) and scaled to
     fl(t * L). Returns the kernel's step matrix per engine run.
     """
     n_rows, n = len(trials), cfg.n_banks
-    if buffer is None:
-        buffer = np.empty((len(_models_run(cfg.model)), n_rows, n))
+    rows = (np.empty((n_rows, n)) if buffer is None else buffer)[:n_rows]
     steps = {}
     if cfg.model != "threshold":
         rngs = stream_rngs(cfg.master_seed, STREAM_SHOCKS, z_index, net_index, trials=trials)
-        margin = draw_rows(rngs, n_rows, n, out=buffer[0, :n_rows])
+        margin = draw_rows(rngs, n_rows, n, out=rows)
         np.add(sheets.net_worth, shock_returns(margin, sheets), out=margin)
         steps["bs"] = balance_rows(net, margin)
     if cfg.model == "both-coupled":
         steps["threshold"] = steps["bs"]
     elif cfg.model != "bs":
         rngs = stream_rngs(cfg.master_seed, STREAM_THRESHOLDS, z_index, net_index, trials=trials)
-        normals = draw_rows(rngs, n_rows, n, params.default_prob, ~net.is_lender,
-                            out=buffer[-1, :n_rows])
+        normals = draw_rows(rngs, n_rows, n, params.default_prob, ~net.is_lender, out=rows)
         _in_loans(net, thresholds_from_normals(normals, net, params, thetas), out=normals)
         steps["threshold"] = balance_rows(net, normals)
     return steps
@@ -221,7 +219,7 @@ def _network_task(args) -> tuple[tuple[int, int], dict]:
     level so process pools can pickle it.
 
     The trials run in chunks of about ``_CHUNK_KEYS`` (trial, bank) keys,
-    each drawn into the same (runs, chunk, banks) buffer (see
+    each engine run drawn into the same (chunk, banks) buffer (see
     :func:`_batch_outcomes`), so memory does not grow with the trial count.
     Each trial has its own streams and chunks are tallied in trial order, so
     every float sum, and so every output byte, is the one a single batch of
@@ -231,9 +229,8 @@ def _network_task(args) -> tuple[tuple[int, int], dict]:
     net, params, thetas, sheets = _network_inputs(cfg, z_index, net_index)
     n, n_trials = cfg.n_banks, cfg.trials_per_network
     tallies = {m: [0, 0.0, 0.0] for m in _models_run(cfg.model)}
-    chunk = min(n_trials, max(1, _CHUNK_KEYS // (len(tallies) * n)))
-    # the coupled model draws one run: its two engines read the same margin
-    buffer = np.empty((1 if cfg.model == "both-coupled" else len(tallies), chunk, n))
+    chunk = min(n_trials, max(1, _CHUNK_KEYS // n))
+    buffer = np.empty((chunk, n))
     mismatches = 0
     for first in range(0, n_trials, chunk):
         outcomes = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,

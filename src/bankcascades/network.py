@@ -22,7 +22,6 @@ __all__ = [
     "DirectedNetwork",
     "from_edges",
     "generate_er",
-    "degrees",
     "save_edge_list",
     "load_edge_list",
 ]
@@ -102,8 +101,8 @@ class DirectedNetwork:
                 raise ValueError("borrower id out of range")
             if np.any(self.lender == self.borrower):
                 raise ValueError("self-loops are not allowed")
-            if np.any(self.loan_size <= 0):
-                raise ValueError("loan sizes must be positive")
+            if not np.all((self.loan_size > 0) & (self.loan_size < np.inf)):  # NaN fails too
+                raise ValueError("loan sizes must be positive and finite")
             key = self.lender.astype(np.int64) * n + self.borrower
             if np.any(np.diff(key) <= 0):
                 raise ValueError("edges must be unique and sorted by (lender, borrower)")
@@ -115,11 +114,6 @@ class DirectedNetwork:
         return len(self.lender)
 
     # -- cached per-direction indexes -------------------------------------
-
-    @cached_property
-    def out_indptr(self) -> np.ndarray:
-        """Offsets into the canonical edge arrays, grouped by lender."""
-        return np.concatenate(([0], self.out_degree.cumsum()))
 
     @cached_property
     def _in_order(self) -> np.ndarray:
@@ -134,21 +128,12 @@ class DirectedNetwork:
         return np.concatenate(([0], self.in_degree.cumsum()))
 
     @cached_property
-    def in_lender(self) -> np.ndarray:
-        """Lender of each edge, grouped by borrower (aligned with in_indptr)."""
-        return self.lender[self._in_order]
-
-    @cached_property
     def in_hop(self) -> np.ndarray:
         """Per edge (borrower-grouped): lender minus borrower, the hop from a
         borrower's flat (trial, bank) key to its lender's."""
-        hop = self.in_lender - np.arange(self.n_nodes).repeat(self.in_degree)
+        hop = (self.lender - self.borrower)[self._in_order]
         hop.setflags(write=False)
         return hop
-
-    @cached_property
-    def in_loan(self) -> np.ndarray:
-        return self.loan_size[self._in_order]
 
     @cached_property
     def interbank_assets(self) -> np.ndarray:
@@ -199,7 +184,7 @@ class DirectedNetwork:
         most = math.ldexp(self.interbank_assets.max(initial=0), s)
         dtype = (np.min_scalar_type(-int(most) - 1) if most < math.ldexp(1 - 2.0**-20, 63)
                  else np.dtype(object))
-        units = _as_units(np.ldexp(self.in_loan, s), dtype)  # exact: whole numbers of units
+        units = _as_units(np.ldexp(self.loan_size[self._in_order], s), dtype)  # whole units
         units.setflags(write=False)
         return units
 
@@ -210,11 +195,6 @@ class DirectedNetwork:
         if self.in_loan_units.dtype == object:
             return int(math.ldexp(self.interbank_assets.max(), self.loan_unit_exponent + 1))
         return min(int(np.iinfo(self.in_loan_units.dtype).max), 2**63 - 1024)
-
-    def borrowers_of(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """(borrower ids, loan sizes) for one lender."""
-        lo, hi = self.out_indptr[node], self.out_indptr[node + 1]
-        return self.borrower[lo:hi], self.loan_size[lo:hi]
 
 
 def from_edges(n_nodes: int, edges) -> DirectedNetwork:
@@ -266,18 +246,6 @@ def generate_er(
     loan = loan_dist.sample(len(flat), rng)
     # flat order is already sorted by (lender, borrower)
     return DirectedNetwork(n, lender, borrower, loan)
-
-
-def degrees(net: DirectedNetwork, node: int) -> tuple[int, int, float, float]:
-    """(out_degree, in_degree, total lent, total borrowed) for one bank."""
-    if not 0 <= node < net.n_nodes:
-        raise ValueError(f"node {node} out of range for {net.n_nodes} nodes")
-    return (
-        int(net.out_degree[node]),
-        int(net.in_degree[node]),
-        float(net.interbank_assets[node]),
-        float(net.interbank_liabilities[node]),
-    )
 
 
 def save_edge_list(net: DirectedNetwork, path) -> None:

@@ -142,7 +142,8 @@ def _is_least_fixed_point(net, sheets, shocks, defaulted):
     """Every defaulted bank is justified, every surviving bank is safe."""
     w, r = sheets.net_worth, shocks
     for i in range(net.n_nodes):
-        nbrs, loans = net.borrowers_of(i)
+        mine = net.lender == i
+        nbrs, loans = net.borrower[mine], net.loan_size[mine]
         loss = loans[defaulted[nbrs]].sum() if len(nbrs) else 0.0
         should = loss - r[i] > w[i]
         if defaulted[i]:

@@ -526,7 +526,7 @@ def _margin_rows():
 def _coupled_sweep_chunk(monkeypatch, net, margin):
     """(steps, buffer): the sweep's coupled chunk (:func:`_batch_outcomes`)
     on given margin rows, its draw replaced by them and net worth 0, in a
-    one-run buffer, as the sweep gives it, that starts as pi."""
+    (trials, banks) buffer, as the sweep gives it, that starts as pi."""
     cfg = ExperimentConfig(
         n_banks=net.n_nodes, capital_ratio=0.1, default_prob=0.01, case="A",
         model="both-coupled", degree_grid=(0.0,), networks_per_degree=1,
@@ -535,7 +535,7 @@ def _coupled_sweep_chunk(monkeypatch, net, margin):
     monkeypatch.setattr(experiment, "draw_rows",
                         lambda rngs, n_rows, n, out: np.copyto(out, margin) or out)
     monkeypatch.setattr(experiment, "shock_returns", lambda z, sheets: z)
-    buffer = np.full((1, *margin.shape), np.pi)
+    buffer = np.full(margin.shape, np.pi)
     steps = _batch_outcomes(cfg, net, None, None, SimpleNamespace(net_worth=0.0), 0, 0,
                             range(len(margin)), buffer)
     return steps, buffer
@@ -561,7 +561,7 @@ def test_kernel_blocks_part_the_mutant_and_give_the_coupled_chunk_its_steps(monk
         coupled, buffer = _coupled_sweep_chunk(monkeypatch, net, margin)
         assert coupled["threshold"] is coupled["bs"]
         assert coupled["bs"].dtype == steps[0].dtype and np.array_equal(coupled["bs"], steps[0])
-        assert np.array_equal(buffer[0], margin)
+        assert np.array_equal(buffer, margin)
         parted += int((steps[0] != steps[1]).any(axis=1).sum())
     assert parted > 10  # the mutant parts from the margin: the comparison is not vacuous
 
@@ -646,7 +646,7 @@ def test_kernel_memory_is_flat_in_the_trial_count():
     thresholds = sheets.net_worth + returns
     del returns
     # build the cached indexes untraced
-    net.in_degree, net.in_indptr, net.in_lender, net.in_loan, net.in_loan_units
+    net.in_degree, net.in_indptr, net.in_hop, net.in_loan_units
     tracemalloc.start()
     try:
         step = balance_rows(net, thresholds)
@@ -665,7 +665,9 @@ def _naive_threshold_fixed_point(net, thresholds, inactive_flips):
     strictly exceeds its threshold; a non-lender flips only at round 0.
     Returns each bank's flip round, -1 for never."""
     n = net.n_nodes
-    loans = {i: [(int(j), float(a)) for j, a in zip(*net.borrowers_of(i))] for i in range(n)}
+    loans = {i: [] for i in range(n)}
+    for i, j, a in zip(net.lender.tolist(), net.borrower.tolist(), net.loan_size.tolist()):
+        loans[i].append((j, a))
     lent = {i: sum(a for _, a in loans[i]) for i in range(n)}
     flipped = [bool(thresholds[i] < 0) if lent[i] > 0 else bool(inactive_flips[i])
                for i in range(n)]

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,6 +115,34 @@ def test_engine_matches_oracle_on_random_instances():
         assert np.array_equal(alt, fast.defaulted)
 
 
+def test_exact_oracles_read_only_the_edge_list(case_a_params):
+    # the oracles share no index with the engines: on the bare edge list,
+    # with none of the network's cached indexes, they give the same answers.
+    # Instances as check's oracle suite draws them, then the relabelled pair
+    instances = []
+    for k in range(12):
+        rng = np.random.default_rng(900 + k)
+        n = int(rng.integers(2, 11))
+        net = generate_er(n, float(rng.uniform(0, n - 1)),
+                          case_presets("C" if k % 2 else "A")[1], rng)
+        sheets = build_sheets(net, case_a_params, rng_seed=rng)
+        instances.append((net, sheets, rng.normal(0.0, 3.0 * sheets.return_std)))
+    for loans in ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)):
+        net = from_edges(4, [(0, j, a) for j, a in enumerate(loans, 1)])
+        instances.append((net, sheets_from_worth([0.6, 1.0, 1.0, 1.0], net.interbank_assets),
+                          np.array([0.0, -2.0, -2.0, -2.0])))
+    spread = 0
+    for k, (net, sheets, returns) in enumerate(instances):
+        bare = SimpleNamespace(n_nodes=net.n_nodes, lender=net.lender, borrower=net.borrower,
+                               loan_size=net.loan_size)
+        step = brute_force_fixed_point(net, sheets, returns)
+        assert brute_force_fixed_point(bare, sheets, returns).tolist() == step.tolist(), k
+        assert np.array_equal(run_balance_cascade_async(bare, sheets, returns, k),
+                              run_balance_cascade_async(net, sheets, returns, k)), k
+        spread += step.max() > 0
+    assert spread > 3  # defaults spread: the comparison is not vacuous
+
+
 # -- sweep behaviour ---------------------------------------------------------
 
 def test_disconnected_grid_point_has_no_crises():
@@ -211,10 +240,9 @@ def test_pooling_matches_per_network_aggregates():
 @pytest.mark.parametrize("model", experiment.MODELS)
 def test_outputs_do_not_depend_on_the_chunk_size(case, model, monkeypatch):
     # 7 trials: 3-row chunks split them 3 + 3 + 1, and the default chunk
-    # holds them all. A chunk's row takes one row of the buffer per engine
-    # run, so a two-engine chunk takes twice the keys per row.
+    # holds them all. Each engine run of a chunk reuses the chunk's rows
     cfg = _small_cfg(case=case, model=model, degree_grid=(1.0, 3.0), trials_per_network=7)
-    row_keys = len(experiment._models_run(model)) * cfg.n_banks
+    row_keys = cfg.n_banks
     batch_outcomes = experiment._batch_outcomes
     csvs, steps = [], []
     for rows in (1, 3, None):
@@ -248,10 +276,10 @@ def test_outputs_do_not_depend_on_the_chunk_size(case, model, monkeypatch):
 
 @pytest.mark.parametrize("model", experiment.MODELS)
 def test_each_sweep_chunks_steps_are_one_run_calls_on_its_rows(model, monkeypatch):
-    # 600 trials at N = 1000: two-engine chunks of 262 + 262 + 76 rows,
-    # one-engine chunks of 524 + 76; the last chunk fills the front of the
-    # reused buffer. Case C's loans are not unit: the kernel adds int64 loan
-    # units
+    # 600 trials at N = 1000: chunks of 262 + 262 + 76 rows; every engine
+    # run of every chunk draws into the front of one reused buffer, so the
+    # recording copies each call's rows. Case C's loans are not unit: the
+    # kernel adds int64 loan units
     cfg = ExperimentConfig(
         n_banks=1000, capital_ratio=0.1, default_prob=0.01, case="C", model=model,
         degree_grid=(3.0,), networks_per_degree=1, trials_per_network=600,
@@ -259,9 +287,11 @@ def test_each_sweep_chunks_steps_are_one_run_calls_on_its_rows(model, monkeypatc
     )
     batch_outcomes, kernel = experiment._batch_outcomes, experiment.balance_rows
     chunks = []  # per chunk: its network, each kernel call's rows, its steps
+    buffers = set()  # the address of each kernel call's rows
 
     def recording_kernel(net, rows):
         chunks[-1][1].append(rows.copy())
+        buffers.add(rows.__array_interface__["data"][0])
         return kernel(net, rows)
 
     def recording_outcomes(*args):
@@ -274,8 +304,9 @@ def test_each_sweep_chunks_steps_are_one_run_calls_on_its_rows(model, monkeypatc
     monkeypatch.setattr(experiment, "_batch_outcomes", recording_outcomes)
     _network_task((cfg, 0, 0))
     models = experiment._models_run(model)
-    chunk = experiment._CHUNK_KEYS // (len(models) * cfg.n_banks)
+    chunk = experiment._CHUNK_KEYS // cfg.n_banks
     assert [len(rows[0]) for _, rows, _ in chunks] == [chunk] * (600 // chunk) + [600 % chunk]
+    assert len(buffers) == 1
     spread = parted = 0
     for net, rows, out in chunks:
         # one call per engine run; the coupled margin is propagated once
@@ -360,7 +391,7 @@ def test_coupled_sweep_counts_every_mismatch(monkeypatch):
     def mutant(cfg, net, params, thetas, sheets, z_index, net_index, trials, buffer):
         out = batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index, trials, buffer)
         assert out["threshold"] is out["bs"]  # the margin, propagated once
-        margin = buffer[0, :len(trials)]  # left unmodified by the kernel
+        margin = buffer[:len(trials)]  # left unmodified by the kernel
         out["threshold"] = balance_rows(net, lowered_margin(net, margin))
         chunks.append(out)
         return out

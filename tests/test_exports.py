@@ -31,7 +31,7 @@ def test_package_exports_every_public_engine_name():
                  "shadow_threshold_pdf"):
         assert name in bankcascades.__all__
     for gone in ("ThresholdAssignment", "BankBalanceSheet", "shadow_threshold", "ShockDraw",
-                 "sample_thresholds", "draw_inactive_flips", "save_sheets_csv"):
+                 "sample_thresholds", "draw_inactive_flips", "save_sheets_csv", "degrees"):
         assert not hasattr(bankcascades, gone)
 
 
@@ -41,7 +41,7 @@ def test_package_exports_exactly_the_public_names():
     assert sorted(bankcascades.__all__) == [
         "BalanceParams", "BalanceSheets", "CASES", "CascadeResult", "CrisisStats",
         "DirectedNetwork", "ExperimentConfig", "LoanSizeDistribution", "MODELS",
-        "ThetaDistribution", "__version__", "build_sheets", "case_presets", "degrees",
+        "ThetaDistribution", "__version__", "build_sheets", "case_presets",
         "draw_shocks", "draw_thresholds", "from_edges", "generate_er", "load_edge_list",
         "normal_quantile", "run_balance_cascade", "run_sweep", "run_threshold_cascade",
         "run_trial", "save_edge_list", "shadow_threshold_pdf",

@@ -204,7 +204,7 @@ def test_weighted_rule_equals_count_rule_for_unit_loans():
             for i in range(n):
                 if flipped[i] or not active[i]:
                     continue
-                nbrs, _ = net.borrowers_of(i)
+                nbrs = net.borrower[net.lender == i]
                 if flipped[nbrs].sum() / len(nbrs) > thresholds[i]:
                     flipped[i] = True
                     changed = True
