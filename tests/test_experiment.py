@@ -242,18 +242,17 @@ def test_outputs_do_not_depend_on_the_chunk_size(case, model, monkeypatch):
     # 7 trials: 3-row chunks split them 3 + 3 + 1, and the default chunk
     # holds them all. Each engine run of a chunk reuses the chunk's rows
     cfg = _small_cfg(case=case, model=model, degree_grid=(1.0, 3.0), trials_per_network=7)
-    row_keys = cfg.n_banks
     batch_outcomes = experiment._batch_outcomes
     csvs, steps = [], []
     for rows in (1, 3, None):
-        chunk_keys = experiment._CHUNK_KEYS if rows is None else rows * row_keys
+        chunk_keys = experiment._CHUNK_KEYS if rows is None else rows * cfg.n_banks
         monkeypatch.setattr(experiment, "_CHUNK_KEYS", chunk_keys)
         seen = {}
 
         def recording(*args):
             out = batch_outcomes(*args)
             _, _, _, _, _, zi, ni, trials, _ = args
-            assert len(trials) == min(chunk_keys // row_keys, 7 - trials.start)
+            assert len(trials) == min(chunk_keys // cfg.n_banks, 7 - trials.start)
             for m, step in out.items():
                 seen.setdefault((zi, ni, m), []).append(step)
             return out
