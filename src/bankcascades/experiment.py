@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import BalanceParams, BalanceSheets, ThetaDistribution, build_sheets
+from .balance import BalanceParams, ThetaDistribution, build_sheets
 from .balance_cascade import CascadeResult, balance_rows, shock_returns
-from .network import DirectedNetwork, LoanSizeDistribution, generate_er
+from .network import LoanSizeDistribution, generate_er
 from .rng import (
     STREAM_NETWORK,
     STREAM_SHOCKS,
@@ -101,9 +101,10 @@ class ExperimentConfig:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.n_banks < 1:
             raise ValueError("n_banks must be >= 1")
+        # a tuple before its truth is tested: a numpy grid's is ambiguous
+        object.__setattr__(self, "degree_grid", tuple(float(z) for z in self.degree_grid))
         if not self.degree_grid:
             raise ValueError("degree_grid must be nonempty")
-        object.__setattr__(self, "degree_grid", tuple(float(z) for z in self.degree_grid))
         for z in self.degree_grid:
             if not 0 <= z <= self.n_banks - 1:  # also rejects NaN
                 raise ValueError(f"degree {z} outside [0, n_banks-1]")
@@ -154,89 +155,70 @@ def _models_run(model: str) -> tuple[str, ...]:
     return (model,) if model in ("bs", "threshold") else ("bs", "threshold")
 
 
-def _network_inputs(cfg: ExperimentConfig, z_index: int, net_index: int):
-    """Network, share draws and (when needed) sheets for one sweep cell."""
-    net = generate_er(cfg.n_banks, cfg.degree_grid[z_index], cfg.resolved_loan_dist(),
-                      stream_seed(cfg.master_seed, STREAM_NETWORK, z_index, net_index))
-    thetas = cfg.resolved_theta_dist().sample(
-        cfg.n_banks, stream_rng(cfg.master_seed, STREAM_THETA, z_index, net_index)
-    )
-    params = cfg.balance_params()
-    sheets = None
-    if cfg.model != "threshold":
-        sheets = build_sheets(net, params, thetas=thetas)
-    return net, params, thetas, sheets
+def _cell_steps(cfg: ExperimentConfig, z_index: int, net_index: int, trials: range):
+    """Yield, chunk by chunk in trial order, the step matrix of each engine
+    run ('bs', 'threshold') over the given trials of one network cell.
 
-
-def _batch_outcomes(
-    cfg: ExperimentConfig,
-    net: DirectedNetwork,
-    params: BalanceParams,
-    thetas: np.ndarray,
-    sheets: BalanceSheets | None,
-    z_index: int,
-    net_index: int,
-    trials: range,
-    buffer: np.ndarray | None = None,
-) -> dict:
-    """The given trials of one network cell, each engine run propagated in
-    one kernel call (:func:`balance_rows`).
-
-    ``buffer`` is a (trials, banks) float array with at least
-    ``len(trials)`` rows (a fresh one without it). Each engine run in turn
-    draws into its rows, carries its stages there in place, ending in the
-    loans' scale the kernel compares with, and propagates them; the kernel
-    keeps no reference to them, so the next run reuses the rows. 'bs' takes
-    the margin: the draw (:func:`draw_rows`), scaled to returns
-    (:func:`shock_returns`), plus each bank's net worth. Coupled, a lender's
-    threshold m / L in the loans' scale is its margin m itself, so
+    The cell's network, shares and (when needed) sheets are built once. The
+    trials run in chunks of about ``_CHUNK_KEYS`` (trial, bank) keys, so
+    memory does not grow with the trial count, and each engine run of a
+    chunk in turn draws into the front of one (chunk, banks) float buffer,
+    carries its stages there in place, ending in the loans' scale the kernel
+    compares with, and propagates them (:func:`balance_rows`) in one kernel
+    call; the kernel keeps no reference to them, so the next run reuses the
+    rows. 'bs' takes the margin: the draw (:func:`draw_rows`), scaled to
+    returns (:func:`shock_returns`), plus each bank's net worth. Coupled, a
+    lender's threshold m / L in the loans' scale is its margin m itself, so
     'threshold' reads the margin's steps: the margin is propagated once, and
     the two engines agree by construction. Otherwise 'threshold' takes the
     thresholds t, drawn (:func:`thresholds_from_normals`) and scaled to
-    fl(t * L). Returns the kernel's step matrix per engine run.
+    fl(t * L). Each trial has its own streams, so a trial's steps do not
+    depend on the chunk it runs in.
     """
-    n_rows, n = len(trials), cfg.n_banks
-    rows = (np.empty((n_rows, n)) if buffer is None else buffer)[:n_rows]
-    steps = {}
+    n = cfg.n_banks
+    net = generate_er(n, cfg.degree_grid[z_index], cfg.resolved_loan_dist(),
+                      stream_seed(cfg.master_seed, STREAM_NETWORK, z_index, net_index))
+    thetas = cfg.resolved_theta_dist().sample(
+        n, stream_rng(cfg.master_seed, STREAM_THETA, z_index, net_index))
+    params = cfg.balance_params()
     if cfg.model != "threshold":
-        rngs = stream_rngs(cfg.master_seed, STREAM_SHOCKS, z_index, net_index, trials=trials)
-        margin = draw_rows(rngs, n_rows, n, out=rows)
-        np.add(sheets.net_worth, shock_returns(margin, sheets), out=margin)
-        steps["bs"] = balance_rows(net, margin)
-    if cfg.model == "both-coupled":
-        steps["threshold"] = steps["bs"]
-    elif cfg.model != "bs":
-        rngs = stream_rngs(cfg.master_seed, STREAM_THRESHOLDS, z_index, net_index, trials=trials)
-        normals = draw_rows(rngs, n_rows, n, params.default_prob, ~net.is_lender, out=rows)
-        _in_loans(net, thresholds_from_normals(normals, net, params, thetas), out=normals)
-        steps["threshold"] = balance_rows(net, normals)
-    return steps
+        sheets = build_sheets(net, params, thetas=thetas)
+    chunk = min(len(trials), max(1, _CHUNK_KEYS // n))
+    buffer = np.empty((chunk, n))
+    for first in range(0, len(trials), chunk):
+        part = trials[first:first + chunk]
+        rows = buffer[:len(part)]
+        steps = {}
+        if cfg.model != "threshold":
+            rngs = stream_rngs(cfg.master_seed, STREAM_SHOCKS, z_index, net_index, trials=part)
+            margin = draw_rows(rngs, len(part), n, out=rows)
+            np.add(sheets.net_worth, shock_returns(margin, sheets), out=margin)
+            steps["bs"] = balance_rows(net, margin)
+        if cfg.model == "both-coupled":
+            steps["threshold"] = steps["bs"]
+        elif cfg.model != "bs":
+            rngs = stream_rngs(cfg.master_seed, STREAM_THRESHOLDS, z_index, net_index,
+                               trials=part)
+            normals = draw_rows(rngs, len(part), n, params.default_prob, ~net.is_lender, out=rows)
+            _in_loans(net, thresholds_from_normals(normals, net, params, thetas), out=normals)
+            steps["threshold"] = balance_rows(net, normals)
+        yield steps
 
 
 def _network_task(args) -> tuple[tuple[int, int], dict]:
-    """Run all trials for one (degree, network) cell and tally each engine
-    run as (crises, summed crisis sizes, summed squared crisis sizes). Top
-    level so process pools can pickle it.
+    """Run all trials for one (degree, network) cell (:func:`_cell_steps`)
+    and tally each engine run as (crises, summed crisis sizes, summed squared
+    crisis sizes). Top level so process pools can pickle it.
 
-    The trials run in chunks of about ``_CHUNK_KEYS`` (trial, bank) keys,
-    each engine run drawn into the same (chunk, banks) buffer (see
-    :func:`_batch_outcomes`), so memory does not grow with the trial count.
-    Each trial has its own streams and chunks are tallied in trial order, so
-    every float sum, and so every output byte, is the one a single batch of
-    all trials would give.
+    Chunks are tallied in trial order, so every float sum, and so every
+    output byte, is the one a single batch of all trials would give.
     """
     cfg, z_index, net_index = args
-    net, params, thetas, sheets = _network_inputs(cfg, z_index, net_index)
-    n, n_trials = cfg.n_banks, cfg.trials_per_network
     tallies = {m: [0, 0.0, 0.0] for m in _models_run(cfg.model)}
-    chunk = min(n_trials, max(1, _CHUNK_KEYS // n))
-    buffer = np.empty((chunk, n))
     mismatches = 0
-    for first in range(0, n_trials, chunk):
-        outcomes = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,
-                                   range(n_trials)[first:first + chunk], buffer)
+    for outcomes in _cell_steps(cfg, z_index, net_index, range(cfg.trials_per_network)):
         for m, tally in tallies.items():
-            frac = np.count_nonzero(outcomes[m] >= 0, axis=1) / n
+            frac = np.count_nonzero(outcomes[m] >= 0, axis=1) / cfg.n_banks
             crisis = frac >= cfg.crisis_cutoff
             tally[0] += int(crisis.sum())
             for f in frac[crisis]:  # sequential sums keep output worker- and chunk-invariant
@@ -263,9 +245,7 @@ def run_trial(
                                ("trial_index", trial_index, cfg.trials_per_network)):
         if not 0 <= index < count:
             raise ValueError(f"{name} {index} outside the sweep's range [0, {count - 1}]")
-    net, params, thetas, sheets = _network_inputs(cfg, z_index, net_index)
-    steps = _batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index,
-                            range(trial_index, trial_index + 1))
+    steps = next(_cell_steps(cfg, z_index, net_index, range(trial_index, trial_index + 1)))
     out: dict = {m: CascadeResult(step[0]) for m, step in steps.items()}
     out["mismatch"] = (cfg.model == "both-coupled"
                        and not out["bs"].same_outcome(out["threshold"]))

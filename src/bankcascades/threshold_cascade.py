@@ -81,6 +81,9 @@ def shadow_threshold_pdf(x, interbank_assets: float, capital_ratio: float,
     """
     if not interbank_assets > 0:
         raise ValueError("threshold density requires positive interbank assets")
+    for name, value in (("theta", theta), ("capital_ratio", capital_ratio)):
+        if not 0 < value < 1:  # the ranges ThetaDistribution and BalanceParams enforce
+            raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
     x = np.asarray(x, dtype=np.float64)
     L = interbank_assets
     return L * return_pdf(x * L - capital_ratio * L / theta)

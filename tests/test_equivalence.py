@@ -7,6 +7,7 @@ each bank's default round (-1 for never), and the tests compare whole rows.
 """
 import tracemalloc
 from dataclasses import fields, replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,16 +42,34 @@ from bankcascades.checks import (
 from bankcascades.experiment import (
     MODELS,
     ExperimentConfig,
-    _batch_outcomes,
+    _cell_steps,
     _models_run,
-    _network_inputs,
     case_presets,
     run_trial,
 )
-from bankcascades.rng import STREAM_SHOCKS, STREAM_THRESHOLDS, draw_rows, stream_rng
+from bankcascades.rng import (
+    STREAM_NETWORK,
+    STREAM_SHOCKS,
+    STREAM_THETA,
+    STREAM_THRESHOLDS,
+    draw_rows,
+    stream_rng,
+    stream_seed,
+)
 from bankcascades.threshold_cascade import threshold_rows
 
 from conftest import lowered_margin, sheets_from_worth
+
+
+def _cell_inputs(cfg, z_index, net_index):
+    """(net, params, thetas, sheets) of one sweep cell, remade with the
+    public API from the cell's stream keys."""
+    net = generate_er(cfg.n_banks, cfg.degree_grid[z_index], cfg.resolved_loan_dist(),
+                      stream_seed(cfg.master_seed, STREAM_NETWORK, z_index, net_index))
+    thetas = cfg.resolved_theta_dist().sample(
+        cfg.n_banks, stream_rng(cfg.master_seed, STREAM_THETA, z_index, net_index))
+    params = cfg.balance_params()
+    return net, params, thetas, build_sheets(net, params, thetas=thetas)
 
 
 def _coupled_pair(net, sheets, shocks):
@@ -304,7 +323,7 @@ def test_round_zero_tie_survives_in_the_sweep_path(monkeypatch):
         degree_grid=(2.0,), networks_per_degree=1, trials_per_network=20,
         crisis_cutoff=0.05, master_seed=3,
     )
-    net, params, thetas, sheets = _network_inputs(cfg, 0, 0)
+    net, _, _, sheets = _cell_inputs(cfg, 0, 0)
     lender = int(np.flatnonzero(net.interbank_assets > 0)[0])
     tied = []
 
@@ -315,7 +334,7 @@ def test_round_zero_tie_survives_in_the_sweep_path(monkeypatch):
         return returns
 
     monkeypatch.setattr(experiment, "shock_returns", tied_returns)
-    out = _batch_outcomes(cfg, net, params, thetas, sheets, 0, 0, range(20))
+    out = next(_cell_steps(cfg, 0, 0, range(20)))
     (returns,) = tied
     survived = 0
     for t, row in enumerate(returns):
@@ -348,7 +367,7 @@ def test_run_trial_at_a_multiword_trial_index_equals_per_trial_engines(model):
         degree_grid=(3.0,), networks_per_degree=1, trials_per_network=2**32 + 4,
         crisis_cutoff=0.05, master_seed=21,
     )
-    net, params, thetas, sheets = _network_inputs(cfg, 0, 0)
+    net, params, thetas, sheets = _cell_inputs(cfg, 0, 0)
     returns = {}
     for ti in (2**32 + 3, 3):
         shocks = draw_shocks(sheets, stream_rng(21, STREAM_SHOCKS, 0, 0, ti))
@@ -375,9 +394,7 @@ def _assert_batched_path_equals_run_trial(case, model, master_seed):
         crisis_cutoff=0.05, master_seed=master_seed,
     )
     for zi in range(2):
-        net, params, thetas, sheets = _network_inputs(cfg, zi, 0)
-        out = _batch_outcomes(cfg, net, params, thetas, sheets, zi, 0,
-                              range(cfg.trials_per_network))
+        out = next(_cell_steps(cfg, zi, 0, range(cfg.trials_per_network)))
         assert set(out) == set(_models_run(model))
         for m, step in out.items():
             for ti in range(cfg.trials_per_network):
@@ -524,20 +541,27 @@ def _margin_rows():
 
 
 def _coupled_sweep_chunk(monkeypatch, net, margin):
-    """(steps, buffer): the sweep's coupled chunk (:func:`_batch_outcomes`)
-    on given margin rows, its draw replaced by them and net worth 0, in a
-    (trials, banks) buffer, as the sweep gives it, that starts as pi."""
+    """(steps, buffer): the sweep's coupled chunk (:func:`_cell_steps`) on
+    ``net``, its draw replaced by the given margin rows and net worth 0, and
+    the chunk's buffer rows after the kernel ran on them."""
     cfg = ExperimentConfig(
         n_banks=net.n_nodes, capital_ratio=0.1, default_prob=0.01, case="A",
         model="both-coupled", degree_grid=(0.0,), networks_per_degree=1,
         trials_per_network=len(margin), crisis_cutoff=0.05, master_seed=0,
     )
-    monkeypatch.setattr(experiment, "draw_rows",
-                        lambda rngs, n_rows, n, out: np.copyto(out, margin) or out)
+    buffers = []
+
+    def draw(rngs, n_rows, n, out):
+        buffers.append(out)
+        return np.copyto(out, margin) or out
+
+    monkeypatch.setattr(experiment, "generate_er", lambda *args: net)
+    monkeypatch.setattr(experiment, "build_sheets",
+                        lambda *args, **kwargs: SimpleNamespace(net_worth=0.0))
+    monkeypatch.setattr(experiment, "draw_rows", draw)
     monkeypatch.setattr(experiment, "shock_returns", lambda z, sheets: z)
-    buffer = np.full(margin.shape, np.pi)
-    steps = _batch_outcomes(cfg, net, None, None, SimpleNamespace(net_worth=0.0), 0, 0,
-                            range(len(margin)), buffer)
+    (steps,) = _cell_steps(cfg, 0, 0, range(len(margin)))
+    (buffer,) = buffers
     return steps, buffer
 
 
@@ -703,8 +727,8 @@ def test_batched_rows_match_naive_references_on_small_nets(model):
     contagious = 0
     for zi in range(len(cfg.degree_grid)):
         for ni in range(cfg.networks_per_degree):
-            net, params, thetas, sheets = _network_inputs(cfg, zi, ni)
-            out = _batch_outcomes(cfg, net, params, thetas, sheets, zi, ni, range(T))
+            net, params, thetas, sheets = _cell_inputs(cfg, zi, ni)
+            out = next(_cell_steps(cfg, zi, ni, range(T)))
             for ti in range(T):
                 refs = {}
                 if model != "threshold":
@@ -758,6 +782,66 @@ def test_equal_loans_against_near_tie_margins_match_the_exact_oracle(monkeypatch
                 probes += 1
     assert agree == probes == 540
     assert 0 < defaulted < probes  # the margins straddle the exact sums
+
+
+_TIE_LOANS = (0.1, 0.2, 0.3, 0.37, 0.7, 1.1)
+
+
+@st.composite
+def _near_tie_instances(draw):
+    """(net, margin): 3-12 banks lending loans from ``_TIE_LOANS`` or case
+    C's range, a random set that fails at round 0, and every other lender's
+    margin within 4 ulps of the float nearest its exact loss to that set."""
+    n = draw(st.integers(3, 12))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3 * n, unique=True))
+    loan = st.sampled_from(_TIE_LOANS) if draw(st.booleans()) else st.floats(0.2, 1.8)
+    edges = [(i, j, draw(loan)) for i, j in edges]
+    failed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    margin = np.where(failed, -1.0, 1.0)
+    for bank in {i for i, _, _ in edges} - {i for i in range(n) if failed[i]}:
+        exact = sum(Fraction(a) for i, j, a in edges if i == bank and failed[j])
+        ulps = draw(st.integers(-4, 4))
+        margin[bank] = float(exact)
+        for _ in range(abs(ulps)):
+            margin[bank] = np.nextafter(margin[bank], np.copysign(np.inf, ulps))
+    return from_edges(n, edges), margin
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_tie_instances())
+def test_margins_near_a_tie_match_the_exact_oracle(instance):
+    net, margin = instance
+    sheets = sheets_from_worth(margin, net.interbank_assets)
+    returns = np.zeros(net.n_nodes)
+    want = brute_force_fixed_point(net, sheets, returns)
+    assert run_balance_cascade(net, sheets, returns).step.tolist() == want.tolist()
+
+
+def _raised(margin, rng):
+    """``margin`` with 30% of its entries raised by |N(0, 0.2)|."""
+    lift = np.abs(rng.normal(0.0, 0.2, margin.shape))
+    return np.where(rng.random(margin.shape) < 0.3, margin + lift, margin)
+
+
+def test_raising_margins_never_adds_or_hastens_a_default():
+    # monotonicity (ROADMAP item 8): a raised row's defaults are a subset of
+    # the original's, and none comes earlier
+    rng = np.random.default_rng(17)
+    margins = [_tie_dense_margins(z, 50, seed=int(z) + 30) for z in (2.0, 4.0, 6.0)]
+    for case in ("A", "C"):
+        theta_dist, loan_dist = case_presets(case)
+        for z in (2.0, 4.0, 6.0):
+            net = generate_er(1000, z, loan_dist, rng)
+            sheets = build_sheets(net, BalanceParams(0.1, 0.01, theta_dist), rng_seed=rng)
+            returns = shock_returns(rng.standard_normal((50, 1000)), sheets)
+            margins.append((net, sheets.net_worth + 3.0 * returns))
+    removed = 0
+    for net, margin in margins:
+        step, raised = balance_rows(net, margin), balance_rows(net, _raised(margin, rng))
+        assert np.all((raised < 0) | ((step >= 0) & (step <= raised)))
+        removed += int(np.count_nonzero((step >= 0) & (raised < 0)))
+    assert removed > 1000  # raising removes defaults: the comparison is not vacuous
 
 
 def _relabelled(net, perm):

@@ -22,7 +22,7 @@ from bankcascades import experiment
 from bankcascades.balance_cascade import balance_rows
 from bankcascades.checks import brute_force_fixed_point, run_balance_cascade_async
 from bankcascades.experiment import ExperimentConfig, _network_task, case_presets
-from bankcascades.results_io import rows_to_csv
+from bankcascades.results_io import rows_to_csv, write_manifest
 
 from conftest import lowered_margin, sheets_from_worth
 
@@ -66,6 +66,19 @@ def test_config_validation():
         _small_cfg(capital_ratio=5.0)
     with pytest.raises(ValueError, match="default_prob"):
         _small_cfg(default_prob=0.7)
+
+
+def test_numpy_degree_grids_are_stored_as_float_tuples(tmp_path):
+    # a numpy grid's truth value is ambiguous: the config converts it first
+    cfg = _small_cfg(degree_grid=np.arange(0, 2, 0.5))
+    assert cfg == _small_cfg(degree_grid=(0.0, 0.5, 1.0, 1.5))
+    assert all(type(z) is float for z in cfg.degree_grid)
+    write_manifest(cfg, [], tmp_path / "numpy.json", created="t")
+    write_manifest(_small_cfg(degree_grid=(0.0, 0.5, 1.0, 1.5)), [], tmp_path / "tuple.json",
+                   created="t")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "tuple.json").read_bytes()
+    with pytest.raises(ValueError, match="degree_grid must be nonempty"):
+        _small_cfg(degree_grid=np.array([]))
 
 
 def test_case_presets_are_overridable():
@@ -242,23 +255,22 @@ def test_outputs_do_not_depend_on_the_chunk_size(case, model, monkeypatch):
     # 7 trials: 3-row chunks split them 3 + 3 + 1, and the default chunk
     # holds them all. Each engine run of a chunk reuses the chunk's rows
     cfg = _small_cfg(case=case, model=model, degree_grid=(1.0, 3.0), trials_per_network=7)
-    batch_outcomes = experiment._batch_outcomes
+    cell_steps, default_keys = experiment._cell_steps, experiment._CHUNK_KEYS
     csvs, steps = [], []
-    for rows in (1, 3, None):
-        chunk_keys = experiment._CHUNK_KEYS if rows is None else rows * cfg.n_banks
+    for rows, sizes in ((1, [1] * 7), (3, [3, 3, 1]), (None, [7])):
+        chunk_keys = default_keys if rows is None else rows * cfg.n_banks
         monkeypatch.setattr(experiment, "_CHUNK_KEYS", chunk_keys)
         seen = {}
 
-        def recording(*args):
-            out = batch_outcomes(*args)
-            _, _, _, _, _, zi, ni, trials, _ = args
-            assert len(trials) == min(chunk_keys // cfg.n_banks, 7 - trials.start)
-            for m, step in out.items():
-                seen.setdefault((zi, ni, m), []).append(step)
-            return out
+        def recording(cfg, zi, ni, trials):
+            for out in cell_steps(cfg, zi, ni, trials):
+                for m, step in out.items():
+                    seen.setdefault((zi, ni, m), []).append(step)
+                yield out
 
-        monkeypatch.setattr(experiment, "_batch_outcomes", recording)
+        monkeypatch.setattr(experiment, "_cell_steps", recording)
         csvs.append(rows_to_csv(run_sweep(cfg)))
+        assert all([len(s) for s in chunks] == sizes for chunks in seen.values())
         steps.append({key: np.concatenate(chunks) for key, chunks in seen.items()})
     assert csvs[0] == csvs[1] == csvs[2]
     assert steps[0].keys() == steps[1].keys() == steps[2].keys()
@@ -284,23 +296,24 @@ def test_each_sweep_chunks_steps_are_one_run_calls_on_its_rows(model, monkeypatc
         degree_grid=(3.0,), networks_per_degree=1, trials_per_network=600,
         crisis_cutoff=0.05, master_seed=8,
     )
-    batch_outcomes, kernel = experiment._batch_outcomes, experiment.balance_rows
+    cell_steps, kernel = experiment._cell_steps, experiment.balance_rows
+    calls = []  # each kernel call's network and rows since the last chunk
     chunks = []  # per chunk: its network, each kernel call's rows, its steps
     buffers = set()  # the address of each kernel call's rows
 
     def recording_kernel(net, rows):
-        chunks[-1][1].append(rows.copy())
+        calls.append((net, rows.copy()))
         buffers.add(rows.__array_interface__["data"][0])
         return kernel(net, rows)
 
-    def recording_outcomes(*args):
-        chunks.append([args[1], []])
-        out = batch_outcomes(*args)
-        chunks[-1].append(out)
-        return out
+    def recording_cell(*args):
+        for out in cell_steps(*args):
+            chunks.append((calls[0][0], [rows for _, rows in calls], out))
+            calls.clear()
+            yield out
 
     monkeypatch.setattr(experiment, "balance_rows", recording_kernel)
-    monkeypatch.setattr(experiment, "_batch_outcomes", recording_outcomes)
+    monkeypatch.setattr(experiment, "_cell_steps", recording_cell)
     _network_task((cfg, 0, 0))
     models = experiment._models_run(model)
     chunk = experiment._CHUNK_KEYS // cfg.n_banks
@@ -384,20 +397,26 @@ def test_coupled_sweep_counts_every_mismatch(monkeypatch):
         crisis_cutoff=0.05, master_seed=2,
     )
     assert _network_task((cfg, 0, 0))[1]["mismatches"] == 0
-    batch_outcomes = experiment._batch_outcomes
-    chunks = []
+    cell_steps = experiment._cell_steps
+    calls, chunks = [], []
 
-    def mutant(cfg, net, params, thetas, sheets, z_index, net_index, trials, buffer):
-        out = batch_outcomes(cfg, net, params, thetas, sheets, z_index, net_index, trials, buffer)
-        assert out["threshold"] is out["bs"]  # the margin, propagated once
-        margin = buffer[:len(trials)]  # left unmodified by the kernel
-        out["threshold"] = balance_rows(net, lowered_margin(net, margin))
-        chunks.append(out)
-        return out
+    def recording_kernel(net, rows):
+        calls.append((net, rows))  # the chunk's margin, left unmodified by the kernel
+        return balance_rows(net, rows)
 
-    monkeypatch.setattr(experiment, "_batch_outcomes", mutant)
+    def mutant(*args):
+        for out in cell_steps(*args):
+            assert out["threshold"] is out["bs"]  # the margin, propagated once
+            ((net, margin),) = calls
+            calls.clear()
+            out["threshold"] = balance_rows(net, lowered_margin(net, margin))
+            chunks.append(out)
+            yield out
+
+    monkeypatch.setattr(experiment, "balance_rows", recording_kernel)
+    monkeypatch.setattr(experiment, "_cell_steps", mutant)
     _, result = _network_task((cfg, 0, 0))
-    assert [len(out["bs"]) for out in chunks] == [262, 38]  # 2**19 keys over two engine runs
+    assert [len(out["bs"]) for out in chunks] == [262, 38]  # 2**18 keys per chunk
     mismatches = sum(int((out["bs"] != out["threshold"]).any(axis=1).sum()) for out in chunks)
     assert result["mismatches"] == mismatches > 0
 

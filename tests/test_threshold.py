@@ -150,6 +150,16 @@ def test_pdf_requires_positive_lending():
         shadow_threshold_pdf(0.3, 0.0, 0.1, 0.3, scipy.stats.norm(0, 1).pdf)
 
 
+@pytest.mark.parametrize("gamma,theta,named", [
+    (0.1, 0.0, "theta"), (0.1, 1.5, "theta"), (0.1, 1.0, "theta"), (0.1, np.nan, "theta"),
+    (-0.1, 0.3, "capital_ratio"), (0.0, 0.3, "capital_ratio"), (1.0, 0.3, "capital_ratio"),
+])
+def test_pdf_rejects_shares_and_ratios_outside_the_unit_interval(gamma, theta, named):
+    # theta = 0 divided by zero, and the others returned a density
+    with pytest.raises(ValueError, match=named):
+        shadow_threshold_pdf(0.3, 3.0, gamma, theta, scipy.stats.norm(0, 1).pdf)
+
+
 # -- the cascade -----------------------------------------------------------
 
 def test_thresholds_above_one_block_propagation():
