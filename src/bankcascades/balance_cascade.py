@@ -152,7 +152,7 @@ def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
     units, s, top = net.in_loan_units, net.loan_unit_exponent, net.loan_unit_top
     # K's bounds, -1 and top, scaled down by 2**s: exactly, as s <= 1074
     low, high = -(2.0**-s), math.ldexp(top, -s)
-    in_degree, edge_end, hop = net.in_degree, net.in_indptr[1:], net.in_hop
+    in_degree, edge_end, in_lender = net.in_degree, net.in_indptr[1:], net.in_lender
     rows = max(1, _BLOCK_KEYS // n)
     for first_row in range(0, n_trials, rows):
         block = slice(first_row, first_row + rows)
@@ -161,26 +161,28 @@ def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
             np.ldexp(room, s, out=room)
         room = _as_units(np.floor(room, out=room), units.dtype)
         step_flat = step[block].ravel()  # whole rows of a C-ordered array: a view
-        scan = room.size <= _SCAN_KEYS
-        frontier, superstep = np.flatnonzero(room < 0), 0
+        scan, one_row = room.size <= _SCAN_KEYS, room.size == n
+        frontier, superstep = (room < 0).nonzero()[0], 0
         while frontier.size:
             step_flat[frontier] = superstep
             room[frontier] = top
-            # one entry per edge into the frontier: its lender's key, and its
-            # index into the borrower-grouped edge arrays
-            jj = frontier % n
+            # one entry per edge into the frontier: its index into the
+            # borrower-grouped edge arrays, and its lender's key; a one-row
+            # block's keys are bank ids, with no row offset to add
+            jj = frontier if one_row else frontier % n
             counts = in_degree.take(jj)
             shift = edge_end.take(jj)
             shift -= counts.cumsum()
             idx = shift.repeat(counts)
             idx += np.arange(idx.size)
-            keys = frontier.repeat(counts)
-            keys += hop.take(idx)
+            keys = in_lender.take(idx)
+            if not one_row:
+                keys += (frontier - jj).repeat(counts)
             np.subtract.at(room, keys, units.take(idx))
             # every earlier flip was retired at top, so the negative rooms are
             # exactly this superstep's new flips: a scan and a gather agree
             if scan:
-                frontier = np.flatnonzero(room < 0)
+                frontier = (room < 0).nonzero()[0]
             else:
                 frontier = _sorted_unique(keys.compress(room.take(keys) < 0))
             superstep += 1

@@ -90,10 +90,14 @@ class DirectedNetwork:
 
     def __post_init__(self):
         n, E = self.n_nodes, len(self.lender)
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n_nodes must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("network needs at least one node")
         if not (len(self.borrower) == len(self.loan_size) == E):
             raise ValueError("edge arrays must have equal length")
+        if self.lender.dtype.kind not in "iu" or self.borrower.dtype.kind not in "iu":
+            raise ValueError("lender and borrower ids must be integer arrays")
         if E:
             if self.lender.min() < 0 or self.lender.max() >= n:
                 raise ValueError("lender id out of range")
@@ -128,12 +132,11 @@ class DirectedNetwork:
         return np.concatenate(([0], self.in_degree.cumsum()))
 
     @cached_property
-    def in_hop(self) -> np.ndarray:
-        """Per edge (borrower-grouped): lender minus borrower, the hop from a
-        borrower's flat (trial, bank) key to its lender's."""
-        hop = (self.lender - self.borrower)[self._in_order]
-        hop.setflags(write=False)
-        return hop
+    def in_lender(self) -> np.ndarray:
+        """Per edge (borrower-grouped): the lender's id, as intp."""
+        lender = self.lender.take(self._in_order).astype(np.intp, copy=False)
+        lender.setflags(write=False)
+        return lender
 
     @cached_property
     def interbank_assets(self) -> np.ndarray:
@@ -154,20 +157,24 @@ class DirectedNetwork:
 
     @cached_property
     def out_degree(self) -> np.ndarray:
-        return np.bincount(self.lender, minlength=self.n_nodes).astype(np.int64)
+        return np.bincount(self.lender, minlength=self.n_nodes).astype(np.int64, copy=False)
 
     @cached_property
     def in_degree(self) -> np.ndarray:
-        return np.bincount(self.borrower, minlength=self.n_nodes).astype(np.int64)
+        return np.bincount(self.borrower, minlength=self.n_nodes).astype(np.int64, copy=False)
 
     @cached_property
     def loan_unit_exponent(self) -> int:
         """The least s >= 0 for which every loan * 2**s is an integer: 0 for
-        unit loans, about 55 for loans drawn from [0.2, 1.8]."""
-        mantissa, exponent = np.frexp(self.loan_size)
-        bits = np.ldexp(mantissa, 53).astype(np.int64)  # loan = bits * 2**(exponent - 53)
-        exponent += np.frexp(bits & -bits)[1]  # plus 1 + the lowest set bit's position
-        return 54 - int(exponent.min(initial=54))
+        unit loans, about 55 for loans drawn from [0.2, 1.8]. It reads 2**16
+        loans at a time, so its temporaries stay small at any network size."""
+        least = 54
+        for first in range(0, self.n_edges, 1 << 16):
+            mantissa, exponent = np.frexp(self.loan_size[first:first + (1 << 16)])
+            bits = np.ldexp(mantissa, 53).astype(np.int64)  # loan = bits * 2**(exponent - 53)
+            exponent += np.frexp(bits & -bits)[1]  # plus 1 + the lowest set bit's position
+            least = min(least, int(exponent.min()))
+        return 54 - least
 
     @cached_property
     def in_loan_units(self) -> np.ndarray:
@@ -184,7 +191,7 @@ class DirectedNetwork:
         most = math.ldexp(self.interbank_assets.max(initial=0), s)
         dtype = (np.min_scalar_type(-int(most) - 1) if most < math.ldexp(1 - 2.0**-20, 63)
                  else np.dtype(object))
-        units = _as_units(np.ldexp(self.loan_size[self._in_order], s), dtype)  # whole units
+        units = _as_units(np.ldexp(self.loan_size, s), dtype).take(self._in_order)  # whole units
         units.setflags(write=False)
         return units
 
@@ -197,11 +204,21 @@ class DirectedNetwork:
         return min(int(np.iinfo(self.in_loan_units.dtype).max), 2**63 - 1024)
 
 
+def _node_ids(ids: list) -> np.ndarray:
+    """Node ids as int64; ValueError unless each is a whole number."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind == "f" and np.all(np.isfinite(ids) & (ids == np.floor(ids))):
+        ids = ids.astype(np.int64)  # also the empty list's float64 array
+    if ids.dtype.kind not in "iu":
+        raise ValueError("node ids must be whole numbers")
+    return ids.astype(np.int64, copy=False)
+
+
 def from_edges(n_nodes: int, edges) -> DirectedNetwork:
     """Build a network from an iterable of (lender, borrower, loan_size)."""
     edges = list(edges)
-    lender = np.asarray([e[0] for e in edges], dtype=np.int64)
-    borrower = np.asarray([e[1] for e in edges], dtype=np.int64)
+    lender = _node_ids([e[0] for e in edges])
+    borrower = _node_ids([e[1] for e in edges])
     loan = np.asarray([e[2] for e in edges], dtype=np.float64)
     order = np.lexsort((borrower, lender))
     lender, borrower, loan = lender[order], borrower[order], loan[order]
@@ -221,8 +238,8 @@ def generate_er(
     row-major pair order are geometric (Batagelj & Brandes, PRE 2005), drawn in
     chunks sized by (n, p) alone, then one loan size per edge in that order.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not 0 <= mean_degree <= n - 1:  # also rejects NaN
         raise ValueError(f"mean_degree must lie in [0, n-1], got {mean_degree}")
     rng = as_generator(rng_seed)

@@ -612,6 +612,25 @@ def test_scan_and_gather_frontiers_give_one_answer(monkeypatch, rows):
     assert sum(int((s.max(axis=1) > 1).sum()) for s in by_path[0]) > 100  # cascades
 
 
+@pytest.mark.parametrize("case", ["A", "C"])
+def test_one_row_blocks_match_the_same_rows_in_one_block(monkeypatch, case):
+    # above _BLOCK_KEYS banks every block is one row, whose keys are bank ids
+    # with no row offset; int8 units in case A, int64 in case C
+    theta_dist, loan_dist = case_presets(case)
+    rng = np.random.default_rng(140)
+    n = 140_000
+    net = generate_er(n, 1.5, loan_dist, rng)
+    sheets = build_sheets(net, BalanceParams(0.1, 0.01, theta_dist), rng_seed=rng)
+    margin = sheets.net_worth + shock_returns(rng.standard_normal((3, n)), sheets)
+    assert n > balance_cascade._BLOCK_KEYS
+    one_row = balance_rows(net, margin)
+    monkeypatch.setattr(balance_cascade, "_BLOCK_KEYS", margin.size)
+    one_block = balance_rows(net, margin)
+    assert one_row.dtype == one_block.dtype and np.array_equal(one_row, one_block)
+    assert net.in_loan_units.dtype == {"A": np.int8, "C": np.int64}[case]
+    assert (one_row.max(axis=1) > 50).all()  # every row spreads defaults
+
+
 def test_sign_corners_keep_each_engines_own_steps(monkeypatch):
     (*_, (corner, corner_margin), (chain, chain_margin)) = _margin_rows()
     # the subnormal corner: fl(m / L) underflows to -0.0, yet both sweep
@@ -670,7 +689,7 @@ def test_kernel_memory_is_flat_in_the_trial_count():
     thresholds = sheets.net_worth + returns
     del returns
     # build the cached indexes untraced
-    net.in_degree, net.in_indptr, net.in_hop, net.in_loan_units
+    net.in_degree, net.in_indptr, net.in_lender, net.in_loan_units
     tracemalloc.start()
     try:
         step = balance_rows(net, thresholds)

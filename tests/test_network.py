@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bankcascades import (
+    DirectedNetwork,
     LoanSizeDistribution,
     from_edges,
     generate_er,
@@ -127,6 +128,36 @@ def test_constructor_rejects_bad_edges():
         from_edges(2, [(0, 5, 1.0)])  # id out of range
 
 
+def test_node_counts_and_ids_must_be_whole_numbers():
+    # a float node count once built a network of float64 ids, which failed
+    # later in build_sheets; a fractional id was truncated to the id below
+    with pytest.raises(ValueError, match="n must be an integer"):
+        generate_er(1000.0, 3.0, UNIT, 1)
+    with pytest.raises(ValueError, match="node ids must be whole numbers"):
+        from_edges(3, [(0, 1.7, 1.0)])
+    one_edge = (np.array([0]), np.array([1]), np.array([1.0]))
+    for bad in (3.0, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="n_nodes must be an integer"):
+            DirectedNetwork(bad, *one_edge)
+    with pytest.raises(ValueError, match="ids must be integer arrays"):
+        DirectedNetwork(3, np.array([0.0]), np.array([1.0]), np.array([1.0]))
+    # whole-number floats and numpy integers are ids
+    net = from_edges(np.int64(3), [(0, 2.0, 1.0), (np.int32(1), 0, 1.0)])
+    assert net.lender.tolist() == [0, 1] and net.borrower.tolist() == [2, 0]
+
+
+def test_loan_unit_exponent_reads_every_loan_of_a_large_network():
+    # the exponent reads 2**16 loans at a time: one fine loan in any piece
+    # sets it, the first and the last piece's included
+    complete = generate_er(300, 299.0, UNIT, 0)  # 89,700 unit loans
+    assert complete.loan_unit_exponent == 0
+    for at in (0, 2**16 - 1, 2**16, complete.n_edges - 1):
+        loans = np.ones(complete.n_edges)
+        loans[at] = 1 + 2.0**-20
+        net = DirectedNetwork(300, complete.lender, complete.borrower, loans)
+        assert net.loan_unit_exponent == 20, at
+
+
 def test_edge_list_files_with_non_finite_loans_are_rejected(tmp_path):
     # a NaN loan once built a network in which its lender was no lender, and
     # an infinite one failed only deep in the kernel's loan units
@@ -211,13 +242,14 @@ def test_in_edge_order_is_the_borrower_lender_lexsort(case):
 
 @settings(max_examples=60, deadline=None)
 @given(_edge_sets())
-def test_in_hop_is_a_frozen_lender_minus_borrower_per_in_edge(case):
+def test_in_lender_is_a_frozen_lender_id_per_in_edge(case):
     n, edges = case
     net = from_edges(n, edges)
     in_edges = sorted((borrower, lender) for lender, borrower, _ in edges)
-    assert net.in_hop.tolist() == [lender - borrower for borrower, lender in in_edges]
+    assert net.in_lender.dtype == np.intp
+    assert net.in_lender.tolist() == [lender for _, lender in in_edges]
     with pytest.raises(ValueError):
-        net.in_hop[...] = 0
+        net.in_lender[...] = 0
 
 
 # -- network stream er-v2: geometric skips between successive edges -----------
