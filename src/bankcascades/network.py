@@ -105,10 +105,11 @@ class DirectedNetwork:
                 raise ValueError("borrower id out of range")
             if np.any(self.lender == self.borrower):
                 raise ValueError("self-loops are not allowed")
-            if not np.all((self.loan_size > 0) & (self.loan_size < np.inf)):  # NaN fails too
+            if not (self.loan_size.min() > 0 and self.loan_size.max() < np.inf):  # NaN fails too
                 raise ValueError("loan sizes must be positive and finite")
-            key = self.lender.astype(np.int64) * n + self.borrower
-            if np.any(np.diff(key) <= 0):
+            key = self.lender.astype(np.int64, copy=False) * n
+            key += self.borrower
+            if np.any(key[1:] <= key[:-1]):
                 raise ValueError("edges must be unique and sorted by (lender, borrower)")
         for arr in (self.lender, self.borrower, self.loan_size):
             arr.setflags(write=False)
@@ -166,11 +167,24 @@ class DirectedNetwork:
     @cached_property
     def loan_unit_exponent(self) -> int:
         """The least s >= 0 for which every loan * 2**s is an integer: 0 for
-        unit loans, about 55 for loans drawn from [0.2, 1.8]. It reads 2**16
-        loans at a time, so its temporaries stay small at any network size."""
+        unit loans, about 55 for loans drawn from [0.2, 1.8]. A loan with
+        frexp exponent e is bits * 2**(e - 53), so s <= 53 - e for the smallest
+        loan's e, and a normal loan of that binade with odd bits attains it;
+        failing that, every loan is scanned. It reads 2**16 loans at a time,
+        so its temporaries stay small at any network size."""
+        loans = self.loan_size
+        pieces = [loans[first:first + (1 << 16)] for first in range(0, self.n_edges, 1 << 16)]
+        at = int(loans.argmin()) if self.n_edges else None
+        # a normal float64's lowest raw bit is its significand's lowest bit
+        if at is not None and loans.dtype == np.float64 and loans[at] >= 2.0**-1022:
+            e = math.frexp(loans[at])[1]
+            top = math.ldexp(1.0, e)
+            if (loans.view(np.int64)[at] & 1
+                    or any((piece.view(np.int64)[piece < top] & 1).any() for piece in pieces)):
+                return max(0, 53 - e)
         least = 54
-        for first in range(0, self.n_edges, 1 << 16):
-            mantissa, exponent = np.frexp(self.loan_size[first:first + (1 << 16)])
+        for piece in pieces:
+            mantissa, exponent = np.frexp(piece)
             bits = np.ldexp(mantissa, 53).astype(np.int64)  # loan = bits * 2**(exponent - 53)
             exponent += np.frexp(bits & -bits)[1]  # plus 1 + the lowest set bit's position
             least = min(least, int(exponent.min()))
@@ -252,15 +266,19 @@ def generate_er(
     chunk = min(int(n_pairs * p + 4 * math.sqrt(n_pairs * p)) + 16, 2**62 // (n_pairs + 1))
     parts, last = [], -1
     while last < n_pairs:
-        parts.append(np.cumsum(np.minimum(rng.geometric(p, chunk), n_pairs + 1)) + last)
-        last = int(parts[-1][-1])
-    flat = np.concatenate(parts)
-    del parts  # copied into flat: freeing the chunks now lowers peak memory
+        gaps = rng.geometric(p, chunk)
+        np.minimum(gaps, n_pairs + 1, out=gaps)
+        np.cumsum(gaps, out=gaps)
+        gaps += last
+        parts.append(gaps)
+        last = int(gaps[-1])
+    flat = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    del parts, gaps  # several chunks were copied into flat: freeing them lowers peak memory
     flat = flat[:np.searchsorted(flat, n_pairs)]
     lender = flat // (n - 1)  # int64, like flat: no cast needed below
-    col = flat - lender * (n - 1)
-    borrower = col + (col >= lender)  # skip the diagonal
-    loan = loan_dist.sample(len(flat), rng)
+    borrower = np.remainder(flat, n - 1, out=flat)  # the column, in place
+    borrower += borrower >= lender  # skip the diagonal
+    loan = loan_dist.sample(len(borrower), rng)
     # flat order is already sorted by (lender, borrower)
     return DirectedNetwork(n, lender, borrower, loan)
 

@@ -61,13 +61,22 @@ def draw_thresholds(
     inactive_flips): row 0 of :func:`draw_rows`. Lenders' thresholds follow
     their implied law (see :func:`thresholds_from_normals`); each non-lender
     flips at round 0 with the default probability. No sheets are consulted.
+    A Generator passed as ``rng_seed`` ends where drawing n standard normals
+    and then n uniforms leaves it, though only the uniforms up to the last
+    non-lender are read: a buffered 32-bit half, which ``PCG64.advance``
+    drops, is put back.
     """
     n = net.n_nodes
     theta_draws = np.asarray(theta_draws, dtype=np.float64)
     if theta_draws.shape != (n,):
         raise ValueError("theta_draws must have one entry per bank")
     _require_shares(theta_draws)
-    rows = draw_rows([as_generator(rng_seed)], 1, n, params.default_prob, ~net.is_lender)
+    rng = as_generator(rng_seed)
+    before = rng.bit_generator.state
+    rows = draw_rows([rng], 1, n, params.default_prob, ~net.is_lender)
+    if before.get("has_uint32"):  # a full draw keeps it; PCG64.advance does not
+        rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1,
+                                   "uinteger": before["uinteger"]}
     return _split(net, thresholds_from_normals(rows, net, params, theta_draws)[0])
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,13 +118,16 @@ def test_dump_load_round_trip(tmp_path):
 def test_constructor_rejects_bad_edges():
     with pytest.raises(ValueError):
         from_edges(3, [(0, 0, 1.0)])  # self-loop
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unique and sorted"):
         from_edges(3, [(0, 1, 1.0), (0, 1, 2.0)])  # duplicate pair
+    with pytest.raises(ValueError, match="unique and sorted"):
+        DirectedNetwork(3, np.array([0, 1, 0]), np.array([1, 2, 2]), np.ones(3))  # unsorted
     with pytest.raises(ValueError):
         from_edges(3, [(0, 1, 0.0)])  # non-positive loan
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="loan sizes must be positive and finite"):
-            from_edges(3, [(0, 1, bad), (1, 2, 1.0)])
+        for edges in ([(0, 1, bad), (1, 2, 1.0)], [(0, 1, 1.0), (1, 2, bad), (2, 0, 1.0)]):
+            with pytest.raises(ValueError, match="loan sizes must be positive and finite"):
+                from_edges(3, edges)
     with pytest.raises(ValueError):
         from_edges(2, [(0, 5, 1.0)])  # id out of range
 
@@ -148,14 +152,36 @@ def test_node_counts_and_ids_must_be_whole_numbers():
 
 def test_loan_unit_exponent_reads_every_loan_of_a_large_network():
     # the exponent reads 2**16 loans at a time: one fine loan in any piece
-    # sets it, the first and the last piece's included
+    # sets it, the first and the last piece's included, whether the smallest
+    # loans' binade holds it (1 + 2**-52, odd bits) or not (1 + 2**-20)
     complete = generate_er(300, 299.0, UNIT, 0)  # 89,700 unit loans
     assert complete.loan_unit_exponent == 0
     for at in (0, 2**16 - 1, 2**16, complete.n_edges - 1):
-        loans = np.ones(complete.n_edges)
-        loans[at] = 1 + 2.0**-20
-        net = DirectedNetwork(300, complete.lender, complete.borrower, loans)
-        assert net.loan_unit_exponent == 20, at
+        for fine, s in ((1 + 2.0**-20, 20), (1 + 2.0**-52, 52)):
+            loans = np.ones(complete.n_edges)
+            loans[at] = fine
+            net = DirectedNetwork(300, complete.lender, complete.borrower, loans)
+            assert net.loan_unit_exponent == s, (at, s)
+
+
+def test_loan_unit_exponent_is_the_least_making_every_loan_whole():
+    # against exact fractions: a loan p / 2**k in lowest terms needs s >= k
+    def least(loans):
+        return max([0] + [Fraction(x).denominator.bit_length() - 1 for x in loans.tolist()])
+
+    nets = [generate_er(1000, 3.0, UNIT, 1),  # cases A and B: unit loans
+            generate_er(1000, 3.0, LoanSizeDistribution.uniform(0.2, 1.8), 2)]  # case C
+    rng = np.random.default_rng(3)
+    for loans in (2.0 ** rng.integers(-60, 60, 500),  # all powers of two
+                  np.r_[1.0, 5e-324, 0.75],  # a subnormal: bit 0 set, yet 2**-1074
+                  np.r_[3 * 5e-324, 2.0**-1022 + 2.0**-1070],  # subnormal and normal
+                  np.r_[0.25 + 2.0**-51, 0.5 - 2.0**-52, 1 + 2.0**-52],  # even bits in the smallest binade
+                  np.r_[2.0**53, 2.0**60 + 2**8],  # whole loans past 2**53
+                  np.exp(rng.uniform(-30, 30, 500))):  # mixed binades
+        n = len(loans) + 1
+        nets.append(DirectedNetwork(n, np.zeros(n - 1, np.int64), np.arange(1, n), loans))
+    for net in nets:
+        assert net.loan_unit_exponent == least(net.loan_size), net.loan_size[:3]
 
 
 def test_edge_list_files_with_non_finite_loans_are_rejected(tmp_path):

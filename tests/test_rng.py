@@ -6,6 +6,8 @@ any stream fails here: the tuple-keyed ``SeedSequence`` the streams have used
 since v0, and ``Generator.normal`` / ``Generator.random`` draws in the order
 the per-trial functions make them.
 """
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from bankcascades import (
     draw_thresholds,
     generate_er,
 )
-from bankcascades.rng import draw_rows, stream_rng, stream_rngs, stream_seed
+from bankcascades.rng import _MIN_SKIP, draw_rows, stream_rng, stream_rngs, stream_seed
 
 from conftest import sheets_from_worth
 
@@ -135,22 +137,71 @@ def test_sampled_thresholds_then_flips_are_numpy_draws(degree, seed):
     assert np.array_equal(flips, want_flips)
 
 
+def _state(rng) -> str:
+    """A generator's whole state, MT19937's key array included, comparable with ==."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+def _full_row(rng, n, delta, inactive):
+    """The reference row: n normals, then n uniforms u; a masked bank keeps u - delta."""
+    normals, u = rng.standard_normal(n), rng.random(n)
+    return np.where(inactive, u - delta, normals)
+
+
 def test_a_standalone_row_is_its_normals_then_its_uniforms_minus_delta():
     # one row draws n normals, then n uniforms u; a non-lender keeps u - delta,
-    # which is negative exactly when u < delta, the draw's round-0 flip
-    n = 300
-    net = generate_er(n, 1.0, LoanSizeDistribution.constant(1.0), 23)
+    # which is negative exactly when u < delta, the draw's round-0 flip. A row
+    # reads only the uniforms up to its last non-lender, yet its generator ends
+    # where the full draw leaves it
+    n = 1000
+    sparse = generate_er(n, 1.0, LoanSizeDistribution.constant(1.0), 23)
+    dense = generate_er(n, 6.0, LoanSizeDistribution.constant(1.0), 10)
+    assert dense.is_lender[-_MIN_SKIP:].all()  # three non-lenders, none late: rows skip uniforms
     thetas = np.random.default_rng(24).uniform(0.2, 0.4, n)
-    lends, delta = net.is_lender, PARAMS.default_prob
-    assert lends.any() and not lends.all()
+    delta = PARAMS.default_prob
     n_flips = 0
-    for seed in range(50):
-        oracle = np.random.default_rng(seed)
-        normals, u = oracle.standard_normal(n), oracle.random(n)
-        (row,) = draw_rows([np.random.default_rng(seed)], 1, n, delta, ~lends)
-        assert _bits(row[lends]) == _bits(normals[lends])
-        assert _bits(row[~lends]) == _bits(u[~lends] - delta)
-        _, flips = draw_thresholds(net, PARAMS, thetas, seed)
-        assert np.array_equal(flips, (u < delta) & ~lends)
-        n_flips += flips.sum()
+    for net in (sparse, dense):
+        lends = net.is_lender
+        assert lends.any() and not lends.all()
+        for seed in range(50):
+            oracle = np.random.default_rng(seed)
+            normals, u = oracle.standard_normal(n), oracle.random(n)
+            (row,) = draw_rows([np.random.default_rng(seed)], 1, n, delta, ~lends)
+            assert _bits(row[lends]) == _bits(normals[lends])
+            assert _bits(row[~lends]) == _bits(u[~lends] - delta)
+            caller = np.random.default_rng(seed)
+            _, flips = draw_thresholds(net, PARAMS, thetas, caller)
+            assert np.array_equal(flips, (u < delta) & ~lends)
+            assert caller.bit_generator.state == oracle.bit_generator.state
+            n_flips += flips.sum()
     assert n_flips  # some non-lender flips: the comparison is not vacuous
+
+    banks = np.arange(n)
+    masks = {"none": banks < 0, "all": banks >= 0, "last": banks == n - 1, "first": banks == 0,
+             "random": np.random.default_rng(25).random(n) < 0.3,
+             "least skip": banks == n - 1 - _MIN_SKIP, "too few to skip": banks == n - _MIN_SKIP}
+    for name, inactive in masks.items():
+        for bitgen in (np.random.PCG64, np.random.MT19937):
+            for seed in range(3):
+                oracle, rng = (np.random.Generator(bitgen(seed)) for _ in range(2))
+                (row,) = draw_rows([rng], 1, n, delta, inactive)
+                assert _bits(row) == _bits(_full_row(oracle, n, delta, inactive)), (name, bitgen)
+                assert _state(rng) == _state(oracle), (name, bitgen)
+
+    # one batch of mixed generators, each row its own full draw
+    oracles, rngs = ([np.random.Generator(bitgen(7)) for bitgen in (np.random.PCG64, np.random.MT19937)]
+                     for _ in range(2))
+    rows = draw_rows(iter(rngs), 2, n, delta, masks["first"])
+    for row, rng, oracle in zip(rows, rngs, oracles):
+        assert _bits(row) == _bits(_full_row(oracle, n, delta, masks["first"]))
+        assert _state(rng) == _state(oracle)
+
+    # a caller's PCG64 holding a buffered 32-bit half, which PCG64.advance
+    # drops, keeps it through draw_thresholds
+    caller, oracle = (np.random.Generator(np.random.PCG64(8)) for _ in range(2))
+    for rng in (caller, oracle):
+        rng.random(dtype=np.float32)
+    assert oracle.bit_generator.state["has_uint32"]
+    draw_thresholds(dense, PARAMS, thetas, caller)
+    _full_row(oracle, n, delta, ~dense.is_lender)
+    assert _state(caller) == _state(oracle)
