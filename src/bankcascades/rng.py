@@ -20,10 +20,10 @@ STREAM_THRESHOLDS = 4
 
 _WORD_MASK = 0xFFFFFFFF
 
-# draw_rows advances a generator past a row's unread uniforms only when at
-# least this many: advancing costs about as much as drawing 150 of them and
-# subtracting and placing them (2-core x86, numpy 2.4)
-_MIN_SKIP = 512
+# draw_rows advances a PCG64 generator past a row's unread uniforms only when
+# at least this many follow its last non-lender: advancing past fewer costs
+# more than drawing them (break-even near 400 of 1000, 2-core x86, numpy 2.4)
+_MIN_SKIP = 400
 
 # numpy's SeedSequence constants: entropy pool of 4 words, the hash used
 # while mixing entropy in (A) and while generating state (B), and the mix
@@ -174,32 +174,33 @@ def draw_rows(rngs, n_rows: int, n: int, flip_prob: float | None = None,
     With ``flip_prob``, each bank in the bool mask ``inactive`` (a
     non-lender) keeps u - flip_prob instead of its normal, which is
     negative, its round-0 flip, exactly when u < flip_prob. Only the k
-    uniforms up to the last masked bank are read. When at least
-    ``_MIN_SKIP`` follow them, a ``PCG64`` generator draws the k and
-    advances past the rest, a float64 uniform being one 64-bit output, so it
-    ends where its full draw of n normals and n uniforms leaves it, except
-    that ``advance`` drops a buffered 32-bit half (left by a 32-bit draw;
-    :func:`stream_rngs`' generators hold none). Any other generator draws
-    all n.
+    uniforms up to the last masked bank are read: when at least
+    ``_MIN_SKIP`` follow them, a ``PCG64`` generator draws those k and
+    advances past the other n - k, a float64 uniform being one 64-bit
+    output, so it ends where its full draw of n normals and n uniforms
+    leaves it, except that ``advance`` drops a buffered 32-bit half (left by
+    a 32-bit draw; :func:`stream_rngs`' generators hold none). Any other
+    row draws all n.
     """
     rows = np.empty((n_rows, n)) if out is None else out
     if flip_prob is not None:
         masked = np.flatnonzero(inactive)
         k = int(masked[-1]) + 1 if len(masked) else 0
+        if n - k < _MIN_SKIP:
+            k = n
         u = np.empty(n)
-        skips, u_k, inactive_k = n - k >= _MIN_SKIP, u[:k], inactive[:k]
     for row, rng in zip(rows, rngs):
         rng.standard_normal(out=row)
         if flip_prob is None:
             continue
-        if skips and isinstance(rng.bit_generator, np.random.PCG64):
-            if k:
-                np.subtract(rng.random(out=u_k), flip_prob, out=u_k)
-                np.putmask(row[:k], inactive_k, u_k)
-            rng.bit_generator.advance(n - k)
-        else:
-            np.subtract(rng.random(out=u), flip_prob, out=u)
-            np.putmask(row, inactive, u)  # a masked ufunc is slower on an irregular mask
+        m = k if k < n and isinstance(rng.bit_generator, np.random.PCG64) else n
+        if m:
+            u_m = rng.random(out=u[:m])
+            np.subtract(u_m, flip_prob, out=u_m)
+            # every masked bank lies below m; a masked ufunc is slower on an irregular mask
+            np.putmask(row, inactive, u)
+        if m < n:
+            rng.bit_generator.advance(n - m)
     return rows
 
 

@@ -20,7 +20,7 @@ from bankcascades import (
     draw_thresholds,
     generate_er,
 )
-from bankcascades.rng import _MIN_SKIP, draw_rows, stream_rng, stream_rngs, stream_seed
+from bankcascades.rng import draw_rows, stream_rng, stream_rngs, stream_seed
 
 from conftest import sheets_from_worth
 
@@ -156,7 +156,7 @@ def test_a_standalone_row_is_its_normals_then_its_uniforms_minus_delta():
     n = 1000
     sparse = generate_er(n, 1.0, LoanSizeDistribution.constant(1.0), 23)
     dense = generate_er(n, 6.0, LoanSizeDistribution.constant(1.0), 10)
-    assert dense.is_lender[-_MIN_SKIP:].all()  # three non-lenders, none late: rows skip uniforms
+    assert dense.is_lender[n // 2:].all()  # three non-lenders, none late: rows skip uniforms
     thetas = np.random.default_rng(24).uniform(0.2, 0.4, n)
     delta = PARAMS.default_prob
     n_flips = 0
@@ -178,8 +178,9 @@ def test_a_standalone_row_is_its_normals_then_its_uniforms_minus_delta():
 
     banks = np.arange(n)
     masks = {"none": banks < 0, "all": banks >= 0, "last": banks == n - 1, "first": banks == 0,
-             "random": np.random.default_rng(25).random(n) < 0.3,
-             "least skip": banks == n - 1 - _MIN_SKIP, "too few to skip": banks == n - _MIN_SKIP}
+             "second to last": banks == n - 2, "random": np.random.default_rng(25).random(n) < 0.3,
+             # one non-lender: 49 to 949 unread uniforms, on both sides of the floor
+             **{f"only {i}": banks == i for i in range(50, n - 1, 50)}}
     for name, inactive in masks.items():
         for bitgen in (np.random.PCG64, np.random.MT19937):
             for seed in range(3):
