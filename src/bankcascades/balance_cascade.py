@@ -134,11 +134,12 @@ def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
       loans at N = 1000, int64 for case C, Python ints beyond int64.
     - Each (trial, bank) key's room starts at its K, so superstep 0 (round
       0) flips exactly the negative x; a non-lender loses nothing, so only
-      its sign is read. Each later superstep takes each loan to a newly
-      flipped borrower off its lender's room in that trial, and a key flips
-      once its room is negative. A flipped key is retired by setting its
-      room to top: at most U more can leave it, so it stays at least 0 and
-      never flips again; an unflipped room stays >= -1 - U.
+      its sign is read. Each later superstep reads the stored edges of each
+      newly flipped borrower, one run of ``in_indptr``, takes each loan off
+      its lender's room in that trial, and a key flips once its room is
+      negative. A flipped key is retired by setting its room to top: at most
+      U more can leave it, so it stays at least 0 and never flips again; an
+      unflipped room stays >= -1 - U.
     - Trials never interact, so they run in blocks of about ``_BLOCK_KEYS``
       (trial, bank) keys, and memory beyond the step matrix does not grow
       with the trial count.
@@ -152,7 +153,7 @@ def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
     units, s, top = net.in_loan_units, net.loan_unit_exponent, net.loan_unit_top
     # K's bounds, -1 and top, scaled down by 2**s: exactly, as s <= 1074
     low, high = -(2.0**-s), math.ldexp(top, -s)
-    in_degree, edge_end, in_lender = net.in_degree, net.in_indptr[1:], net.in_lender
+    in_degree, edge_end, lender = net.in_degree, net.in_indptr[1:], net.lender
     rows = max(1, _BLOCK_KEYS // n)
     for first_row in range(0, n_trials, rows):
         block = slice(first_row, first_row + rows)
@@ -167,7 +168,7 @@ def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
             step_flat[frontier] = superstep
             room[frontier] = top
             # one entry per edge into the frontier: its index into the
-            # borrower-grouped edge arrays, and its lender's key; a one-row
+            # network's edge arrays, and its lender's key; a one-row
             # block's keys are bank ids, with no row offset to add
             jj = frontier if one_row else frontier % n
             counts = in_degree.take(jj)
@@ -175,7 +176,7 @@ def balance_rows(net: DirectedNetwork, margin: np.ndarray) -> np.ndarray:
             shift -= counts.cumsum()
             idx = shift.repeat(counts)
             idx += np.arange(idx.size)
-            keys = in_lender.take(idx)
+            keys = lender.take(idx)
             if not one_row:
                 keys += (frontier - jj).repeat(counts)
             np.subtract.at(room, keys, units.take(idx))

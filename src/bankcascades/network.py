@@ -2,8 +2,8 @@
 
 An edge points lender -> borrower (the direction funds flowed when the loan
 was made); losses travel the other way when a borrower defaults. Edges are
-stored in canonical order, sorted by (lender, borrower), so regenerating a
-network from the same seed reproduces the edge list byte for byte.
+stored sorted by (borrower, lender), the order in which losses are read, and
+a network regenerated from the same seed is the same byte for byte.
 """
 from __future__ import annotations
 
@@ -76,11 +76,11 @@ def _as_units(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DirectedNetwork:
-    """Weighted directed network, edges in canonical (lender, borrower) order.
+    """Weighted directed network, edges sorted by (borrower, lender).
 
-    The constructor validates the edge list; use :func:`from_edges` for
-    unsorted input. All arrays are frozen so a network can be shared
-    read-only across concurrent trials.
+    The constructor validates the edge list and stores the ids as intp; use
+    :func:`from_edges` for unsorted input. All arrays are frozen so a
+    network can be shared read-only across concurrent trials.
     """
 
     n_nodes: int
@@ -98,6 +98,9 @@ class DirectedNetwork:
             raise ValueError("edge arrays must have equal length")
         if self.lender.dtype.kind not in "iu" or self.borrower.dtype.kind not in "iu":
             raise ValueError("lender and borrower ids must be integer arrays")
+        # uint64 ids past intp's range wrap negative, and the range check rejects them
+        object.__setattr__(self, "lender", self.lender.astype(np.intp, copy=False))
+        object.__setattr__(self, "borrower", self.borrower.astype(np.intp, copy=False))
         if E:
             if self.lender.min() < 0 or self.lender.max() >= n:
                 raise ValueError("lender id out of range")
@@ -107,10 +110,10 @@ class DirectedNetwork:
                 raise ValueError("self-loops are not allowed")
             if not (self.loan_size.min() > 0 and self.loan_size.max() < np.inf):  # NaN fails too
                 raise ValueError("loan sizes must be positive and finite")
-            key = self.lender.astype(np.int64, copy=False) * n
-            key += self.borrower
+            key = self.borrower.astype(np.int64, copy=False) * n
+            key += self.lender
             if np.any(key[1:] <= key[:-1]):
-                raise ValueError("edges must be unique and sorted by (lender, borrower)")
+                raise ValueError("edges must be unique and sorted by (borrower, lender)")
         for arr in (self.lender, self.borrower, self.loan_size):
             arr.setflags(write=False)
 
@@ -118,26 +121,9 @@ class DirectedNetwork:
     def n_edges(self) -> int:
         return len(self.lender)
 
-    # -- cached per-direction indexes -------------------------------------
-
-    @cached_property
-    def _in_order(self) -> np.ndarray:
-        """Permutation of canonical edges into (borrower, lender) order:
-        canonical edges already run in lender order, so a stable sort by
-        borrower alone keeps it (a radix sort up to 65,536 nodes)."""
-        borrower = self.borrower.astype(np.min_scalar_type(self.n_nodes - 1))
-        return np.argsort(borrower, kind="stable")
-
     @cached_property
     def in_indptr(self) -> np.ndarray:
         return np.concatenate(([0], self.in_degree.cumsum()))
-
-    @cached_property
-    def in_lender(self) -> np.ndarray:
-        """Per edge (borrower-grouped): the lender's id, as intp."""
-        lender = self.lender.take(self._in_order).astype(np.intp, copy=False)
-        lender.setflags(write=False)
-        return lender
 
     @cached_property
     def interbank_assets(self) -> np.ndarray:
@@ -170,29 +156,34 @@ class DirectedNetwork:
         unit loans, about 55 for loans drawn from [0.2, 1.8]. A loan with
         frexp exponent e is bits * 2**(e - 53), so s <= 53 - e for the smallest
         loan's e, and a normal loan of that binade with odd bits attains it;
-        failing that, every loan is scanned. It reads 2**16 loans at a time,
-        so its temporaries stay small at any network size."""
-        loans = self.loan_size
+        failing that, every loan's lowest set bit is read from its float
+        bits. It reads 2**16 loans at a time, so its temporaries stay small
+        at any network size."""
+        loans = self.loan_size.astype(np.float64, copy=False)
         pieces = [loans[first:first + (1 << 16)] for first in range(0, self.n_edges, 1 << 16)]
         at = int(loans.argmin()) if self.n_edges else None
         # a normal float64's lowest raw bit is its significand's lowest bit
-        if at is not None and loans.dtype == np.float64 and loans[at] >= 2.0**-1022:
+        if at is not None and loans[at] >= 2.0**-1022:
             e = math.frexp(loans[at])[1]
             top = math.ldexp(1.0, e)
             if (loans.view(np.int64)[at] & 1
                     or any((piece.view(np.int64)[piece < top] & 1).any() for piece in pieces)):
                 return max(0, 53 - e)
-        least = 54
+        least = 0
         for piece in pieces:
-            mantissa, exponent = np.frexp(piece)
-            bits = np.ldexp(mantissa, 53).astype(np.int64)  # loan = bits * 2**(exponent - 53)
-            exponent += np.frexp(bits & -bits)[1]  # plus 1 + the lowest set bit's position
-            least = min(least, int(exponent.min()))
-        return 54 - least
+            raw = piece.view(np.int64)
+            # loan = significand * 2**(max(E, 1) - 1075), E its biased exponent, and low
+            # is the significand's lowest set bit: its float exponent is log2(low) + 1023
+            low = raw | 1 << 52
+            low &= -low
+            exponent = np.maximum(raw >> 52, 1)
+            exponent += low.astype(np.float64).view(np.int64) >> 52
+            least = min(least, int(exponent.min()) - 2098)
+        return -least
 
     @cached_property
     def in_loan_units(self) -> np.ndarray:
-        """Per edge (borrower-grouped): the loan in exact integer units of
+        """Per edge: the loan in exact integer units of
         2**-loan_unit_exponent, in the smallest signed dtype that holds
         -(U + 1), U being the largest lender's total units: int8 for unit
         loans at N = 1000, int64 for case C up to z of about 190. Where U may
@@ -205,7 +196,7 @@ class DirectedNetwork:
         most = math.ldexp(self.interbank_assets.max(initial=0), s)
         dtype = (np.min_scalar_type(-int(most) - 1) if most < math.ldexp(1 - 2.0**-20, 63)
                  else np.dtype(object))
-        units = _as_units(np.ldexp(self.loan_size, s), dtype).take(self._in_order)  # whole units
+        units = _as_units(np.ldexp(self.loan_size, s), dtype)  # whole units
         units.setflags(write=False)
         return units
 
@@ -234,9 +225,8 @@ def from_edges(n_nodes: int, edges) -> DirectedNetwork:
     lender = _node_ids([e[0] for e in edges])
     borrower = _node_ids([e[1] for e in edges])
     loan = np.asarray([e[2] for e in edges], dtype=np.float64)
-    order = np.lexsort((borrower, lender))
-    lender, borrower, loan = lender[order], borrower[order], loan[order]
-    return DirectedNetwork(n_nodes, lender, borrower, loan)
+    order = np.lexsort((lender, borrower))
+    return DirectedNetwork(n_nodes, lender[order], borrower[order], loan[order])
 
 
 def generate_er(
@@ -250,7 +240,8 @@ def generate_er(
 
     Network stream ``er-v2``, O(edges): the gaps between successive edges in
     row-major pair order are geometric (Batagelj & Brandes, PRE 2005), drawn in
-    chunks sized by (n, p) alone, then one loan size per edge in that order.
+    chunks sized by (n, p) alone, then one loan size per edge in that order,
+    and last a stable sort by borrower.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -277,17 +268,23 @@ def generate_er(
     flat = flat[:np.searchsorted(flat, n_pairs)]
     lender = flat // (n - 1)  # int64, like flat: no cast needed below
     borrower = np.remainder(flat, n - 1, out=flat)  # the column, in place
+    del flat  # else it keeps the unsorted borrowers alive below
     borrower += borrower >= lender  # skip the diagonal
     loan = loan_dist.sample(len(borrower), rng)
-    # flat order is already sorted by (lender, borrower)
+    # stable (a radix sort up to 65,536 nodes); permuted one array at a time, to save memory
+    order = np.argsort(borrower.astype(np.min_scalar_type(n - 1)), kind="stable")
+    lender = lender.take(order)
+    borrower = borrower.take(order)
+    loan = loan.take(order)
+    del order
     return DirectedNetwork(n, lender, borrower, loan)
 
 
 def save_edge_list(net: DirectedNetwork, path) -> None:
     """Plain-text dump: first line is the node count, then one
-    ``lender borrower loan_size`` triple per line in canonical order."""
+    ``lender borrower loan_size`` triple per line, sorted by (lender, borrower)."""
     lines = [str(net.n_nodes)]
-    for i in range(net.n_edges):
+    for i in np.lexsort((net.borrower, net.lender)).tolist():
         lines.append(f"{net.lender[i]} {net.borrower[i]} {net.loan_size[i]:.17g}")
     Path(path).write_text("\n".join(lines) + "\n")
 

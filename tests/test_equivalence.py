@@ -689,7 +689,7 @@ def test_kernel_memory_is_flat_in_the_trial_count():
     thresholds = sheets.net_worth + returns
     del returns
     # build the cached indexes untraced
-    net.in_degree, net.in_indptr, net.in_lender, net.in_loan_units
+    net.in_degree, net.in_indptr, net.in_loan_units
     tracemalloc.start()
     try:
         step = balance_rows(net, thresholds)

@@ -16,6 +16,7 @@ from bankcascades import (
     load_edge_list,
     save_edge_list,
 )
+from bankcascades.balance_cascade import balance_rows
 
 UNIT = LoanSizeDistribution.constant(1.0)
 
@@ -147,7 +148,7 @@ def test_node_counts_and_ids_must_be_whole_numbers():
         DirectedNetwork(3, np.array([0.0]), np.array([1.0]), np.array([1.0]))
     # whole-number floats and numpy integers are ids
     net = from_edges(np.int64(3), [(0, 2.0, 1.0), (np.int32(1), 0, 1.0)])
-    assert net.lender.tolist() == [0, 1] and net.borrower.tolist() == [2, 0]
+    assert net.lender.tolist() == [1, 0] and net.borrower.tolist() == [0, 2]
 
 
 def test_loan_unit_exponent_reads_every_loan_of_a_large_network():
@@ -221,11 +222,11 @@ def test_generated_networks_are_consistent(n, z_frac, seed):
     assert np.all(net.lender != net.borrower)
     key = net.lender * n + net.borrower
     assert len(np.unique(key)) == net.n_edges
-    # cached per-direction indexes agree with the raw edge list
+    # cached per-bank indexes agree with the raw edge list
     for node in range(n):
         mask_out = net.lender == node
         assert net.interbank_assets[node] == pytest.approx(net.loan_size[mask_out].sum())
-        in_edges = net._in_order[net.in_indptr[node]:net.in_indptr[node + 1]]
+        in_edges = slice(net.in_indptr[node], net.in_indptr[node + 1])
         nbrs, loans = net.lender[in_edges], net.loan_size[in_edges]
         mask_in = net.borrower == node
         assert loans.sum() == pytest.approx(net.loan_size[mask_in].sum())
@@ -253,29 +254,50 @@ def _crowded_edges(n, n_edges, seed):
     return n, [(lender, borrower, 1.0) for lender, borrower in set(pairs) if lender != borrower]
 
 
-# the hypothesis cases sort uint8 borrowers; 300 nodes sort uint16 and
-# 70,000 nodes uint32 ones
+# the stable sort by borrower takes uint8 borrowers in the hypothesis cases,
+# uint16 ones at 300 nodes and uint32 ones (numpy's non-radix sort) at 70,000
 @settings(max_examples=60, deadline=None)
 @given(_edge_sets())
 @example(_crowded_edges(300, 3000, seed=1))
 @example(_crowded_edges(70_000, 20_000, seed=2))
-def test_in_edge_order_is_the_borrower_lender_lexsort(case):
+def test_edges_are_stored_in_borrower_lender_lexsort_order(case):
     n, edges = case
     net = from_edges(n, edges)
-    want = np.lexsort((net.lender, net.borrower))
-    assert np.array_equal(net._in_order, want)
+    got = list(zip(net.borrower.tolist(), net.lender.tolist(), net.loan_size.tolist()))
+    assert got == sorted((borrower, lender, loan) for lender, borrower, loan in edges)
+    loans = LoanSizeDistribution.uniform(0.2, 1.8)
+    for z in (len(edges) / n, min(n - 1, 3.0)):
+        net = generate_er(n, z, loans, len(edges))
+        assert np.array_equal(np.lexsort((net.lender, net.borrower)), np.arange(net.n_edges))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_edge_sets())
-def test_in_lender_is_a_frozen_lender_id_per_in_edge(case):
+def test_lender_and_borrower_are_frozen_intp_arrays(case):
     n, edges = case
     net = from_edges(n, edges)
-    in_edges = sorted((borrower, lender) for lender, borrower, _ in edges)
-    assert net.in_lender.dtype == np.intp
-    assert net.in_lender.tolist() == [lender for _, lender in in_edges]
-    with pytest.raises(ValueError):
-        net.in_lender[...] = 0
+    for ids in (net.lender, net.borrower):
+        assert ids.dtype == np.intp
+        with pytest.raises(ValueError):
+            ids[...] = 0
+
+
+def test_ids_of_any_integer_dtype_give_the_same_network():
+    # uint64 ids once passed the dtype check and then failed to form the
+    # order key; the kernel reads the ids as they are stored, as intp
+    net = generate_er(300, 4.0, UNIT, 3)
+    margin = np.random.default_rng(3).uniform(-0.5, 2.0, (20, 300))
+    want = balance_rows(net, margin)
+    assert (want.max(axis=1) > 0).sum() > 5  # cascades: the comparison is not vacuous
+    for dtype in (np.int32, np.uint16, np.uint64):
+        ids = net.lender.astype(dtype), net.borrower.astype(dtype)
+        other = DirectedNetwork(300, *ids, net.loan_size)
+        assert other.lender.dtype == other.borrower.dtype == np.intp
+        assert np.array_equal(other.lender, net.lender)
+        assert np.array_equal(other.borrower, net.borrower)
+        assert np.array_equal(balance_rows(other, margin), want)
+    with pytest.raises(ValueError, match="lender id out of range"):  # wraps to -2**63
+        DirectedNetwork(3, np.array([2**63], np.uint64), np.array([1], np.uint64), np.ones(1))
 
 
 # -- network stream er-v2: geometric skips between successive edges -----------
@@ -307,9 +329,10 @@ def _reference_er_v2(n, z, seed, loan_lo, loan_hi):
 def test_er_v2_equals_a_plain_numpy_reference(n, z, seed):
     net = generate_er(n, z, LoanSizeDistribution.uniform(0.2, 1.8), seed)
     lender, borrower, loan = _reference_er_v2(n, z, seed, 0.2, 1.8)
-    assert net.lender.tolist() == lender
-    assert net.borrower.tolist() == borrower
-    assert np.array_equal(net.loan_size, loan)
+    drawn = np.lexsort((net.borrower, net.lender))  # the reference's (lender, borrower) order
+    assert net.lender[drawn].tolist() == lender
+    assert net.borrower[drawn].tolist() == borrower
+    assert np.array_equal(net.loan_size[drawn], loan)
 
 
 @pytest.mark.parametrize("z", [0.2, 2.0])  # p = 0.05 and 0.5 take numpy's two geometric laws
